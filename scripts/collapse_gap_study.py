@@ -55,7 +55,7 @@ def relative_gaps(cfg: StudyConfig) -> tuple[list[float], float]:
         spec, g, list(cfg.n_list), r_out, times, h=cfg.h,
         cfg=EvolveConfig(dt_max=cfg.dt_max),
     )
-    lam = {t: solve_phi_infinity_log(spec, t) for t in times if t > 0.0}
+    lam = dict(zip(times[1:], solve_phi_infinity_log(spec, times[1:]).tolist()))
     mon = seq.limit.grid.radii <= cfg.monitor_radius + 1e-12
     gaps = []
     worst_env = -math.inf

@@ -6,13 +6,16 @@ relation
 
     t  =  integral from Phi(t) to a  of  ds / (s h(s))
 
-by quadrature along x = ln s plus bracketed root finding.  That gives
-machine-accurate values at arbitrary times with no error accumulation, and
-extends naturally to two objects a time-stepper cannot reach:
+along x = ln s, from a cumulative table of Gauss-Legendre panels, with
+bisection plus Newton polish on the panel that brackets each time.  That
+gives machine-accurate values at arbitrary times with no error
+accumulation, and extends naturally to two objects a time-stepper cannot
+reach:
 
-* ``solve_phi_infinity`` -- the solution started from infinite height,
-  characterized by ``integral from Phi_inf(t) to infinity = t``, which exists
-  exactly when the osgood condition holds;
+* ``solve_phi_infinity`` / ``solve_phi_infinity_log`` -- the solution
+  started from infinite height, characterized by ``integral from
+  Phi_inf(t) to infinity = t``, which exists exactly when the osgood
+  condition holds; one lifetime table serves a whole array of times;
 * ``solve_phi_log`` -- trajectories whose initial height is given as ln(a),
   for data far beyond double range (``a ~ exp(2500)`` appears routinely in
   the threshold experiments).
@@ -38,6 +41,7 @@ from .errors import (
 from .nonlinearity import Nonlinearity, classify_conditions, log_h_at_log
 
 _V_CAP = 1e300
+_MAX_TABLE_PANELS = 1000
 
 
 @dataclass(frozen=True)
@@ -205,86 +209,79 @@ def _require_osgood(spec: Nonlinearity) -> None:
         )
 
 
-def solve_phi_infinity(spec: Nonlinearity, t: float) -> float:
-    """Value of the infinite-height flat solution at time t > 0.
+def _tail_table(spec: Nonlinearity, t_min: float, t_max: float):
+    """Lifetime table: edges ascending in x and ``G(x)`` at each edge.
 
-    Brackets by doubling the level until its tail integral falls below t,
-    erroring out above 1e300; then bisection plus Newton polish to relative
-    tolerance 1e-10.  Use :func:`solve_phi_infinity_log` when the value
-    itself exceeds double range.
+    Panels of width 1, 2, 4, ... ascend from x = 0 until one is below
+    1e-13 t_min; the remainder is extrapolated from the last panel ratio as
+    in :func:`tail_integral`.  Unit panels descend from 0 until G exceeds
+    t_max.  G is summed from the far end, so no cancellation occurs.
     """
-    _require_osgood(spec)
-    if not (t > 0.0):
-        raise DomainError(f"time must be positive, got {t}")
-    # Doubling bracket: each doubling shortens the tail integral by one panel,
-    # so G(2v) is obtained from G(v) by subtracting the panel [ln v, ln 2v].
     f = _inv_h(spec)
-    ln2 = math.log(2.0)
-    x = 0.0
-    g = osgood_tail_from_log(spec, x)
-    while g >= t:
-        g -= gl_panel_refined(f, x, x + ln2, splits=2)
-        x += ln2
-        if x > math.log(_V_CAP):
-            raise OverflowGuardError(
-                "infinite-height value exceeds 1e300 at this time; "
-                "use solve_phi_infinity_log"
-            )
-    lam = _phi_infinity_root(spec, t, x - ln2 if x > 0.0 else _down_bracket(spec, t), x)
-    return math.exp(lam)
-
-
-def _down_bracket(spec: Nonlinearity, t: float) -> float:
-    """Lower bracket when even level 1 already has tail integral < t."""
-    lo = -1.0
-    while osgood_tail_from_log(spec, lo) < t:
-        lo *= 2.0
-        if lo < -1e6:
+    up, down = [], []
+    while len(up) < 4 or abs(up[-1]) >= 1e-13 * t_min:
+        if len(up) == _MAX_TABLE_PANELS:
+            raise BracketError("lifetime tail did not settle within the panel budget")
+        k = len(up)
+        up.append(gl_panel_refined(f, 2.0**k - 1.0, 2.0 ** (k + 1) - 1.0, splits=4))
+    rho = up[-1] / up[-2] if up[-2] != 0.0 else 0.0
+    rest = up[-1] * rho / (1.0 - rho) if 0.0 < rho < 1.0 else 0.0
+    g = rest + math.fsum(up)
+    while g < t_max:
+        if len(up) + len(down) == _MAX_TABLE_PANELS:
             raise BracketError("failed to bracket the infinite-height level")
-    return lo
+        down.append(gl_panel_refined(f, -len(down) - 1.0, -len(down), splits=4))
+        g += down[-1]
+    panels = np.array(down[::-1] + up)
+    edges = np.concatenate(
+        (-np.arange(len(down), 0, -1.0), 2.0 ** np.arange(len(up) + 1.0) - 1.0)
+    )
+    return edges, rest + np.append(np.cumsum(panels[::-1])[::-1], 0.0)
 
 
-def solve_phi_infinity_log(spec: Nonlinearity, t: float) -> float:
-    """ln of the infinite-height flat value at t, valid for tiny t.
+def solve_phi_infinity_log(spec: Nonlinearity, t):
+    """ln of the infinite-height flat value at each time t > 0.
 
-    Same characterization as :func:`solve_phi_infinity` solved directly in
-    log coordinates, so early-time values like exp(4e12) pose no problem.
+    ``Phi_inf(t)`` is characterized by the lifetime relation
+    ``G(ln Phi_inf(t)) = t`` with ``G(x) = integral of 1/h(e^y) over
+    [x, infinity)``.  One call builds one lifetime table covering all of
+    ``t`` and inverts each time on its bracketing panel by bisection plus
+    Newton polish, to residual 1e-10 max(t, 1e-6).  Working in log
+    coordinates, early values like exp(4e12) pose no problem.
+
+    ``t`` is a float or a 1-D array of times in any order; the result is a
+    float or an array of the same shape.
     """
     _require_osgood(spec)
-    if not (t > 0.0):
-        raise DomainError(f"time must be positive, got {t}")
-    lo, hi = 0.0, 1.0
-    # expand upward until the tail integral drops below t
-    while osgood_tail_from_log(spec, hi) >= t:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e15:
-            raise BracketError("failed to bracket the infinite-height level")
-    # expand downward if even level e^0 is too high
-    while osgood_tail_from_log(spec, lo) < t:
-        hi, lo = lo, lo - max(1.0, abs(lo))
-        if lo < -1e6:
-            raise BracketError("failed to bracket the infinite-height level")
-    return _phi_infinity_root(spec, t, lo, hi)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise GridError("times must be a scalar or a 1-D array")
+    flat = times.reshape(-1)
+    if not np.all(flat > 0.0):
+        raise DomainError(f"times must be positive, got {t}")
+    out = np.empty_like(flat)
+    if flat.size:
+        edges, G = _tail_table(spec, float(flat.min()), float(flat.max()))
+        f = _inv_h(spec)
+        for i, ti in enumerate(flat):
+            # G decreases along edges: panel j brackets G[j] <= t <= G[j-1]
+            j = int(np.searchsorted(-G, -ti))
+            j = min(max(j, 1), len(G) - 1)
+            out[i] = _invert_on_panel(spec, f, edges[j - 1], edges[j], G[j], float(ti))
+    return float(out[0]) if times.ndim == 0 else out
 
 
-def _phi_infinity_root(spec: Nonlinearity, t: float, lo: float, hi: float) -> float:
-    """Root of G(e^lam) = t on [lo, hi]; G decreasing in lam."""
-    for _ in range(60):
-        m = 0.5 * (lo + hi)
-        if osgood_tail_from_log(spec, m) >= t:
-            lo = m
-        else:
-            hi = m
-        if hi - lo < 1e-9 * max(1.0, abs(hi)):
-            break
-    lam = 0.5 * (lo + hi)
-    for _ in range(4):
-        res = osgood_tail_from_log(spec, lam) - t
-        # dG/dlam = -1/h(e^lam)
-        lam += res * math.exp(float(log_h_at_log(spec, lam)))
-    res = osgood_tail_from_log(spec, lam) - t
-    if abs(res) > 1e-10 * max(t, 1e-12):
-        raise ToleranceError(
-            "infinite-height inversion residual above tolerance", residual=res
+def solve_phi_infinity(spec: Nonlinearity, t):
+    """Value of the infinite-height flat solution at each time t > 0.
+
+    The exponential of :func:`solve_phi_infinity_log`, with the same scalar
+    or array ``t``; raises :class:`OverflowGuardError` where a value exceeds
+    1e300, for which the log route is the one to use.
+    """
+    lam = solve_phi_infinity_log(spec, t)
+    if np.any(np.asarray(lam) > math.log(_V_CAP)):
+        raise OverflowGuardError(
+            "infinite-height value exceeds 1e300 at this time; "
+            "use solve_phi_infinity_log"
         )
-    return lam
+    return math.exp(lam) if isinstance(lam, float) else np.exp(lam)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import AbsorbLabError, ConfigError
 from .evolution import EvolveConfig, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
 from .flat_ode import solve_phi, solve_phi_infinity_log
 from .io import RunManifest, emit_csv, emit_manifest
@@ -96,9 +96,8 @@ def run_flat_ode(config, out_dir: Path, scale: float, workers: int) -> RunManife
     if closed_form_err is not None:
         man.record_check("closed_form_match", closed_form_err <= 1e-8 * scale, 1e-8 * scale)
     man.record_file(emit_csv(out_dir / "flat_ode.csv", ["a", "t", "value"], rows))
-    env_rows = [
-        [float(t), solve_phi_infinity_log(spec, float(t))] for t in times if t > 0.0
-    ]
+    env_times = times[times > 0.0]
+    env_rows = np.column_stack((env_times, solve_phi_infinity_log(spec, env_times))).tolist()
     man.record_file(
         emit_csv(out_dir / "flat_envelope.csv", ["t", "log_value"], env_rows)
     )
@@ -117,15 +116,20 @@ def run_stationary(config, out_dir: Path, scale: float, workers: int) -> RunMani
         profiles[a] = prof
         for r, w, dw in zip(prof.radii, prof.w_values, prof.dw_values):
             rows.append([a, float(r), float(w), float(dw)])
+        if spec.family != "log_power":
+            man.notes[f"fit_a={a:g}"] = {
+                "skipped": "growth-law fit defined only for log-power laws with 1 < alpha <= 2"
+            }
+            continue
         try:
-            fit = fit_asymptotics(prof, spec.alpha if spec.family == "log_power" else None)
+            fit = fit_asymptotics(prof, spec.alpha)
             man.notes[f"fit_a={a:g}"] = {
                 "exponent_hat": fit.exponent_hat,
                 "constant_hat": fit.constant_hat,
                 "target_exponent": fit.target_exponent,
                 "target_constant": fit.target_constant,
             }
-        except Exception as exc:  # informational only
+        except AbsorbLabError as exc:  # informational only
             man.notes[f"fit_a={a:g}"] = {"error": str(exc)}
     ordered = True
     a_sorted = sorted(config["a_list"])
@@ -159,7 +163,8 @@ def run_theorem_b(config, out_dir: Path, scale: float, workers: int) -> RunManif
     man = RunManifest(config=config, tolerance_scale=scale)
     rows = []
     centers = {}
-    lam = {t: solve_phi_infinity_log(spec, t) for t in config["t_checks"]}
+    t_checks = config["t_checks"]
+    lam = dict(zip(t_checks, solve_phi_infinity_log(spec, t_checks).tolist()))
     for a in config["a_list"]:
         # tol here is only the runaway-scheme guard; the pass/fail threshold
         # for the ordering check is h^2 and lives in the manifest.
@@ -207,7 +212,7 @@ def run_theorem_c(config, out_dir: Path, scale: float, workers: int) -> RunManif
         spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg,
         influence_check=True, workers=workers, dimension=config["dimension"],
     )
-    lam = {t: solve_phi_infinity_log(spec, t) for t in times if t > 0.0}
+    lam = dict(zip(times[1:], solve_phi_infinity_log(spec, times[1:]).tolist()))
     rows, gap_rows = [], []
     mon = seq.limit.grid.radii <= config["monitor_radius"] + 1e-12
     rel_gaps = []

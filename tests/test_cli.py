@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import time
 
 import pytest
 
 from absorblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from absorblab.flat_ode import osgood_tail_from_log
 from absorblab.io import parse_csv
+from absorblab.nonlinearity import Nonlinearity
 
 
 def test_conditions_end_to_end(tmp_path, capsys):
@@ -52,6 +55,33 @@ def test_flat_ode_power_family_reports_closed_form(tmp_path):
     assert main(["flat-ode", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["checks"]["closed_form_match"] is True
+
+
+def test_flat_ode_at_defaults_within_budget(tmp_path):
+    # log-power alpha = 1.5, 101 output times: 100 envelope levels
+    out = tmp_path / "run"
+    t0 = time.perf_counter()
+    assert main(["flat-ode", "--out", str(out)]) == EXIT_OK
+    wall = time.perf_counter() - t0
+    _, rows = parse_csv(out / "flat_envelope.csv")
+    env = [(float(t), float(lam)) for t, lam in rows]
+    assert len(env) == 100
+    assert all(b[1] < a[1] for a, b in zip(env[:-1], env[1:]))
+    spec = Nonlinearity.log_power(1.5)
+    for t, lam in env[::33]:
+        assert abs(osgood_tail_from_log(spec, lam) - t) <= 1e-8 * t
+    assert wall <= 5.0, f"flat-ode at defaults took {wall:.2f} s"
+
+
+def test_stationary_power_family_skips_growth_law_fit(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("family = power\np = 2\nr_max = 1\na_list = 0.1\nbound_radii = 0.5\n")
+    out = tmp_path / "run"
+    assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    note = json.loads((out / "manifest.json").read_text())["notes"]["fit_a=0.1"]
+    assert note == {
+        "skipped": "growth-law fit defined only for log-power laws with 1 < alpha <= 2"
+    }
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorblab.errors import DomainError, OverflowGuardError, PreconditionError
+from absorblab.errors import (
+    BracketError,
+    DomainError,
+    OverflowGuardError,
+    PreconditionError,
+)
 from absorblab.flat_ode import (
     FlatTrajectory,
     osgood_tail,
@@ -108,16 +113,61 @@ def test_full_collapse_level_inverts_lifetime_integral():
 
 
 def test_full_collapse_small_time_asymptote():
-    # deep in the tail the level solves 2/sqrt(x) = t
-    t = 1e-3
-    lam = solve_phi_infinity_log(LOG15, t)
-    assert lam == pytest.approx((2.0 / t) ** 2, rel=1e-3)
+    # deep in the tail the level solves 2/sqrt(x) = t; at t = 1e-9 it is 4e18
+    for t in (1e-3, 1e-9):
+        lam = solve_phi_infinity_log(LOG15, t)
+        assert lam == pytest.approx((2.0 / t) ** 2, rel=1e-3)
 
 
 def test_full_collapse_power_family_closed_form():
     # u' = -u^2 from infinite data is exactly 1/t
     for t in (0.05, 0.3, 1.0):
         assert solve_phi_infinity(POW2, t) == pytest.approx(1.0 / t, rel=1e-10)
+
+
+def test_full_collapse_array_matches_scalar_calls():
+    # unsorted times, spanning the downward extension and the deep tail
+    times = np.array([1.0, 0.01, 20.0, 0.5, 1e-6, 5.0, 0.25])
+    lam = solve_phi_infinity_log(LOG15, times)
+    assert lam.shape == times.shape
+    for t, got in zip(times, lam):
+        assert got == pytest.approx(solve_phi_infinity_log(LOG15, float(t)), rel=1e-13)
+    np.testing.assert_allclose(
+        solve_phi_infinity(POW2, times[times > 0.1]), 1.0 / times[times > 0.1], rtol=1e-10
+    )
+    assert solve_phi_infinity_log(LOG15, np.array([])).shape == (0,)
+
+
+def test_full_collapse_negative_levels_against_mpmath():
+    # t beyond G(0): the envelope level is below 1, so the table extends down
+    mp.mp.dps = 25
+    for t in (5.0, 20.0):
+        lam = solve_phi_infinity_log(LOG15, t)
+        assert lam < 0.0
+        ref = mp.quad(
+            lambda x: 1 / mp.log(1 + mp.e**x) ** mp.mpf("1.5"), [lam, 0, 10, 100, mp.inf]
+        )
+        assert float(ref) == pytest.approx(t, rel=1e-10)
+
+
+def test_full_collapse_power_family_log_closed_form():
+    # u' = -u^2 from infinite data: ln Phi_inf(t) = -ln t, on both sides of t = 1
+    times = np.array([1e-3, 0.05, 0.3, 1.0, 5.0, 20.0])
+    np.testing.assert_allclose(solve_phi_infinity_log(POW2, times), -np.log(times),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+def test_full_collapse_rejects_nonpositive_times_in_arrays(bad):
+    with pytest.raises(DomainError):
+        solve_phi_infinity_log(LOG15, np.array([0.5, bad, 1.0]))
+
+
+def test_full_collapse_unsettled_tail_raises_typed_error():
+    # alpha = 1.001: panels over [X, 2X] shrink like X^-0.001, so the
+    # lifetime table cannot settle within its panel budget
+    with pytest.raises(BracketError):
+        solve_phi_infinity_log(Nonlinearity.log_power(1.001), 0.5)
 
 
 def test_full_collapse_linear_scale_overflow_guard():
