@@ -9,9 +9,11 @@ where SCENARIO is one of ``conditions``, ``flat-ode``, ``stationary``,
 
 Exit codes: 0 when every recorded check passed, 2 for configuration
 errors (unknown key, bad value, unreadable file), 3 for numerical
-failures or failed checks.  The worker count for embarrassingly
-parallel scheme runs comes from the ``ABSORBLAB_THREADS`` environment
-variable (default 1); it never affects results, only wall time.
+failures or failed checks.
+
+``ABSORBLAB_THREADS`` is still read and must be a positive integer (exit
+code 2 otherwise), but it has no effect: every run is stepped in a
+single thread.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ EXIT_NUMERICAL = 3
 
 
 def _worker_count() -> int:
+    """Validate ``ABSORBLAB_THREADS``; the value itself is not used."""
     raw = os.environ.get("ABSORBLAB_THREADS", "1")
     try:
         n = int(raw)
@@ -66,13 +69,13 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"--tolerance-scale must be positive, got {args.tolerance_scale:g}"
             )
-        workers = _worker_count()
+        _worker_count()
         config = load_config(args.scenario, args.config)
     except ConfigError as exc:
         print(f"absorblab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        manifest = run_scenario(config, args.out, args.tolerance_scale, workers)
+        manifest = run_scenario(config, args.out, args.tolerance_scale)
     except ConfigError as exc:
         print(f"absorblab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,7 +30,7 @@ SCENARIOS = (
 
 @dataclass(frozen=True)
 class Field:
-    kind: str                 # float | int | str | bool | float_list
+    kind: str                 # float | int | str | float_list
     default: object
     choices: tuple = ()
     positive: bool = False
@@ -121,14 +121,7 @@ def _parse_value(key: str, raw: str, f: Field):
         if f.kind == "float":
             return float(raw)
         if f.kind == "int":
-            v = int(raw)
-            return v
-        if f.kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
+            return int(raw)
         if f.kind == "float_list":
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             return tuple(float(p) for p in parts)
@@ -179,8 +172,10 @@ def _scenario_checks(scenario: str, params: dict):
         raise ConfigError(
             f"scenario {scenario} is implemented for dimension = 1 only"
         )
-    if scenario == "theorem-c" and params["n_list"][-1] >= params["r_out"]:
+    if scenario in ("theorem-c", "non-uniqueness") and params["n_list"][-1] >= params["r_out"]:
         raise ConfigError("n_list must stay below r_out")
+    if scenario == "stationary" and max(params["bound_radii"]) > params["r_max"]:
+        raise ConfigError("bound_radii must not exceed r_max")
 
 
 def parse_config(scenario: str, text: str) -> ExperimentConfig:
@@ -222,8 +217,6 @@ def load_config(scenario: str, path: str | Path | None) -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, tuple):

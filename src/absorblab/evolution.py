@@ -20,6 +20,23 @@ Discretization notes:
   Jacobi form of the step equation (this floods height plateaus one cell a
   sweep and lands within O(1) of the solution), then damped Newton.
 
+Batching: :func:`evolve` steps either one run or a family of runs given
+as sequences.  A family's grid vectors are laid end to end in one vector
+and every step is taken on that vector: one warm-start sweep, one
+residual, one LAPACK ``dgtsv`` solve of the block tridiagonal Newton
+system (identity rows at the boundary nodes) per iteration for all runs
+together.  This pays numpy's and LAPACK's per-call overhead once per
+family instead of once per run.  Rows couple only within their own run, so
+elimination never crosses a block.  Each run keeps its own sweep count,
+Newton convergence and damping, so it does exactly the arithmetic of a
+solo run: its values are bitwise those of the same run stepped alone.  A
+family shares one internal step schedule.  That is what makes batching
+possible, and it is also required: the discrete comparison principle, and
+with it every in-n ordering check between members, holds only between runs
+taken through identical step sequences.  The A4 and A8.1 drivers step
+their families this way; the A8 driver calls :func:`evolve` once per ball
+with the same times and config, which gives the same step sequence.
+
 Drivers cover the three ball-exhaustion sequences used by the collapse
 experiments: truncated data on a fixed large ball, profile-capped data on
 growing balls, and the two-sided profile-boundary variant.
@@ -28,12 +45,11 @@ growing balls, and the two-sided profile-boundary variant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     DomainError,
@@ -55,6 +71,7 @@ __all__ = [
     "BoundaryTrace",
     "EvolveConfig",
     "EvolutionField",
+    "EvolutionFamily",
     "SchemeSequence",
     "evolve",
     "run_scheme_A4",
@@ -229,8 +246,15 @@ class EvolutionField:
         with np.errstate(over="ignore"):
             return np.where(w > 690.0, 1e300, np.expm1(np.minimum(w, 690.0)))
 
-    def w_at_time(self, i: int) -> np.ndarray:
-        return self.values[i]
+
+@dataclass(frozen=True)
+class EvolutionFamily:
+    """Runs stepped together by one :func:`evolve` call, in call order; the
+    Newton and clipping counts are taken over all of them."""
+
+    fields: tuple
+    newton_iterations_max: int = 0
+    negative_clips: int = 0
 
 
 @dataclass(frozen=True)
@@ -298,11 +322,19 @@ def _internal_times(times: np.ndarray, cfg: EvolveConfig):
     return np.asarray(steps), np.asarray(is_output, dtype=bool)
 
 
-def _step(spec, a_row, b_row, c_row, wm, w_bc, dt, cfg, step_index):
-    """One backward-Euler step in w; returns (w, newton_iters, clips)."""
-    J = len(wm) - 1
+def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, w_bc, dt, cfg, step_index):
+    """One backward-Euler step of every run; per-run (w, newton_iters, clips).
+
+    ``rows`` are the runs' concatenated operator rows; run i owns nodes
+    ``starts[i]..ends[i]`` (``owner`` maps nodes to runs).  Each run keeps
+    its own convergence state, so it does exactly the arithmetic it would
+    do if stepped alone; runs that have finished a phase keep their values
+    while the others go on.
+    """
+    a_row, b_row, c_row = rows
+    n_runs = len(starts)
     x = wm.copy()
-    x[J] = w_bc
+    x[ends] = w_bc
     with np.errstate(divide="ignore"):
         log_dta = np.log(dt * a_row)
         log_dtb = np.log(dt * b_row)
@@ -311,8 +343,10 @@ def _step(spec, a_row, b_row, c_row, wm, w_bc, dt, cfg, step_index):
     # point with neighbors frozen.  In u-space this is plain Jacobi on a
     # strictly dominant M-matrix (contraction rate < dt*c/(1+dt*c)), so it
     # converges globally; it floods plateaus one cell per sweep, so a cliff
-    # in the data needs up to one sweep per node to cross the grid.
-    for _ in range(max(cfg.sweeps_max, 2 * J + 100)):
+    # in the data needs up to one sweep per node to cross the grid.  The
+    # -inf log coefficients at block edges keep neighbouring runs apart.
+    sweeping = np.ones(n_runs, dtype=bool)
+    for sweep in range(1, int(sweep_caps.max()) + 1):
         hx = h_of_w(spec, x)
         with np.errstate(divide="ignore"):
             log_dth = np.log(dt * hx)
@@ -322,10 +356,11 @@ def _step(spec, a_row, b_row, c_row, wm, w_bc, dt, cfg, step_index):
             np.logaddexp(wm, log_dta + lo),
             np.logaddexp(log_dtb + up, log_dth),
         ) - np.log1p(dt * (c_row + hx))
-        est[J] = w_bc
-        delta = float(np.max(np.abs(est - x)))
-        x = est
-        if delta < 1e-3:
+        est[ends] = w_bc
+        delta = np.maximum.reduceat(np.abs(est - x), starts)
+        x = np.where(sweeping[owner], est, x)
+        sweeping &= ~(delta < 1e-3) & (sweep < sweep_caps)
+        if not sweeping.any():
             break
 
     def scaled_residual(y):
@@ -343,113 +378,162 @@ def _step(spec, a_row, b_row, c_row, wm, w_bc, dt, cfg, step_index):
             - e_m
             - dt * hy * e_0
         )
-        G[J] = y[J] - w_bc
+        G[ends] = 0.0  # boundary rows: the Dirichlet value is already set
         return G, (M, hy, e_self, e_0, e_lo, e_up)
 
+    def fail(run, message):
+        return NewtonDivergenceError(
+            f"{message} at time step {step_index} in run {tags[run]!r} "
+            f"(residual {norm[run]:.3g})", step_index, float(norm[run]),
+        )
+
     G, aux = scaled_residual(x)
-    norm = float(np.max(np.abs(G[:J])))
-    iters = 0
-    for iters in range(1, cfg.newton_max + 1):
-        if norm < cfg.newton_tol:
+    norm = np.maximum.reduceat(np.abs(G), starts)
+    iters = np.zeros(n_runs, dtype=int)
+    active = np.ones(n_runs, dtype=bool)
+    for it in range(1, cfg.newton_max + 1):
+        done = active & (norm < cfg.newton_tol)
+        iters[done] = it
+        active &= ~done
+        if not active.any():
             break
         M, hy, e_self, e_0, e_lo, e_up = aux
         hp = dh_dw(spec, x)
         diag = e_self * (1.0 + dt * c_row + dt * hy) + dt * hp * (e_self - e_0)
         diag = diag - G * (x > wm)          # d/dw of the row scaling
+        diag[ends] = 1.0                    # identity rows at the boundary nodes
         lower = -dt * a_row * e_lo          # d G_j / d w_{j-1}
         upper = -dt * b_row * e_up          # d G_j / d w_{j+1}
-        ab = np.zeros((3, J))
-        ab[0, 1:] = upper[: J - 1]
-        ab[1, :] = diag[:J]
-        ab[2, : J - 1] = lower[1:J]
-        delta = np.zeros(J + 1)
-        delta[:J] = solve_banded((1, 1), ab, -G[:J])
+        if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(diag))):
+            bad = np.maximum.reduceat(~np.isfinite(diag), starts) | ~np.isfinite(norm)
+            raise fail(int(np.argmax(bad)), "non-finite Newton system")
+        # block couplings are exact zeros, so elimination and pivoting never
+        # cross from one run into the next
+        _, _, _, delta, info = dgtsv(lower[1:], diag, upper[:-1], -G, 1, 1, 1, 1)
+        if info > 0:
+            raise fail(int(owner[info - 1]), "singular Newton matrix")
+        # runs still searching share one step length: all start at 1 together
         step = 1.0
-        accepted = False
+        pending = active.copy()
         for _ in range(cfg.damp_max + 1):
-            x_try = x + step * delta
+            x_try = np.where(pending[owner], x + step * delta, x)
             G_try, aux_try = scaled_residual(x_try)
-            n_try = float(np.max(np.abs(G_try[:J])))
-            if n_try < norm or n_try < cfg.newton_tol or not np.isfinite(norm):
-                x, G, aux, norm = x_try, G_try, aux_try, n_try
-                accepted = True
+            n_try = np.maximum.reduceat(np.abs(G_try), starts)
+            accept = pending & ((n_try < norm) | (n_try < cfg.newton_tol))
+            if np.array_equal(accept, pending):
+                # runs outside `pending` kept their x, so their rows are unchanged
+                x, G, aux = x_try, G_try, aux_try
+            else:
+                take = accept[owner]
+                x = np.where(take, x_try, x)
+                G = np.where(take, G_try, G)
+                aux = tuple(np.where(take, new, old) for new, old in zip(aux_try, aux))
+            norm = np.where(accept, n_try, norm)
+            pending &= ~accept
+            if not pending.any():
                 break
             step *= 0.5
-        if not accepted:
-            raise NewtonDivergenceError(
-                f"damped Newton stalled at time step {step_index} "
-                f"(residual {norm:.3g})", step_index, norm,
-            )
-    else:
-        raise NewtonDivergenceError(
-            f"Newton did not reach {cfg.newton_tol:g} within {cfg.newton_max} "
-            f"iterations at time step {step_index} (residual {norm:.3g})",
-            step_index, norm,
+        if pending.any():
+            raise fail(int(np.argmax(pending)), "damped Newton stalled")
+    if active.any():
+        raise fail(
+            int(np.argmax(active)),
+            f"Newton did not reach {cfg.newton_tol:g} within {cfg.newton_max} iterations",
         )
 
-    clips = int(np.count_nonzero(x < -1e-10))
+    clips = np.add.reduceat((x < -1e-10).astype(int), starts)
     return np.maximum(x, 0.0), iters, clips
 
 
 def evolve(
     spec: Nonlinearity,
-    grid: RadialGrid,
-    init: InitialData,
-    boundary: BoundaryTrace,
+    grid: RadialGrid | Sequence[RadialGrid],
+    init: InitialData | Sequence[InitialData],
+    boundary: BoundaryTrace | Sequence[BoundaryTrace],
     times: Sequence[float],
     cfg: EvolveConfig = EvolveConfig(),
-    scheme_tag: str = "evolve",
-) -> EvolutionField:
+    scheme_tag: str | Sequence[str] = "evolve",
+) -> EvolutionField | EvolutionFamily:
     """Backward-Euler evolution of the absorption problem on the grid.
 
     ``times`` are the output instants (times[0] = 0); internal stepping
     refines geometrically near t = 0 (first step cfg.dt_init, ratio
     cfg.ramp) up to cfg.dt_max and lands on every output time exactly.
     The boundary column of the result equals the declared trace exactly.
+
+    Family form: with a sequence of grids, ``init``, ``boundary`` and
+    ``scheme_tag`` are sequences too, one entry per run.  The runs are
+    stepped together as one system on one step sequence (see the module
+    notes) and an :class:`EvolutionFamily` is returned.
     """
+    single = isinstance(grid, RadialGrid)
+    if single:
+        grids, inits, bcs, tags = [grid], [init], [boundary], [scheme_tag]
+    else:
+        grids, inits, bcs, tags = map(list, (grid, init, boundary, scheme_tag))
+        if not 0 < len(grids) == len(inits) == len(bcs) == len(tags):
+            raise PreconditionError(
+                "a family needs one grid, initial datum, boundary and tag per run"
+            )
     times = np.asarray(list(times), dtype=float)
     if len(times) == 0 or times[0] != 0.0:
         raise PreconditionError("output times must start at t = 0")
     if np.any(np.diff(times) <= 0.0):
         raise PreconditionError("output times must be strictly increasing")
 
-    w0 = init.w_on_grid(spec, grid)
-    a_row, b_row, c_row = _operator_rows(grid)
+    # row j of a run couples only to j-1 and j+1 of the same run: a = 0 at
+    # each block start and b = 0 at each block end, so the concatenated rows
+    # form a block-diagonal system
+    rows = tuple(np.concatenate(parts) for parts in zip(*map(_operator_rows, grids)))
+    sizes = np.array([len(gr.radii) for gr in grids])
+    ends = np.cumsum(sizes) - 1
+    starts = ends - sizes + 1
+    owner = np.repeat(np.arange(len(grids)), sizes)
+    sweep_caps = np.maximum(cfg.sweeps_max, 2 * (sizes - 1) + 100)
+
+    w = np.concatenate([ini.w_on_grid(spec, gr) for gr, ini in zip(grids, inits)])
     step_times, is_output = _internal_times(times, cfg)
-    bc_all = boundary.w_of_times(np.concatenate(([0.0], step_times)))
-    if np.any(bc_all < 0.0) or not np.all(np.isfinite(bc_all)):
+    all_times = np.concatenate(([0.0], step_times))
+    bc = np.empty((len(all_times), len(grids)))  # row k: boundary values at step k
+    for i, trace in enumerate(bcs):
+        bc[:, i] = trace.w_of_times(all_times)
+    if np.any(bc < 0.0) or not np.all(np.isfinite(bc)):
         raise DomainError("boundary trace must be finite and nonnegative in log form")
 
-    out = np.empty((len(times), len(grid.radii)))
-    w = w0.copy()
-    w[-1] = bc_all[0]
+    out = np.empty((len(times), len(w)))
+    w[ends] = bc[0]
     out[0] = w
     row = 1
-    iters_max = 0
-    clips_total = 0
+    iters_max = np.zeros(len(grids), dtype=int)
+    clips_total = np.zeros(len(grids), dtype=int)
     prev_t = 0.0
     for k, t in enumerate(step_times):
-        dt = t - prev_t
         w, iters, clips = _step(
-            spec, a_row, b_row, c_row, w, float(bc_all[k + 1]), dt, cfg, k
+            spec, rows, starts, ends, owner, sweep_caps, tags,
+            w, bc[k + 1], t - prev_t, cfg, k,
         )
-        iters_max = max(iters_max, iters)
+        np.maximum(iters_max, iters, out=iters_max)
         clips_total += clips
         if is_output[k]:
             out[row] = w
             row += 1
         prev_t = t
-    out[:, -1] = boundary.w_of_times(times)  # exact by declaration
 
-    return EvolutionField(
-        times=times,
-        grid=grid,
-        values=out,
-        boundary=boundary,
-        scheme_tag=scheme_tag,
-        spec=spec,
-        newton_iterations_max=iters_max,
-        negative_clips=clips_total,
+    fields = []
+    for i, (gr, trace, tag) in enumerate(zip(grids, bcs, tags)):
+        values = out[:, starts[i]: ends[i] + 1].copy()
+        values[:, -1] = trace.w_of_times(times)  # exact by declaration
+        fields.append(EvolutionField(
+            times=times, grid=gr, values=values, boundary=trace, scheme_tag=tag,
+            spec=spec, newton_iterations_max=int(iters_max[i]),
+            negative_clips=int(clips_total[i]),
+        ))
+    if single:
+        return fields[0]
+    return EvolutionFamily(
+        fields=tuple(fields),
+        newton_iterations_max=int(iters_max.max()),
+        negative_clips=int(clips_total.sum()),
     )
 
 
@@ -458,20 +542,14 @@ def evolve(
 # ----------------------------------------------------------------------
 
 
-def _map_runs(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
-def _monotone_violation(fields, direction: str, n_common: int):
-    """Worst wrong-direction difference of consecutive runs, log scale."""
+def _monotone_violation(fields, direction: str, n_common: int, monitor=None):
+    """Worst wrong-direction difference of consecutive runs, log scale, and
+    their sup differences (over the ``monitor`` nodes when given)."""
     worst = -np.inf
     diffs = []
     for f1, f2 in zip(fields[:-1], fields[1:]):
         d = f2.values[:, :n_common] - f1.values[:, :n_common]
-        diffs.append(float(np.max(np.abs(d))))
+        diffs.append(float(np.max(np.abs(d if monitor is None else d[:, monitor]))))
         worst = max(worst, float(np.max(-d if direction == "increasing" else d)))
     return worst, diffs
 
@@ -487,7 +565,6 @@ def run_scheme_A4(
     cfg: EvolveConfig = EvolveConfig(),
     tol: float | None = None,
     influence_check: bool = False,
-    workers: int = 1,
     dimension: int = 1,
 ) -> SchemeSequence:
     """Truncated-data exhaustion: data g cut at radius n, zero boundary.
@@ -506,27 +583,21 @@ def run_scheme_A4(
         tol = discretization_tolerance(h, cfg.dt_max)
     if r_mon is None:
         r_mon = r_out / 2.0
-    return _run_a4_on(spec, g, n_list, r_out, times, h, r_mon, cfg, tol, influence_check, workers, dimension)
-
-
-def _run_a4_on(spec, g, n_list, r_out, times, h, r_mon, cfg, tol, influence_check, workers, dimension=1):
     grid = uniform_grid(r_out, h, dimension)
-    bc = BoundaryTrace.constant(0.0, label="zero")
-
-    def one(n):
-        return evolve(
-            spec, grid, InitialData.truncated(g, n), bc, times, cfg,
-            scheme_tag=f"truncated n={n:g}",
-        )
-
-    fields = _map_runs(one, n_list, workers)
+    grids = [grid] * len(n_list)
+    inits = [InitialData.truncated(g, n) for n in n_list]
+    tags = [f"truncated n={n:g}" for n in n_list]
+    if influence_check:
+        # the last run again on the wider domain, stepped with the family
+        r_wide = math.ceil(1.5 * r_out / h - 1e-9) * h
+        grids.append(uniform_grid(r_wide, h, dimension))
+        inits.append(inits[-1])
+        tags.append(f"truncated n={n_list[-1]:g} on r_out={r_wide:g}")
+    bcs = [BoundaryTrace.constant(0.0, label="zero")] * len(grids)
+    fields = list(evolve(spec, grids, inits, bcs, times, cfg, tags).fields)
+    wide = fields.pop() if influence_check else None
     mon = grid.radii <= r_mon + 1e-12
-    worst = -np.inf
-    cauchy = []
-    for f1, f2 in zip(fields[:-1], fields[1:]):
-        d = f2.values - f1.values
-        worst = max(worst, float(np.max(-d)))
-        cauchy.append(float(np.max(np.abs(d[:, mon]))))
+    worst, cauchy = _monotone_violation(fields, "increasing", len(grid.radii), mon)
     if worst > 10.0 * tol:
         raise MonotonicityError(
             f"truncation family not increasing: worst violation {worst:.3g} "
@@ -538,11 +609,7 @@ def _run_a4_on(spec, g, n_list, r_out, times, h, r_mon, cfg, tol, influence_chec
         "tolerance": tol,
         "cauchy_diffs_monitor": cauchy,
     }
-    if influence_check:
-        r_wide = math.ceil(1.5 * r_out / h - 1e-9) * h
-        wide = _run_a4_on(
-            spec, g, [n_list[-1]], r_wide, times, h, r_mon, cfg, tol, False, 1, dimension
-        ).limit
+    if wide is not None:
         diagnostics["influence_diff"] = float(
             np.max(np.abs(wide.values[:, : len(grid.radii)][:, mon] - fields[-1].values[:, mon]))
         )
@@ -566,7 +633,6 @@ def run_scheme_A8(
     cfg: EvolveConfig = EvolveConfig(),
     tol: float | None = None,
     domination: str = "warn",
-    workers: int = 1,
 ) -> SchemeSequence:
     """Profile-capped exhaustion: run on [0, n] with boundary height V_a(n).
 
@@ -610,7 +676,9 @@ def run_scheme_A8(
         init = InitialData.capped(g, a, profile=prof)
         return evolve(spec, grid, init, bc, times, cfg, scheme_tag=f"capped a={a:g} n={n:g}")
 
-    fields = _map_runs(one, n_list, workers)
+    # one evolve call per ball; the shared times and cfg give every run the
+    # same step sequence, as the ordering check needs
+    fields = [one(n) for n in n_list]
     n_common = len(fields[0].grid.radii)
     worst, cauchy = _monotone_violation(fields, "decreasing", n_common)
     if worst > 10.0 * tol:
@@ -638,7 +706,6 @@ def run_scheme_A8_1(
     h: float = 0.025,
     cfg: EvolveConfig = EvolveConfig(),
     tol: float | None = None,
-    workers: int = 1,
 ) -> dict:
     """Two-sided profile-boundary exhaustion for sandwiched data.
 
@@ -663,20 +730,19 @@ def run_scheme_A8_1(
             "initial data is not sandwiched between the two stationary profiles"
         )
 
-    def one(args):
-        n, center = args
+    def run(n, center):
         grid = uniform_grid(n, h, 1)
         prof = shoot_profile(spec, center, 1, n, grid=grid.radii)
         bc = BoundaryTrace.constant(
             float(prof.w_values[-1]), label=f"profile a={center:g} at r={n:g}"
         )
-        return evolve(
-            spec, grid, InitialData.raw(g), bc, times, cfg,
-            scheme_tag=f"sandwich a={center:g} n={n:g}",
-        )
+        return grid, InitialData.raw(g), bc, f"sandwich a={center:g} n={n:g}"
 
-    lower = _map_runs(one, [(n, c) for n in n_list], workers)
-    upper = _map_runs(one, [(n, b) for n in n_list], workers)
+    # one family, so lower and upper runs also share the step sequence that
+    # the comparison between the two limits relies on
+    grids, inits, bcs, tags = zip(*(run(n, center) for center in (c, b) for n in n_list))
+    fields = evolve(spec, grids, inits, bcs, times, cfg, tags).fields
+    lower, upper = fields[: len(n_list)], fields[len(n_list):]
     n_common = len(lower[0].grid.radii)
     worst_lo, cauchy_lo = _monotone_violation(lower, "increasing", n_common)
     worst_up, cauchy_up = _monotone_violation(upper, "decreasing", n_common)

@@ -100,13 +100,6 @@ class RadialProfile:
     def w_at(self, r: float) -> float:
         return float(self.sample(np.asarray([r]))[0][0])
 
-    def v_clipped(self) -> np.ndarray:
-        """V on the grid in linear scale, saturated at 1e300 for export."""
-        out = np.full_like(self.w_values, _V_CLIP)
-        ok = self.w_values < math.log(_V_CLIP)
-        out[ok] = np.expm1(self.w_values[ok])
-        return out
-
 
 def _w_rhs(spec: Nonlinearity, N: int):
     def rhs(r, y):

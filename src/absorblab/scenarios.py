@@ -4,7 +4,7 @@ Each runner takes a resolved :class:`~absorblab.config.ExperimentConfig`,
 writes plot-ready CSV artifacts into the output directory, and returns a
 :class:`~absorblab.io.RunManifest` recording every check, tolerance and
 file.  Runners are deterministic: identical configs give byte-identical
-artifacts regardless of the worker count.
+artifacts.
 
 ``tolerance_scale`` multiplies every pass/fail threshold (never the
 physics); it exists so that a coarse exploratory run can be graded
@@ -41,7 +41,7 @@ def _power_growth(K: float, beta: float) -> GrowthFunction:
     )
 
 
-def run_conditions(config, out_dir: Path, scale: float, workers: int) -> RunManifest:
+def run_conditions(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
     report = classify_conditions(spec)
     man = RunManifest(config=config, tolerance_scale=scale)
@@ -74,7 +74,7 @@ def run_conditions(config, out_dir: Path, scale: float, workers: int) -> RunMani
     return man
 
 
-def run_flat_ode(config, out_dir: Path, scale: float, workers: int) -> RunManifest:
+def run_flat_ode(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
     times = np.linspace(0.0, config["t_max"], config["time_points"])
     man = RunManifest(config=config, tolerance_scale=scale)
@@ -104,7 +104,7 @@ def run_flat_ode(config, out_dir: Path, scale: float, workers: int) -> RunManife
     return man
 
 
-def run_stationary(config, out_dir: Path, scale: float, workers: int) -> RunManifest:
+def run_stationary(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
     N = config["dimension"]
     man = RunManifest(config=config, tolerance_scale=scale)
@@ -154,7 +154,7 @@ def run_stationary(config, out_dir: Path, scale: float, workers: int) -> RunMani
     return man
 
 
-def run_theorem_b(config, out_dir: Path, scale: float, workers: int) -> RunManifest:
+def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
     g = _power_growth(config["growth_constant"], config["growth_power"])
     times = [0.0, *config["t_checks"]]
@@ -170,7 +170,7 @@ def run_theorem_b(config, out_dir: Path, scale: float, workers: int) -> RunManif
         # for the ordering check is h^2 and lives in the manifest.
         seq = run_scheme_A8(
             spec, g, a, config["n_list"], times, h=h, cfg=cfg, tol=1.0,
-            domination=config["domination"], workers=workers,
+            domination=config["domination"],
         )
         man.notes[f"domination_a={a:g}"] = {
             k: v for k, v in seq.diagnostics.items() if k.startswith("domination")
@@ -200,7 +200,7 @@ def run_theorem_b(config, out_dir: Path, scale: float, workers: int) -> RunManif
     return man
 
 
-def run_theorem_c(config, out_dir: Path, scale: float, workers: int) -> RunManifest:
+def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
     g = _power_growth(config["growth_constant"], config["growth_power"])
     tf = config["t_final"]
@@ -210,7 +210,7 @@ def run_theorem_c(config, out_dir: Path, scale: float, workers: int) -> RunManif
     man = RunManifest(config=config, tolerance_scale=scale)
     seq = run_scheme_A4(
         spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg,
-        influence_check=True, workers=workers, dimension=config["dimension"],
+        influence_check=True, dimension=config["dimension"],
     )
     lam = dict(zip(times[1:], solve_phi_infinity_log(spec, times[1:]).tolist()))
     rows, gap_rows = [], []
@@ -255,7 +255,7 @@ def run_theorem_c(config, out_dir: Path, scale: float, workers: int) -> RunManif
     return man
 
 
-def run_non_uniqueness(config, out_dir: Path, scale: float, workers: int) -> RunManifest:
+def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
     h = config["h"]
     cfg = EvolveConfig(dt_max=config["dt_max"])
@@ -282,14 +282,12 @@ def run_non_uniqueness(config, out_dir: Path, scale: float, workers: int) -> Run
     r_star = brentq(lambda r: prof_c.w_at(r) - target_w, 1e-6, config["n_list"][0])
     v_c_star = math.expm1(float(prof_c.w_at(r_star)))
 
-    a4 = run_scheme_A4(
-        spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg, workers=workers
-    )
+    a4 = run_scheme_A4(spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg)
     # tol=1.0: ordering drift of the sandwich families is reported below,
     # not fatal (only a log-unit runaway trips the scheme guard).
     both = run_scheme_A8_1(
         spec, g, config["c"], config["b"], config["n_list"], times, h=h, cfg=cfg,
-        tol=1.0, workers=workers,
+        tol=1.0,
     )
     lower = both["lower"]
     man.notes["lower_family_violation"] = both["lower"].monotone_violation
@@ -337,7 +335,7 @@ def run_non_uniqueness(config, out_dir: Path, scale: float, workers: int) -> Run
     return man
 
 
-def run_alpha2(config, out_dir: Path, scale: float, workers: int) -> RunManifest:
+def run_alpha2(config, out_dir: Path, scale: float) -> RunManifest:
     man = RunManifest(config=config, tolerance_scale=scale)
     N = config["dimension"]
     x = config["x_radius"]
@@ -378,11 +376,10 @@ RUNNERS = {
 
 
 def run_scenario(
-    config: ExperimentConfig, out_dir: str | Path, tolerance_scale: float = 1.0,
-    workers: int = 1,
+    config: ExperimentConfig, out_dir: str | Path, tolerance_scale: float = 1.0
 ) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RUNNERS[config.scenario](config, out, tolerance_scale, workers)
+    manifest = RUNNERS[config.scenario](config, out, tolerance_scale)
     emit_manifest(manifest, out)
     return manifest

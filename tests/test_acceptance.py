@@ -185,7 +185,7 @@ def test_acceptance_06_discrete_comparison_randomized():
 def test_acceptance_07_capped_data_families(tmp_path):
     t0 = time.perf_counter()
     config = load_config("theorem-b", None)
-    man = run_theorem_b(config, tmp_path, 1.0, workers=1)
+    man = run_theorem_b(config, tmp_path, 1.0)
     h2 = config["h"] ** 2
     for a in config["a_list"]:
         print(f"  a={a:g}: in-n violation {man.notes[f'in_n_violation_a={a:g}']:.4f} "
@@ -207,7 +207,7 @@ def test_acceptance_07_capped_data_families(tmp_path):
 def test_acceptance_08_truncated_data_collapse(tmp_path):
     t0 = time.perf_counter()
     config = load_config("theorem-c", None)
-    man = run_theorem_c(config, tmp_path, 1.0, workers=1)
+    man = run_theorem_c(config, tmp_path, 1.0)
     gaps = man.notes["relative_gaps"]
     print(f"  relative gaps along n={[int(n) for n in config['n_list']]}: "
           f"{[f'{g:.3f}' for g in gaps]} (final allowed 0.05)")
@@ -220,7 +220,7 @@ def test_acceptance_08_truncated_data_collapse(tmp_path):
 def test_acceptance_09_non_uniqueness_witness(tmp_path):
     t0 = time.perf_counter()
     config = load_config("non-uniqueness", None)
-    man = run_non_uniqueness(config, tmp_path, 1.0, workers=1)
+    man = run_non_uniqueness(config, tmp_path, 1.0)
     n = man.notes
     print(f"  flat limit {n['phi_inf']:.3f} vs truncated-limit sup {n['a4_sup']:.3f}; "
           f"profile {n['v_c_at_r_star']:.3f} at r*={n['r_star']:.3f} vs "

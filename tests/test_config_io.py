@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absorblab.cli import EXIT_CONFIG, main
 from absorblab.config import (
     SCENARIOS,
     ExperimentConfig,
@@ -111,6 +112,30 @@ def test_witness_heights_must_nest():
 def test_truncation_radii_must_fit_domain():
     with pytest.raises(ConfigError):
         parse_config("theorem-c", "n_list = 3, 6\nr_out = 6\n")
+
+
+def test_witness_truncation_radii_must_fit_domain(tmp_path):
+    # used to fail inside run_scheme_A4 with exit code 3
+    with pytest.raises(ConfigError, match="r_out"):
+        parse_config("non-uniqueness", "n_list = 6, 9\nr_out = 9\n")
+    assert parse_config("non-uniqueness", "n_list = 6, 8.5\n")["n_list"] == (6.0, 8.5)
+    cfg = tmp_path / "nu.cfg"
+    cfg.write_text("n_list = 6, 10\n")
+    assert main(["non-uniqueness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_bound_radii_must_fit_profile_range(tmp_path):
+    # used to fail in the profile lookup with exit code 3
+    with pytest.raises(ConfigError, match="r_max"):
+        parse_config("stationary", "r_max = 3\n")  # default radii 1, 2, 4
+    with pytest.raises(ConfigError, match="r_max"):
+        parse_config("stationary", "bound_radii = 4, 1\nr_max = 2\n")  # not sorted
+    assert parse_config("stationary", "r_max = 4\n")["bound_radii"] == (1.0, 2.0, 4.0)
+    cfg = tmp_path / "st.cfg"
+    cfg.write_text("family = power\np = 2\nr_max = 1\na_list = 0.1\n")
+    assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_scenario_rejected():

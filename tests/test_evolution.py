@@ -17,6 +17,7 @@ from absorblab.errors import (
 from absorblab.evolution import (
     BoundaryTrace,
     EvolveConfig,
+    EvolutionFamily,
     EvolutionField,
     InitialData,
     RadialGrid,
@@ -29,6 +30,7 @@ from absorblab.evolution import (
     uniform_grid,
     _internal_times,
 )
+import absorblab.evolution as evolution
 from absorblab.flat_ode import solve_phi
 from absorblab.nonlinearity import Nonlinearity, eval_h, h_of_w
 from absorblab.profiles import shoot_profile
@@ -308,6 +310,114 @@ def test_heights_saturate_beyond_double_range():
     hts = fld.heights()
     assert hts[0, 0] == 1e300 and hts[0, 1] == 1e300
     assert hts[0, 2] == pytest.approx(math.expm1(1.0))
+
+
+# ----------------------------------------------------------------------
+# batched stepping
+# ----------------------------------------------------------------------
+
+
+def _mixed_family():
+    smooth = GrowthFunction(gamma=lambda r: 0.5 + float(r) ** 2 / 8.0, beta=None, K=None)
+    short, longer = uniform_grid(2.0, 0.05, 1), uniform_grid(3.0, 0.05, 1)
+    zero = BoundaryTrace.constant(0.0)
+    return [
+        (short, InitialData.raw(smooth), zero, "smooth"),
+        (longer, InitialData.truncated(QUARTIC, 2.5), zero, "cliff"),
+        (short, InitialData.truncated(QUARTIC, 1.0), zero, "truncated"),
+        (longer, InitialData.raw(smooth), BoundaryTrace.constant(0.7), "raised boundary"),
+    ]
+
+
+def _family(runs, times, cfg):
+    grids, inits, bcs, tags = zip(*runs)
+    return evolve(LOG15, grids, inits, bcs, times, cfg, tags)
+
+
+def _h_evals(monkeypatch, run, times, cfg):
+    calls = []
+
+    def counted(spec, x):
+        calls.append(1)
+        return h_of_w(spec, x)
+
+    monkeypatch.setattr(evolution, "h_of_w", counted)
+    field = evolve(LOG15, *run[:3], times, cfg, scheme_tag=run[3])
+    monkeypatch.setattr(evolution, "h_of_w", h_of_w)
+    return field, len(calls)
+
+
+def test_batched_family_matches_solo_runs_bitwise(monkeypatch):
+    times, cfg = [0.0, 0.01, 0.02], EvolveConfig()
+    runs = _mixed_family()
+    solo, evals = zip(*(_h_evals(monkeypatch, run, times, cfg) for run in runs))
+    # the cliff needs several times the warm-start sweeps of the others, so
+    # runs leave the sweep loop at different times within one step
+    assert evals[1] > 3 * max(evals[0], evals[2], evals[3])
+    family = _family(runs, times, cfg)
+    assert isinstance(family, EvolutionFamily)
+    assert [f.scheme_tag for f in family.fields] == [run[3] for run in runs]
+    for one, many in zip(solo, family.fields):
+        assert np.array_equal(one.values, many.values)
+        assert one.newton_iterations_max == many.newton_iterations_max
+        assert one.negative_clips == many.negative_clips
+        assert many.grid is one.grid and np.array_equal(many.times, one.times)
+    assert family.fields[3].values[0, -1] == 0.7
+    assert family.newton_iterations_max == max(f.newton_iterations_max for f in solo)
+    assert family.negative_clips == sum(f.negative_clips for f in solo)
+
+
+def test_family_needs_one_entry_per_run():
+    runs = _mixed_family()
+    grids, inits, bcs, tags = zip(*runs)
+    with pytest.raises(PreconditionError, match="per run"):
+        evolve(LOG15, grids, inits[:-1], bcs, [0.0, 0.01], EvolveConfig(), tags)
+    with pytest.raises(PreconditionError, match="per run"):
+        evolve(LOG15, [], [], [], [0.0, 0.01], EvolveConfig(), [])
+
+
+def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch):
+    # one step of dt = 1: the warm start contracts so slowly that every run
+    # stops at its own cap of 2J + 100 sweeps, and the cliff run halves one
+    # Newton step.  An h_of_w count is sweeps + Newton iterations + halvings.
+    times, cfg = [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0)
+    smooth = _mixed_family()[0][1]
+    runs = [
+        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
+         BoundaryTrace.constant(0.0), "damped"),
+        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
+        (uniform_grid(3.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "long"),
+    ]
+    solo, evals = zip(*(_h_evals(monkeypatch, run, times, cfg) for run in runs))
+    caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
+    halvings = [n - cap - f.newton_iterations_max for n, cap, f in zip(evals, caps, solo)]
+    assert caps == [160, 180, 220] and halvings == [1, 0, 0]
+    # stepped last in the family, the damped run still gets its own count,
+    # which is the family maximum
+    family = _family(runs[::-1], times, cfg)
+    for one, many in zip(solo[::-1], family.fields):
+        assert np.array_equal(one.values, many.values)
+        assert one.newton_iterations_max == many.newton_iterations_max
+    assert family.newton_iterations_max == solo[0].newton_iterations_max > max(
+        f.newton_iterations_max for f in solo[1:]
+    )
+
+
+def test_batched_stall_names_the_failing_run():
+    # a zero tolerance cannot be met: the all-zero run starts at roundoff and
+    # stalls on its first Newton update while the other run still improves
+    cfg = EvolveConfig(newton_tol=0.0, damp_max=2)
+    runs = _mixed_family()[:1] + [
+        (uniform_grid(1.0, 0.05, 1), InitialData.zero(), BoundaryTrace.constant(0.0), "flat zero"),
+    ]
+    with pytest.raises(NewtonDivergenceError, match="'flat zero'") as batched:
+        _family(runs, [0.0, 0.01], cfg)
+    assert "stalled" in str(batched.value)
+    with pytest.raises(NewtonDivergenceError) as solo:
+        evolve(LOG15, *runs[1][:3], [0.0, 0.01], cfg, scheme_tag=runs[1][3])
+    assert str(solo.value) == str(batched.value)
+    assert batched.value.step_index == solo.value.step_index == 0
+    assert batched.value.residual == solo.value.residual
 
 
 # ----------------------------------------------------------------------
