@@ -3,10 +3,12 @@
 Above the admissible growth threshold the increasing limit of solutions
 with truncated data g*chi_{B_n} forgets its data: on a fixed monitor ball
 it approaches the space-independent infinite-data solution from below as
-the truncation radius n grows.  This study runs the truncation scheme for
-a list of n, reports the relative gap to the flat value at the final time,
+the truncation radius n grows.  This study runs the `theorem-c` scenario
+for a list of n (with r_out = max(n) + 3), prints the relative gap to the
+flat value at the final time and the envelope margin from its manifest,
 and extrapolates (crudely, from the last ln-gap decrement) the n needed to
-reach a target gap.
+reach a target gap.  Every flag defaults to the `theorem-c` default, so at
+defaults the study reproduces that scenario's gaps.
 
 At the desk scale n <= 6 the gap is still tens of percent — which is why
 the 5% acceptance clause on `theorem-c` is red — but it is monotone in n
@@ -17,97 +19,74 @@ the envelope fail when backward Euler under-damps the initial collapse).
 
 import argparse
 import math
-from dataclasses import dataclass
+import tempfile
 from pathlib import Path
 
-import numpy as np
+from absorblab.config import ExperimentConfig, parse_config, serialize_config
+from absorblab.scenarios import run_scenario
 
-from absorblab.evolution import EvolveConfig, run_scheme_A4
-from absorblab.flat_ode import solve_phi_infinity_log
-from absorblab.io import emit_csv
-from absorblab.nonlinearity import Nonlinearity
-from absorblab.threshold import GrowthFunction
-
-
-@dataclass
-class StudyConfig:
-    alpha: float = 1.5
-    growth_constant: float = 2.0
-    growth_power: float = 4.0
-    n_list: tuple = (3.0, 4.0, 5.0, 6.0)
-    h: float = 0.025
-    dt_max: float = 2e-5
-    t_final: float = 0.5
-    monitor_radius: float = 1.0
-    target_gap: float = 0.05
-    out: Path | None = None
+# study flag -> theorem-c config key
+FLAGS = {
+    "alpha": "alpha",
+    "n": "n_list",
+    "h": "h",
+    "dt_max": "dt_max",
+    "t_final": "t_final",
+    "target_gap": "gap_fraction",
+}
 
 
-def relative_gaps(cfg: StudyConfig) -> tuple[list[float], float]:
-    spec = Nonlinearity.log_power(cfg.alpha)
-    g = GrowthFunction(
-        gamma=lambda r: cfg.growth_constant * float(r) ** cfg.growth_power,
-        beta=cfg.growth_power, K=cfg.growth_constant,
-    )
-    times = [0.0, cfg.t_final / 2.0, cfg.t_final]
-    r_out = max(cfg.n_list) + 3.0
-    seq = run_scheme_A4(
-        spec, g, list(cfg.n_list), r_out, times, h=cfg.h,
-        cfg=EvolveConfig(dt_max=cfg.dt_max),
-    )
-    lam = dict(zip(times[1:], solve_phi_infinity_log(spec, times[1:]).tolist()))
-    mon = seq.limit.grid.radii <= cfg.monitor_radius + 1e-12
-    gaps = []
-    worst_env = -math.inf
-    for fld in seq.fields:
-        w_mon = fld.values[-1, mon]
-        log_u = np.where(w_mon > 0.0,
-                         w_mon + np.log(-np.expm1(-np.maximum(w_mon, 1e-300))),
-                         -np.inf)
-        gaps.append(float(np.max(np.abs(np.expm1(log_u - lam[cfg.t_final])))))
-        for i, t in enumerate(times):
-            if t <= 0.0:
-                continue
-            bound = lam[t] + math.log1p((1.0 + cfg.h**2) * math.exp(-min(lam[t], 700.0)))
-            worst_env = max(worst_env, float(np.max(fld.values[i])) - bound)
-    return gaps, worst_env
+def study_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The `theorem-c` config for the given flags; unset flags keep its defaults."""
+    params = dict(parse_config("theorem-c", "").params)
+    for flag, key in FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            params[key] = tuple(value) if key == "n_list" else value
+    params["r_out"] = max(params["n_list"]) + 3.0
+    # through the parser, so the scenario's own validity checks apply
+    return parse_config("theorem-c", serialize_config(ExperimentConfig("theorem-c", params)))
 
 
-def run_study(cfg: StudyConfig) -> None:
-    gaps, worst_env = relative_gaps(cfg)
-    print(f"alpha={cfg.alpha:g}, data w = {cfg.growth_constant:g} r^"
-          f"{cfg.growth_power:g}, h={cfg.h:g}, dt_max={cfg.dt_max:g}, "
-          f"t={cfg.t_final:g}, monitor r<={cfg.monitor_radius:g}")
+def run_study(config: ExperimentConfig, out: Path) -> None:
+    notes = run_scenario(config, out).notes
+    gaps, n_list = notes["relative_gaps"], config["n_list"]
+    print(f"alpha={config['alpha']:g}, data w = {config['growth_constant']:g} r^"
+          f"{config['growth_power']:g}, h={config['h']:g}, dt_max={config['dt_max']:g}, "
+          f"t={config['t_final']:g}, monitor r<={config['monitor_radius']:g}")
     print(f"{'n':>4} {'relative gap':>14}")
-    for n, gap in zip(cfg.n_list, gaps):
+    for n, gap in zip(n_list, gaps):
         print(f"{n:4g} {gap:14.4f}")
+    worst_env = notes["envelope_margin"]
     print(f"envelope margin sup(w - flat bound) = {worst_env:.3e} "
           f"({'OK, below' if worst_env <= 0 else 'ABOVE envelope'})")
+    target = config["gap_fraction"]
     if len(gaps) >= 2 and gaps[-1] < gaps[-2]:
-        rate = math.log(gaps[-1] / gaps[-2]) / (cfg.n_list[-1] - cfg.n_list[-2])
-        n_star = cfg.n_list[-1] + math.log(cfg.target_gap / gaps[-1]) / rate
-        print(f"last decrement rate {rate:.3f}/unit n -> gap {cfg.target_gap:g} "
+        rate = math.log(gaps[-1] / gaps[-2]) / (n_list[-1] - n_list[-2])
+        n_star = n_list[-1] + math.log(target / gaps[-1]) / rate
+        print(f"last decrement rate {rate:.3f}/unit n -> gap {target:g} "
               f"at n ~ {n_star:.0f} (crude extrapolation; the decay "
               f"accelerates, so this is an upper estimate)")
-    if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        emit_csv(cfg.out / "collapse_gaps.csv", ["n", "relative_gap"],
-                 [[n, g] for n, g in zip(cfg.n_list, gaps)])
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--alpha", type=float, default=1.5)
-    ap.add_argument("--n", type=float, nargs="+", default=[3.0, 4.0, 5.0, 6.0])
-    ap.add_argument("--h", type=float, default=0.025)
-    ap.add_argument("--dt-max", type=float, default=2e-5)
-    ap.add_argument("--t-final", type=float, default=0.5)
-    ap.add_argument("--target-gap", type=float, default=0.05)
-    ap.add_argument("--out", type=Path, default=None)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                 epilog="Unset flags take the theorem-c defaults.")
+    ap.add_argument("--alpha", type=float)
+    ap.add_argument("--n", type=float, nargs="+")
+    ap.add_argument("--h", type=float)
+    ap.add_argument("--dt-max", type=float)
+    ap.add_argument("--t-final", type=float)
+    ap.add_argument("--target-gap", type=float)
+    ap.add_argument("--out", type=Path, default=None,
+                    help="write the theorem-c artifacts here (default: a temporary directory)")
     args = ap.parse_args()
-    run_study(StudyConfig(alpha=args.alpha, n_list=tuple(args.n), h=args.h,
-                          dt_max=args.dt_max, t_final=args.t_final,
-                          target_gap=args.target_gap, out=args.out))
+    config = study_config(args)
+    if args.out is not None:
+        run_study(config, args.out)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_study(config, Path(tmp))
     return 0
 
 

@@ -11,7 +11,7 @@ status, 1 otherwise.
 
 import argparse
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from absorblab.cli import main as cli_main
@@ -32,7 +32,6 @@ class DriverConfig:
     out_root: Path = Path("runs")
     tolerance_scale: float = 1.0
     scenarios: tuple = tuple(EXPECTED_EXIT)
-    extra_args: list = field(default_factory=list)
 
 
 def run_all(cfg: DriverConfig) -> int:
@@ -41,7 +40,7 @@ def run_all(cfg: DriverConfig) -> int:
         out = cfg.out_root / name
         code = cli_main([
             name, "--out", str(out),
-            "--tolerance-scale", repr(cfg.tolerance_scale), *cfg.extra_args,
+            "--tolerance-scale", repr(cfg.tolerance_scale),
         ])
         manifest = out / "manifest.json"
         summary = "no manifest"

@@ -10,38 +10,21 @@ where SCENARIO is one of ``conditions``, ``flat-ode``, ``stationary``,
 Exit codes: 0 when every recorded check passed, 2 for configuration
 errors (unknown key, bad value, unreadable file), 3 for numerical
 failures or failed checks.
-
-``ABSORBLAB_THREADS`` is still read and must be a positive integer (exit
-code 2 otherwise), but it has no effect: every run is stepped in a
-single thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
 from .config import SCENARIOS, load_config
-from .errors import AbsorbLabError, ConfigError
+from .errors import ConfigError
 from .scenarios import run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _worker_count() -> int:
-    """Validate ``ABSORBLAB_THREADS``; the value itself is not used."""
-    raw = os.environ.get("ABSORBLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"ABSORBLAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"ABSORBLAB_THREADS must be >= 1, got {n}")
-    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,20 +52,12 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"--tolerance-scale must be positive, got {args.tolerance_scale:g}"
             )
-        _worker_count()
         config = load_config(args.scenario, args.config)
-    except ConfigError as exc:
-        print(f"absorblab: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         manifest = run_scenario(config, args.out, args.tolerance_scale)
     except ConfigError as exc:
         print(f"absorblab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AbsorbLabError as exc:
-        print(f"absorblab: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except Exception as exc:  # anything unexpected still maps to the failure code
+    except Exception as exc:  # typed solver errors and anything unexpected alike
         print(f"absorblab: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     failed = [name for name, ok in manifest.checks.items() if not ok]

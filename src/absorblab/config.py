@@ -176,6 +176,8 @@ def _scenario_checks(scenario: str, params: dict):
         raise ConfigError("n_list must stay below r_out")
     if scenario == "stationary" and max(params["bound_radii"]) > params["r_max"]:
         raise ConfigError("bound_radii must not exceed r_max")
+    if scenario == "alpha2" and params["x_radius"] < 0.0:
+        raise ConfigError(f"x_radius is the distance |x|, must be >= 0, got {params['x_radius']}")
 
 
 def parse_config(scenario: str, text: str) -> ExperimentConfig:
@@ -211,7 +213,7 @@ def load_config(scenario: str, path: str | Path | None) -> ExperimentConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return parse_config(scenario, text)
 

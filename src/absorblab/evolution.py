@@ -60,7 +60,7 @@ from .errors import (
     PreconditionError,
 )
 from .flat_ode import solve_phi_log
-from .nonlinearity import Nonlinearity, dh_dw, h_of_w
+from .nonlinearity import Nonlinearity, dh_dw, h_of_w, w_from_log_u
 from .profiles import RadialProfile, shoot_profile
 from .threshold import GrowthFunction, domination_radius
 
@@ -202,12 +202,7 @@ class BoundaryTrace:
             out = np.empty(len(ts))
             pos = ts > 0.0
             lam = solve_phi_log(spec, ln_a, ts[pos]) if np.any(pos) else np.empty(0)
-            # w = ln(Phi+1) from ln Phi, stable on both sides of 0
-            out[pos] = np.where(
-                lam > 0.0,
-                lam + np.log1p(np.exp(-np.minimum(np.abs(lam), 745.0))),
-                np.log1p(np.exp(np.minimum(lam, 0.0))),
-            )
+            out[pos] = w_from_log_u(lam)
             out[~pos] = math.log1p(a)
             return out
 

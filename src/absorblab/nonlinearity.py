@@ -153,6 +153,26 @@ def h_of_w(spec: Nonlinearity, w) -> np.ndarray:
     return _h_vec(spec, np.expm1(w))
 
 
+def w_from_log_u(log_u) -> np.ndarray:
+    """The log variable w = ln(1+u) from ln u, stable on both sides of 0."""
+    lam = np.asarray(log_u, dtype=float)
+    return np.where(
+        lam > 0.0,
+        lam + np.log1p(np.exp(-np.minimum(np.abs(lam), 745.0))),
+        np.log1p(np.exp(np.minimum(lam, 0.0))),
+    )
+
+
+def log_u_from_w(w) -> np.ndarray:
+    """ln u from the log variable w = ln(1+u); -inf where w <= 0.
+
+    Stays accurate for small w, where u = expm1(w) loses no digits, and
+    for w far beyond double range, where ln u = w.
+    """
+    w = np.asarray(w, dtype=float)
+    return np.where(w > 0.0, w + np.log(-np.expm1(-np.maximum(w, 1e-300))), -np.inf)
+
+
 def dh_dw(spec: Nonlinearity, w) -> np.ndarray:
     """Derivative of :func:`h_of_w` with respect to w (for Newton solvers)."""
     w = np.asarray(w, dtype=float)

@@ -23,7 +23,7 @@ from .errors import AbsorbLabError, ConfigError
 from .evolution import EvolveConfig, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
 from .flat_ode import solve_phi, solve_phi_infinity_log
 from .io import RunManifest, emit_csv, emit_manifest
-from .nonlinearity import Nonlinearity, classify_conditions
+from .nonlinearity import Nonlinearity, classify_conditions, log_u_from_w
 from .profiles import apriori_bound, fit_asymptotics, shoot_profile
 from .threshold import GrowthFunction, alpha2_report
 from scipy.optimize import brentq
@@ -39,6 +39,15 @@ def _power_growth(K: float, beta: float) -> GrowthFunction:
     return GrowthFunction(
         gamma=lambda r: K * r**beta, beta=beta, K=K, description=f"{K:g} r^{beta:g}"
     )
+
+
+def _field_rows(prefix: tuple, fld, times) -> list:
+    """One CSV row ``[*prefix, t, r, w]`` per node and output time of a field."""
+    return [
+        [*prefix, float(t), float(r), float(w)]
+        for i, t in enumerate(times)
+        for r, w in zip(fld.grid.radii, fld.values[i])
+    ]
 
 
 def run_conditions(config, out_dir: Path, scale: float) -> RunManifest:
@@ -180,9 +189,7 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
             f"decreasing_in_n_a={a:g}", seq.monotone_violation <= h * h * scale, h * h * scale
         )
         for n, fld in zip(config["n_list"], seq.fields):
-            for i, t in enumerate(times):
-                for r, w in zip(fld.grid.radii, fld.values[i]):
-                    rows.append([a, n, float(t), float(r), float(w)])
+            rows.extend(_field_rows((a, n), fld, times))
         limit = seq.limit
         for i, t in enumerate(times[1:], start=1):
             u0 = math.expm1(min(limit.values[i, 0], 690.0))
@@ -213,27 +220,19 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
         influence_check=True, dimension=config["dimension"],
     )
     lam = dict(zip(times[1:], solve_phi_infinity_log(spec, times[1:]).tolist()))
-    rows, gap_rows = [], []
+    rows = []
     mon = seq.limit.grid.radii <= config["monitor_radius"] + 1e-12
     rel_gaps = []
     for n, fld in zip(config["n_list"], seq.fields):
-        for i, t in enumerate(times):
-            for r, w in zip(fld.grid.radii, fld.values[i]):
-                rows.append([n, float(t), float(r), float(w)])
-        w_mon = fld.values[-1, mon]
+        rows.extend(_field_rows((n,), fld, times))
         # sup |u - Phi_inf| / Phi_inf over the monitor region, in logs so
         # an overshoot above the envelope is reported, never clamped
-        log_u = np.where(
-            w_mon > 0.0, w_mon + np.log(-np.expm1(-np.maximum(w_mon, 1e-300))), -np.inf
-        )
-        d = log_u - lam[tf]
+        d = log_u_from_w(fld.values[-1, mon]) - lam[tf]
         with np.errstate(over="ignore"):
             rel = float(np.max(np.abs(np.expm1(np.minimum(d, 690.0)))))
         if np.any(d > 690.0):
             rel = 1e300
         rel_gaps.append(rel)
-        gap_rows.append([n, rel])
-    envelope_ok = True
     worst_env = -math.inf
     for fld in seq.fields:
         for i, t in enumerate(times):
@@ -251,6 +250,7 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     man.notes["relative_gaps"] = rel_gaps
     man.notes["influence_diff"] = seq.diagnostics.get("influence_diff")
     man.record_file(emit_csv(out_dir / "theorem_c.csv", ["n", "t", "r", "w"], rows))
+    gap_rows = [[n, rel] for n, rel in zip(config["n_list"], rel_gaps)]
     man.record_file(emit_csv(out_dir / "gaps.csv", ["n", "relative_gap"], gap_rows))
     return man
 
@@ -312,9 +312,7 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     rows = []
     for tag, seq in (("truncated", a4), ("profile-boundary-lower", lower)):
         for n, fld in zip(config["n_list"], seq.fields):
-            for i, t in enumerate(times):
-                for r, w in zip(fld.grid.radii, fld.values[i]):
-                    rows.append([tag, n, float(t), float(r), float(w)])
+            rows.extend(_field_rows((tag, n), fld, times))
     man.record_file(
         emit_csv(out_dir / "witness.csv", ["scheme", "n", "t", "r", "w"], rows)
     )

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .flat_ode import solve_phi, solve_phi_log
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, log_u_from_w, w_from_log_u
 from .profiles import c_alpha, shoot_profile
 
 __all__ = [
@@ -83,9 +83,7 @@ class GrowthFunction:
 
     def log_data(self, r) -> np.ndarray:
         """ln(exp(gamma) - 1), the log of the data height; -inf where gamma=0."""
-        g = self.gamma_vec(r)
-        with np.errstate(divide="ignore"):
-            return g + np.log1p(-np.exp(-g))
+        return log_u_from_w(self.gamma_vec(r))
 
 
 def domination_radius(
@@ -208,7 +206,7 @@ def exact_absorption_integral(
         raise DomainError("absorption integral defined for the log_power family")
     if t <= 0.0:
         return 0.0
-    ln_a = gamma_rn + math.log1p(-math.exp(-gamma_rn))
+    ln_a = float(log_u_from_w(gamma_rn))
     # the height collapses on the timescale gamma^(1-alpha); uniform panels
     # cannot resolve that layer for large data, so grade them geometrically
     # from a first panel of a quarter of the timescale
@@ -228,9 +226,7 @@ def exact_absorption_integral(
     order = np.argsort(nodes)
     lam = np.empty_like(nodes)
     lam[order] = solve_phi_log(spec, ln_a, nodes[order])
-    # ell = ln(Phi + 1) from lam = ln Phi, stable on both sides of 0
-    ell = np.where(lam > 0.0, lam + np.log1p(np.exp(-np.minimum(np.abs(lam), 745.0))), np.log1p(np.exp(np.minimum(lam, 0.0))))
-    vals = ell**spec.alpha
+    vals = w_from_log_u(lam) ** spec.alpha
     total = 0.0
     k = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -374,7 +370,7 @@ def gaussian_tail_log_bound(
         raise DomainError("tail bound needs t > 0 and r_n > 0")
     R = r_n + x_radius
     z = R / (2.0 * math.sqrt(t))
-    log_g = gamma_rn + math.log1p(-math.exp(-gamma_rn))
+    log_g = float(log_u_from_w(gamma_rn))
     log_bound = -omega_int + log_g + N * log_erfc(z)
     log_asym = (
         -omega_int

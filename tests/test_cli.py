@@ -1,7 +1,11 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,16 @@ from absorblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from absorblab.flat_ode import osgood_tail_from_log
 from absorblab.io import parse_csv
 from absorblab.nonlinearity import Nonlinearity
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_conditions_end_to_end(tmp_path, capsys):
@@ -23,29 +37,17 @@ def test_conditions_end_to_end(tmp_path, capsys):
         assert header and rows
 
 
-def test_alpha2_is_deterministic_across_runs(tmp_path):
+@pytest.mark.parametrize("scenario", ["alpha2", "non-uniqueness"])
+def test_alpha2_is_deterministic_across_runs(tmp_path, scenario):
+    # non-uniqueness drives both evolution drivers with batched families
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert main(["alpha2", "--out", str(out)]) == EXIT_OK
+        assert main([scenario, "--out", str(out)]) == EXIT_OK
         outs.append(b"".join(sorted(
             p.read_bytes() for p in out.iterdir() if p.is_file()
         )))
     assert outs[0] == outs[1]
-
-
-def test_determinism_across_worker_counts(tmp_path, monkeypatch):
-    # non-uniqueness drives both evolution schemes, which are the only code
-    # paths that fan work out to threads
-    blobs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("ABSORBLAB_THREADS", threads)
-        out = tmp_path / f"w{threads}"
-        assert main(["non-uniqueness", "--out", str(out)]) == EXIT_OK
-        blobs.append(b"".join(sorted(
-            p.read_bytes() for p in out.iterdir() if p.is_file()
-        )))
-    assert blobs[0] == blobs[1]
 
 
 def test_flat_ode_power_family_reports_closed_form(tmp_path):
@@ -108,14 +110,6 @@ def test_bad_tolerance_scale_exits_2(tmp_path, capsys):
     assert "tolerance-scale" in capsys.readouterr().err
 
 
-def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ABSORBLAB_THREADS", "many")
-    assert main(["conditions", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
-    assert "ABSORBLAB_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("ABSORBLAB_THREADS", "0")
-    assert main(["conditions", "--out", str(tmp_path / "r2")]) == EXIT_CONFIG
-
-
 def test_unknown_scenario_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["orbit"])
@@ -152,3 +146,28 @@ def test_manifest_echoes_resolved_config(tmp_path):
     assert main(["conditions", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["config"]["alpha"] == 1.25
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_help_runs(name):
+    proc = _run_script(name, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+
+
+def test_collapse_gap_study_prints_theorem_c_gaps(tmp_path):
+    out = tmp_path / "study"
+    proc = _run_script("collapse_gap_study.py", "--n", "3", "4", "--h", "0.1",
+                       "--dt-max", "2e-4", "--t-final", "0.5", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["config"]["n_list"] == [3.0, 4.0]
+    assert doc["config"]["r_out"] == 7.0
+    gaps = doc["notes"]["relative_gaps"]
+    _, rows = parse_csv(out / "gaps.csv")
+    assert [float(r[1]) for r in rows] == gaps
+    lines = proc.stdout.splitlines()
+    for n, gap in zip((3, 4), gaps):
+        assert f"{n:4d} {gap:14.4f}" in lines
+    assert f"= {doc['notes']['envelope_margin']:.3e} " in proc.stdout
+    assert gaps[0] > gaps[1]

@@ -138,6 +138,19 @@ def test_bound_radii_must_fit_profile_range(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_alpha2_x_radius_must_be_nonnegative(tmp_path):
+    # -10 used to exit 3 with a math domain error, -2 silently used R = r_n - 2
+    for x in ("-10", "-2"):
+        with pytest.raises(ConfigError, match="x_radius"):
+            parse_config("alpha2", f"x_radius = {x}\n")
+        cfg = tmp_path / f"x{x}.cfg"
+        cfg.write_text(f"x_radius = {x}\n")
+        out = tmp_path / f"o{x}"
+        assert main(["alpha2", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+    assert parse_config("alpha2", "x_radius = 0\n")["x_radius"] == 0.0
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ConfigError):
         parse_config("speedrun", "")
@@ -146,6 +159,13 @@ def test_unknown_scenario_rejected():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("flat-ode", tmp_path / "absent.cfg")
+    # bytes that are not UTF-8 used to escape as a UnicodeDecodeError
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config("conditions", cfg)
+    assert main(["conditions", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_config_none_gives_defaults():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from absorblab.nonlinearity import (
     eval_h,
     h_of_w,
     log_h_at_log,
+    log_u_from_w,
+    w_from_log_u,
 )
 
 LOG15 = Nonlinearity.log_power(1.5)
@@ -139,3 +142,21 @@ def test_params_round_trip_fields():
     assert LOG15.params()["alpha"] == 1.5
     assert POW2.params()["p"] == 2.0
     assert LOG15.params()["family"] == "log_power"
+
+
+def test_log_converters_against_mpmath():
+    mp.mp.dps = 40
+    w = np.array([1e-300, 1e-12, 1e-3, 0.5, math.log(2.0), 1.0, 30.0, 745.0, 1e5, 1e300])
+    log_u = log_u_from_w(w)
+    for wi, lu in zip(w, log_u):
+        exact = mp.log(mp.expm1(mp.mpf(wi)))
+        assert abs(lu - float(exact)) <= 1e-15 * max(1.0, abs(float(exact)))
+    # w_from_log_u inverts it on both sides of ln u = 0, and far beyond double
+    # range; exp(ln u) amplifies the rounding of ln u by |ln u|
+    back = w_from_log_u(log_u)
+    assert np.all(np.abs(back - w) / w <= 4e-16 * np.maximum(1.0, np.abs(log_u)))
+    for lu in (-800.0, -30.0, -1e-3, 0.0, 1e-3, 30.0, 800.0, 1e300):
+        exact = mp.log1p(mp.exp(mp.mpf(lu)))
+        assert abs(float(w_from_log_u(lu)) - float(exact)) <= 1e-15 * float(exact)
+    assert log_u_from_w(0.0) == -np.inf and np.all(log_u_from_w([-1.0, 0.0]) == -np.inf)
+    assert w_from_log_u(-np.inf) == 0.0
