@@ -6,19 +6,21 @@ relation
 
     t  =  integral from Phi(t) to a  of  ds / (s h(s))
 
-along x = ln s, from a cumulative table of Gauss-Legendre panels, with
-bisection plus Newton polish on the panel that brackets each time.  That
-gives machine-accurate values at arbitrary times with no error
-accumulation, and extends naturally to two objects a time-stepper cannot
-reach:
+along x = ln s, from one cumulative table of Gauss-Legendre panels per call,
+by safeguarded Newton on the panel that brackets each time.  That gives
+machine-accurate values at arbitrary times with no error accumulation, and
+extends naturally to two objects a time-stepper cannot reach:
 
 * ``solve_phi_infinity`` / ``solve_phi_infinity_log`` -- the solution
   started from infinite height, characterized by ``integral from
   Phi_inf(t) to infinity = t``, which exists exactly when the osgood
-  condition holds; one lifetime table serves a whole array of times;
+  condition holds;
 * ``solve_phi_log`` -- trajectories whose initial height is given as ln(a),
   for data far beyond double range (``a ~ exp(2500)`` appears routinely in
   the threshold experiments).
+
+Finite and infinite data share the table and the inversion; only the top of
+the table differs.
 """
 
 from __future__ import annotations
@@ -74,49 +76,69 @@ def _inv_h(spec: Nonlinearity):
     return f
 
 
-def _level_time_panels(spec: Nonlinearity, x_a: float, t_max: float):
-    """Cumulative time-from-level table descending from x_a.
+def _level_table(spec: Nonlinearity, x_top: float, t_min: float, t_max: float):
+    """Level-time table: edges ascending in x and the time ``T`` at each edge.
 
-    Returns (breaks, T) with ``breaks`` strictly decreasing from ``x_a`` and
-    ``T[i]`` the time at which the solution level has fallen to
-    ``exp(breaks[i])``; the table extends slightly past ``t_max``.
+    ``T(x)`` is the time the flat solution from level ``exp(x_top)`` takes
+    to fall to ``exp(x)``.  Edges lie on one lattice, ``2^k - 1`` above 0
+    and the integers below, so finite data cost O(log x_top) panels: one
+    panel from ``x_top`` down to the lattice, then lattice panels.  Infinite
+    data (``x_top = inf``) ascend from 0 until a panel is below 1e-13 t_min
+    and extrapolate the remainder from the last panel ratio as in
+    :func:`tail_integral`.  Both descend until ``T`` covers t_max.  ``T`` is
+    summed from the top, so no cancellation occurs.
     """
     f = _inv_h(spec)
-    breaks = [x_a]
-    T = [0.0]
-    width = 0.25
-    guard = 200000
-    while T[-1] <= t_max * (1.0 + 1e-9) + 1e-300:
-        lo = breaks[-1] - width
-        dT = gl_panel_refined(f, lo, breaks[-1], splits=4)
-        breaks.append(lo)
-        T.append(T[-1] + dT)
-        width = min(width * 1.5, 4.0)
-        guard -= 1
-        if guard == 0:
-            raise ToleranceError("level-time table failed to reach t_max")
-    return np.array(breaks), np.array(T)
+    if math.isinf(x_top):
+        up = []
+        while len(up) < 4 or abs(up[-1]) >= 1e-13 * t_min:
+            if len(up) == _MAX_TABLE_PANELS:
+                raise BracketError("lifetime tail did not settle within the panel budget")
+            k = len(up)
+            up.append(gl_panel_refined(f, 2.0**k - 1.0, 2.0 ** (k + 1) - 1.0, splits=4))
+        rho = up[-1] / up[-2] if up[-2] != 0.0 else 0.0
+        t_top = up[-1] * rho / (1.0 - rho) if 0.0 < rho < 1.0 else 0.0
+        edges, panels = list(2.0 ** np.arange(len(up), -1.0, -1.0) - 1.0), up[::-1]
+    else:
+        edges, panels, t_top = [x_top], [], 0.0
+    total = t_top + math.fsum(panels)
+    while total < t_max:
+        if len(panels) == _MAX_TABLE_PANELS:
+            raise BracketError("level-time table failed to bracket t_max")
+        hi = edges[-1]  # lo is the next lattice edge below hi
+        if hi > 0.0:
+            lo = max(2.0 ** (math.ceil(math.log2(hi + 1.0)) - 1) - 1.0, 0.0)
+        else:
+            lo = math.ceil(hi) - 1.0
+        panels.append(gl_panel_refined(f, lo, hi, splits=4))
+        edges.append(lo)
+        total += panels[-1]
+    T = t_top + np.concatenate(([0.0], np.cumsum(panels)))
+    return np.array(edges[::-1]), T[::-1]
 
 
-def _invert_on_panel(spec, f, x_lo, x_hi, T_hi, t):
-    """Solve T(x) = t on [x_lo, x_hi] where T(x_hi) = T_hi <= t."""
+def _invert_on_panel(spec, f, x_lo, x_hi, T_lo, T_hi, t):
+    """Solve T(x) = t on [x_lo, x_hi] where T(x_lo) = T_lo >= t >= T(x_hi) = T_hi."""
 
     def residual(x: float) -> float:
         return T_hi + gl_panel_refined(f, x, x_hi, splits=2) - t
 
     a, b = x_lo, x_hi  # residual(a) >= 0 >= residual(b)
-    for _ in range(20):
-        m = 0.5 * (a + b)
-        if residual(m) >= 0.0:
-            a = m
-        else:
-            b = m
-    x = 0.5 * (a + b)
-    for _ in range(5):
+    x = x_hi - (x_hi - x_lo) * (t - T_hi) / (T_lo - T_hi) if T_lo > T_hi else x_hi
+    for _ in range(60):
         res = residual(x)
-        # dT/dx = -1/h(e^x); Newton step in x
-        x += res * math.exp(float(log_h_at_log(spec, x)))
-        x = min(max(x, x_lo), x_hi)
+        if res >= 0.0:
+            a = x
+        else:
+            b = x
+        step = res * math.exp(float(log_h_at_log(spec, x)))  # dT/dx = -1/h(e^x)
+        x += step
+        # test convergence before the safeguard: a converged step can leave
+        # the open bracket by rounding once x sits on one of its ends
+        if abs(step) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(x)):
+            break
+        if not a < x < b:
+            x = 0.5 * (a + b)
     res = residual(x)
     # where h is tiny (low levels decay slowly) T is steep in x and one
     # ulp of x moves T by eps/h; below that the inversion is exact to
@@ -131,27 +153,35 @@ def _invert_on_panel(spec, f, x_lo, x_hi, T_hi, t):
     return x
 
 
+def _invert_levels(spec: Nonlinearity, x_top: float, times: np.ndarray) -> np.ndarray:
+    """ln Phi(t) for each positive t in ``times``, initial level exp(x_top)."""
+    edges, T = _level_table(spec, x_top, float(times.min()), float(times.max()))
+    f = _inv_h(spec)
+    # panel j brackets T[j] <= t <= T[j-1]
+    js = np.clip(np.searchsorted(-T, -times), 1, len(T) - 1)
+    return np.array([
+        _invert_on_panel(spec, f, edges[j - 1], edges[j], T[j - 1], T[j], float(t))
+        for j, t in zip(js, times)
+    ])
+
+
 def _solve_log_levels(spec: Nonlinearity, x_a: float, times: np.ndarray) -> np.ndarray:
     """ln Phi(t) for each t in ``times``, init level exp(x_a)."""
+    if not math.isfinite(x_a):
+        raise DomainError(f"initial level must be finite, got ln a = {x_a}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise GridError("time grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(times)):
+        raise GridError("time grid must be finite")
     if np.any(np.diff(times) <= 0.0):
         raise GridError("time grid must be strictly increasing")
     if times[0] < 0.0:
         raise GridError("time grid must start at t >= 0")
-    out = np.empty_like(times)
+    out = np.full_like(times, x_a)
     positive = times > 0.0
-    out[~positive] = x_a
-    if not np.any(positive):
-        return out
-    breaks, T = _level_time_panels(spec, x_a, float(times[-1]))
-    f = _inv_h(spec)
-    for i in np.nonzero(positive)[0]:
-        t = float(times[i])
-        j = int(np.searchsorted(T, t))
-        j = min(max(j, 1), len(T) - 1)
-        out[i] = _invert_on_panel(spec, f, breaks[j], breaks[j - 1], T[j - 1], t)
+    if np.any(positive):
+        out[positive] = _invert_levels(spec, x_a, times[positive])
     return out
 
 
@@ -159,7 +189,8 @@ def solve_phi(spec: Nonlinearity, a: float, times) -> FlatTrajectory:
     """Flat solution with initial height ``a``, sampled on ``times``.
 
     Inversion of the separable level-time relation with relative tolerance
-    1e-10; no step error accumulates between sample times.
+    1e-10; no step error accumulates between sample times.  ``a`` must be
+    positive and finite, ``times`` finite, strictly increasing and >= 0.
     """
     if not (a > 0.0):
         raise DomainError(f"initial height must be positive, got {a}")
@@ -173,10 +204,11 @@ def solve_phi(spec: Nonlinearity, a: float, times) -> FlatTrajectory:
 
 
 def solve_phi_log(spec: Nonlinearity, ln_a: float, times) -> np.ndarray:
-    """ln Phi(t) for initial height exp(ln_a); usable for ln_a in the thousands.
+    """ln Phi(t) for initial height exp(ln_a), for any finite ln_a.
 
     Returns the array of log-values rather than a trajectory, since the
-    linear-scale values may not be representable.
+    linear-scale values may not be representable.  The table costs
+    O(log ln_a) panels; it is tested up to ln_a = 1e12.
     """
     return _solve_log_levels(spec, float(ln_a), np.asarray(times, dtype=float))
 
@@ -209,44 +241,15 @@ def _require_osgood(spec: Nonlinearity) -> None:
         )
 
 
-def _tail_table(spec: Nonlinearity, t_min: float, t_max: float):
-    """Lifetime table: edges ascending in x and ``G(x)`` at each edge.
-
-    Panels of width 1, 2, 4, ... ascend from x = 0 until one is below
-    1e-13 t_min; the remainder is extrapolated from the last panel ratio as
-    in :func:`tail_integral`.  Unit panels descend from 0 until G exceeds
-    t_max.  G is summed from the far end, so no cancellation occurs.
-    """
-    f = _inv_h(spec)
-    up, down = [], []
-    while len(up) < 4 or abs(up[-1]) >= 1e-13 * t_min:
-        if len(up) == _MAX_TABLE_PANELS:
-            raise BracketError("lifetime tail did not settle within the panel budget")
-        k = len(up)
-        up.append(gl_panel_refined(f, 2.0**k - 1.0, 2.0 ** (k + 1) - 1.0, splits=4))
-    rho = up[-1] / up[-2] if up[-2] != 0.0 else 0.0
-    rest = up[-1] * rho / (1.0 - rho) if 0.0 < rho < 1.0 else 0.0
-    g = rest + math.fsum(up)
-    while g < t_max:
-        if len(up) + len(down) == _MAX_TABLE_PANELS:
-            raise BracketError("failed to bracket the infinite-height level")
-        down.append(gl_panel_refined(f, -len(down) - 1.0, -len(down), splits=4))
-        g += down[-1]
-    panels = np.array(down[::-1] + up)
-    edges = np.concatenate(
-        (-np.arange(len(down), 0, -1.0), 2.0 ** np.arange(len(up) + 1.0) - 1.0)
-    )
-    return edges, rest + np.append(np.cumsum(panels[::-1])[::-1], 0.0)
-
-
 def solve_phi_infinity_log(spec: Nonlinearity, t):
     """ln of the infinite-height flat value at each time t > 0.
 
     ``Phi_inf(t)`` is characterized by the lifetime relation
     ``G(ln Phi_inf(t)) = t`` with ``G(x) = integral of 1/h(e^y) over
     [x, infinity)``.  One call builds one lifetime table covering all of
-    ``t`` and inverts each time on its bracketing panel by bisection plus
-    Newton polish, to residual 1e-10 max(t, 1e-6).  Working in log
+    ``t`` and inverts each time on its bracketing panel by Newton from the
+    panel's linear interpolant, safeguarded by bisection of the bracket, to
+    residual 1e-10 max(t, 1e-6).  Working in log
     coordinates, early values like exp(4e12) pose no problem.
 
     ``t`` is a float or a 1-D array of times in any order; the result is a
@@ -259,15 +262,7 @@ def solve_phi_infinity_log(spec: Nonlinearity, t):
     flat = times.reshape(-1)
     if not np.all(flat > 0.0):
         raise DomainError(f"times must be positive, got {t}")
-    out = np.empty_like(flat)
-    if flat.size:
-        edges, G = _tail_table(spec, float(flat.min()), float(flat.max()))
-        f = _inv_h(spec)
-        for i, ti in enumerate(flat):
-            # G decreases along edges: panel j brackets G[j] <= t <= G[j-1]
-            j = int(np.searchsorted(-G, -ti))
-            j = min(max(j, 1), len(G) - 1)
-            out[i] = _invert_on_panel(spec, f, edges[j - 1], edges[j], G[j], float(ti))
+    out = _invert_levels(spec, math.inf, flat) if flat.size else np.empty_like(flat)
     return float(out[0]) if times.ndim == 0 else out
 
 

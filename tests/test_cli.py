@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from absorblab import flat_ode
 from absorblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from absorblab.flat_ode import osgood_tail_from_log
 from absorblab.io import parse_csv
@@ -73,6 +74,26 @@ def test_flat_ode_at_defaults_within_budget(tmp_path):
     for t, lam in env[::33]:
         assert abs(osgood_tail_from_log(spec, lam) - t) <= 1e-8 * t
     assert wall <= 5.0, f"flat-ode at defaults took {wall:.2f} s"
+
+
+def test_flat_ode_at_defaults_quadrature_count(tmp_path, monkeypatch):
+    # a wall-clock-free guard on the inversion cost: panel quadratures per
+    # inverted time, table panels included, for 3 heights and the envelope
+    calls = []
+    real = flat_ode.gl_panel_refined
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flat_ode, "gl_panel_refined", counted)
+    out = tmp_path / "run"
+    assert main(["flat-ode", "--out", str(out)]) == EXIT_OK
+    _, rows = parse_csv(out / "flat_ode.csv")
+    _, env = parse_csv(out / "flat_envelope.csv")
+    inverted = sum(float(t) > 0.0 for _, t, _ in rows) + len(env)
+    assert inverted == 400
+    assert len(calls) <= 8 * inverted, f"{len(calls) / inverted:.1f} quadratures per time"
 
 
 def test_stationary_power_family_skips_growth_law_fit(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from absorblab.errors import (
     BracketError,
     DomainError,
+    GridError,
     OverflowGuardError,
     PreconditionError,
 )
@@ -207,3 +208,64 @@ def test_solve_phi_log_far_beyond_double_range():
     assert osgood_tail_from_log(LOG15, float(lam[1])) - osgood_tail_from_log(
         LOG15, 2592.0
     ) == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("ln_a", [1e6, 1e7, 1e12])
+def test_solve_phi_log_at_astronomical_data(ln_a):
+    times = np.array([0.0, 0.1, 0.5])
+    lam = solve_phi_log(LOG15, ln_a, times)
+    assert lam[0] == ln_a
+    g_a = osgood_tail_from_log(LOG15, ln_a)
+    for t, x in zip(times[1:], lam[1:]):
+        assert osgood_tail_from_log(LOG15, float(x)) - g_a == pytest.approx(t, rel=1e-9)
+    # w' = -w^1.5 up to e^-w corrections, which are 6e-10 relative at w = 16
+    w = (ln_a ** -0.5 + 0.5 * times) ** -2.0
+    np.testing.assert_allclose(lam, w, rtol=1e-8)
+    if ln_a == 1e6:
+        # u' = -u^2: ln Phi(t) = -ln(1/a + t)
+        lam2 = solve_phi_log(POW2, ln_a, times)
+        np.testing.assert_allclose(lam2[1:], -np.log(np.exp(-ln_a) + times[1:]),
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("ln_a", [math.log(1e3), 50.0])
+def test_finite_data_without_osgood_tail_against_mpmath(alpha, ln_a):
+    # no convergent lifetime tail: only the finite-data route applies
+    mp.mp.dps = 25
+    spec = Nonlinearity.log_power(alpha)
+    times = [0.1, 1.0, 3.0]
+    lam = solve_phi_log(spec, ln_a, [0.0] + times)
+    for t, x in zip(times, lam[1:]):
+        ref = mp.quad(lambda y: 1 / mp.log(1 + mp.e**y) ** alpha, mp.linspace(x, ln_a, 5))
+        assert float(ref) == pytest.approx(t, rel=1e-10)
+
+
+def test_tiny_times_against_mpmath():
+    # the level moves by ~1e-9 from ln 2, so the step that converges the
+    # inversion can round onto the edge of its bracket
+    mp.mp.dps = 25
+    times = [1e-9, 1e-6, 1e-3]
+    traj = solve_phi(LOG15, 2.0, [0.0] + times)
+    for t, v in zip(times, traj.values[1:]):
+        ref = mp.quad(lambda y: 1 / mp.log(1 + mp.e**y) ** 1.5, [math.log(v), mp.log(2)])
+        # the route's contract plus a few ulps of the level (1/h < 1 here)
+        assert abs(float(ref) - t) <= 1e-10 * max(t, 1e-6) + 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "ln_a, times, err",
+    [
+        (math.inf, [0.0, 0.5], DomainError),
+        (-math.inf, [0.0, 0.5], DomainError),
+        (math.nan, [0.0, 0.5], DomainError),
+        (math.log(2.0), [0.0, math.nan], GridError),
+        (math.log(2.0), [math.nan, 0.5], GridError),
+        (math.log(2.0), [0.0, math.inf], GridError),
+    ],
+)
+def test_finite_data_routes_reject_nonfinite_inputs(ln_a, times, err):
+    with pytest.raises(err):
+        solve_phi_log(LOG15, ln_a, times)
+    with pytest.raises(err):
+        solve_phi(LOG15, math.exp(ln_a), times)
