@@ -17,17 +17,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-SCENARIOS = (
-    "conditions",
-    "flat-ode",
-    "stationary",
-    "theorem-b",
-    "theorem-c",
-    "non-uniqueness",
-    "alpha2",
-)
-
-
 @dataclass(frozen=True)
 class Field:
     kind: str                 # float | int | str | float_list
@@ -102,6 +91,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "x_radius": Field("float", 0.0),
     },
 }
+
+SCENARIOS = tuple(SCHEMAS)
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,17 @@ solo run: its values are bitwise those of the same run stepped alone.  A
 family shares one internal step schedule.  That is what makes batching
 possible, and it is also required: the discrete comparison principle, and
 with it every in-n ordering check between members, holds only between runs
-taken through identical step sequences.  The A4 and A8.1 drivers step
-their families this way; the A8 driver calls :func:`evolve` once per ball
-with the same times and config, which gives the same step sequence.
+taken through identical step sequences.
 
 Drivers cover the three ball-exhaustion sequences used by the collapse
-experiments: truncated data on a fixed large ball, profile-capped data on
-growing balls, and the two-sided profile-boundary variant.
+experiments: truncated data on a fixed large ball (A4), profile-capped
+data on growing balls (A8), and the two-sided profile-boundary variant
+(A8.1).  A4 and A8.1 step each family with one :func:`evolve` call; A8
+calls :func:`evolve` once per ball with the same times and config, which
+gives the same step sequence.  The profile balls of A8 and A8.1 (grid,
+stationary profile, constant boundary trace) all come from
+``_profile_ball``, and every driver checks and packs its ordering through
+``_ordered_sequence``.
 """
 
 from __future__ import annotations
@@ -131,15 +135,13 @@ class InitialData:
     """Nonnegative radial initial height, evaluated in log form ln(1+u).
 
     kinds: ``truncated`` is the growth data cut to zero outside radius n;
-    ``capped`` is the pointwise minimum with the stationary profile of
-    center height a; ``raw`` is the growth data itself.  A precomputed
-    profile may be attached to avoid re-shooting inside drivers.
+    ``capped`` is the pointwise minimum with a stationary profile, which
+    must be sampled on the run's grid; ``raw`` is the growth data itself.
     """
 
     kind: str
     g: GrowthFunction | None = None
     n: float | None = None
-    a: float | None = None
     profile: RadialProfile | None = None
 
     @staticmethod
@@ -147,8 +149,8 @@ class InitialData:
         return InitialData(kind="truncated", g=g, n=float(n))
 
     @staticmethod
-    def capped(g: GrowthFunction, a: float, profile: RadialProfile | None = None) -> "InitialData":
-        return InitialData(kind="capped", g=g, a=float(a), profile=profile)
+    def capped(g: GrowthFunction, profile: RadialProfile) -> "InitialData":
+        return InitialData(kind="capped", g=g, profile=profile)
 
     @staticmethod
     def raw(g: GrowthFunction) -> "InitialData":
@@ -158,7 +160,7 @@ class InitialData:
     def zero() -> "InitialData":
         return InitialData(kind="raw", g=GrowthFunction(gamma=lambda r: 0.0, beta=0.0, K=0.0))
 
-    def w_on_grid(self, spec: Nonlinearity, grid: RadialGrid) -> np.ndarray:
+    def w_on_grid(self, grid: RadialGrid) -> np.ndarray:
         gam = self.g.gamma_vec(grid.radii)
         if np.any(gam < 0.0):
             raise DomainError("initial data must be nonnegative")
@@ -168,13 +170,9 @@ class InitialData:
             return np.where(grid.radii <= self.n + 1e-12, gam, 0.0)
         if self.kind == "capped":
             prof = self.profile
-            if prof is None:
-                prof = shoot_profile(spec, self.a, grid.dimension, grid.r_out, grid=grid.radii)
             if len(prof.radii) != len(grid.radii) or np.max(np.abs(prof.radii - grid.radii)) > 1e-12:
-                prof_w = prof.sample(grid.radii)[0]
-            else:
-                prof_w = prof.w_values
-            return np.minimum(prof_w, gam)
+                raise GridError("capped data needs its profile sampled on the run's grid")
+            return np.minimum(prof.w_values, gam)
         raise DomainError(f"unknown initial-data kind {self.kind!r}")
 
 
@@ -260,8 +258,12 @@ class SchemeSequence:
     labels: tuple
     monotone_violation: float     # worst wrong-direction log difference
     cauchy_diffs: tuple           # sup log differences of consecutive runs
-    limit: EvolutionField
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def limit(self) -> EvolutionField:
+        """The last run, the candidate for the limit."""
+        return self.fields[-1]
 
 
 def discretization_tolerance(h: float, dt_max: float) -> float:
@@ -486,7 +488,7 @@ def evolve(
     owner = np.repeat(np.arange(len(grids)), sizes)
     sweep_caps = np.maximum(cfg.sweeps_max, 2 * (sizes - 1) + 100)
 
-    w = np.concatenate([ini.w_on_grid(spec, gr) for gr, ini in zip(grids, inits)])
+    w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
     step_times, is_output = _internal_times(times, cfg)
     all_times = np.concatenate(([0.0], step_times))
     bc = np.empty((len(all_times), len(grids)))  # row k: boundary values at step k
@@ -537,16 +539,52 @@ def evolve(
 # ----------------------------------------------------------------------
 
 
-def _monotone_violation(fields, direction: str, n_common: int, monitor=None):
-    """Worst wrong-direction difference of consecutive runs, log scale, and
-    their sup differences (over the ``monitor`` nodes when given)."""
+def _profile_ball(spec: Nonlinearity, a: float, n: float, h: float):
+    """The ball of radius n: its grid, the height-a stationary profile on
+    that grid, and the profile's edge value as a constant boundary trace."""
+    grid = uniform_grid(n, h, 1)
+    prof = shoot_profile(spec, a, 1, n, grid=grid.radii)
+    bc = BoundaryTrace.constant(float(prof.w_values[-1]), label=f"profile a={a:g} at r={n:g}")
+    return grid, prof, bc
+
+
+def _ordered_sequence(
+    fields: Sequence[EvolutionField],
+    n_list: Sequence[float],
+    increasing: bool,
+    tol: float,
+    name: str,
+    monitor: np.ndarray | None = None,
+    diagnostics: dict | None = None,
+) -> SchemeSequence:
+    """Check that consecutive runs order in n in one direction and pack them.
+
+    Runs are compared on the nodes of the first (smallest) ball.  The worst
+    wrong-direction log difference is the sequence's violation; above 10x
+    ``tol`` it raises :class:`MonotonicityError`.  The Cauchy differences
+    are sup log differences of consecutive runs, over the ``monitor`` nodes
+    when given.
+    """
+    n_common = len(fields[0].grid.radii)
     worst = -np.inf
-    diffs = []
+    cauchy = []
     for f1, f2 in zip(fields[:-1], fields[1:]):
         d = f2.values[:, :n_common] - f1.values[:, :n_common]
-        diffs.append(float(np.max(np.abs(d if monitor is None else d[:, monitor]))))
-        worst = max(worst, float(np.max(-d if direction == "increasing" else d)))
-    return worst, diffs
+        cauchy.append(float(np.max(np.abs(d if monitor is None else d[:, monitor]))))
+        worst = max(worst, float(np.max(-d if increasing else d)))
+    if worst > 10.0 * tol:
+        direction = "increasing" if increasing else "decreasing"
+        raise MonotonicityError(
+            f"{name} family not {direction} in n: worst violation {worst:.3g} "
+            f"exceeds 10x tolerance {tol:.3g}", worst,
+        )
+    return SchemeSequence(
+        fields=tuple(fields),
+        labels=tuple(f"n={n:g}" for n in n_list),
+        monotone_violation=worst,
+        cauchy_diffs=tuple(cauchy),
+        diagnostics={"tolerance": tol, **(diagnostics or {})},
+    )
 
 
 def run_scheme_A4(
@@ -556,7 +594,6 @@ def run_scheme_A4(
     r_out: float,
     times: Sequence[float],
     h: float = 0.025,
-    r_mon: float | None = None,
     cfg: EvolveConfig = EvolveConfig(),
     tol: float | None = None,
     influence_check: bool = False,
@@ -567,7 +604,8 @@ def run_scheme_A4(
     All runs share the grid on [0, r_out] with homogeneous Dirichlet at
     r_out (stand-in for the whole-space problem; it under-estimates, which
     suits a minimal-limit construction).  The family must increase with n;
-    a violation above 10x the discretization tolerance aborts.  With
+    a violation above 10x the discretization tolerance aborts.  Cauchy
+    differences are taken over the monitor region r <= r_out/2.  With
     ``influence_check`` the last run is repeated at 1.5x the domain and
     the monitored-region difference reported.
     """
@@ -576,8 +614,6 @@ def run_scheme_A4(
         raise PreconditionError("truncation radii must stay below r_out")
     if tol is None:
         tol = discretization_tolerance(h, cfg.dt_max)
-    if r_mon is None:
-        r_mon = r_out / 2.0
     grid = uniform_grid(r_out, h, dimension)
     grids = [grid] * len(n_list)
     inits = [InitialData.truncated(g, n) for n in n_list]
@@ -590,32 +626,14 @@ def run_scheme_A4(
         tags.append(f"truncated n={n_list[-1]:g} on r_out={r_wide:g}")
     bcs = [BoundaryTrace.constant(0.0, label="zero")] * len(grids)
     fields = list(evolve(spec, grids, inits, bcs, times, cfg, tags).fields)
-    wide = fields.pop() if influence_check else None
-    mon = grid.radii <= r_mon + 1e-12
-    worst, cauchy = _monotone_violation(fields, "increasing", len(grid.radii), mon)
-    if worst > 10.0 * tol:
-        raise MonotonicityError(
-            f"truncation family not increasing: worst violation {worst:.3g} "
-            f"exceeds 10x tolerance {tol:.3g}", worst,
-        )
-
-    diagnostics = {
-        "monitor_radius": r_mon,
-        "tolerance": tol,
-        "cauchy_diffs_monitor": cauchy,
-    }
-    if wide is not None:
+    mon = grid.radii <= r_out / 2.0 + 1e-12
+    diagnostics = {"monitor_radius": r_out / 2.0}
+    if influence_check:
+        wide = fields.pop()
         diagnostics["influence_diff"] = float(
             np.max(np.abs(wide.values[:, : len(grid.radii)][:, mon] - fields[-1].values[:, mon]))
         )
-    return SchemeSequence(
-        fields=tuple(fields),
-        labels=tuple(f"n={n:g}" for n in n_list),
-        monotone_violation=worst,
-        cauchy_diffs=tuple(cauchy),
-        limit=fields[-1],
-        diagnostics=diagnostics,
-    )
+    return _ordered_sequence(fields, n_list, True, tol, "truncation", mon, diagnostics)
 
 
 def run_scheme_A8(
@@ -643,7 +661,7 @@ def run_scheme_A8(
     if domination not in ("warn", "require", "skip"):
         raise DomainError("domination policy must be warn, require or skip")
 
-    diagnostics: dict = {"tolerance": tol}
+    diagnostics: dict = {}
     if domination != "skip":
         try:
             r_a = domination_radius(g, spec, a, 1, max(n_list))
@@ -664,31 +682,16 @@ def run_scheme_A8(
                 f"data does not dominate the height-{a:g} profile up to {max(n_list):g}"
             )
 
-    def one(n):
-        grid = uniform_grid(n, h, 1)
-        prof = shoot_profile(spec, a, 1, n, grid=grid.radii)
-        bc = BoundaryTrace.constant(float(prof.w_values[-1]), label=f"profile a={a:g} at r={n:g}")
-        init = InitialData.capped(g, a, profile=prof)
-        return evolve(spec, grid, init, bc, times, cfg, scheme_tag=f"capped a={a:g} n={n:g}")
-
     # one evolve call per ball; the shared times and cfg give every run the
     # same step sequence, as the ordering check needs
-    fields = [one(n) for n in n_list]
-    n_common = len(fields[0].grid.radii)
-    worst, cauchy = _monotone_violation(fields, "decreasing", n_common)
-    if worst > 10.0 * tol:
-        raise MonotonicityError(
-            f"capped family not decreasing in n: worst violation {worst:.3g} "
-            f"exceeds 10x tolerance {tol:.3g}", worst,
-        )
-    return SchemeSequence(
-        fields=tuple(fields),
-        labels=tuple(f"n={n:g}" for n in n_list),
-        monotone_violation=worst,
-        cauchy_diffs=tuple(cauchy),
-        limit=fields[-1],
-        diagnostics=diagnostics,
-    )
+    fields = []
+    for n in n_list:
+        grid, prof, bc = _profile_ball(spec, a, n, h)
+        fields.append(evolve(
+            spec, grid, InitialData.capped(g, prof), bc, times, cfg,
+            scheme_tag=f"capped a={a:g} n={n:g}",
+        ))
+    return _ordered_sequence(fields, n_list, False, tol, "capped", diagnostics=diagnostics)
 
 
 def run_scheme_A8_1(
@@ -701,13 +704,13 @@ def run_scheme_A8_1(
     h: float = 0.025,
     cfg: EvolveConfig = EvolveConfig(),
     tol: float | None = None,
-) -> dict:
+) -> tuple[SchemeSequence, SchemeSequence]:
     """Two-sided profile-boundary exhaustion for sandwiched data.
 
     Requires c < b and V_c <= g <= V_b nodewise (checked on the largest
     ball).  For each n the lower run uses boundary height V_c(n) and the
     upper run V_b(n), both with initial data g; the lower family must
-    increase and the upper decrease.  Returns both sequences.
+    increase and the upper decrease.  Returns ``(lower, upper)``.
     """
     if not 0.0 < c < b:
         raise PreconditionError("need 0 < c < b")
@@ -715,60 +718,26 @@ def run_scheme_A8_1(
     if tol is None:
         tol = discretization_tolerance(h, cfg.dt_max)
 
-    big = uniform_grid(n_list[-1], h, 1)
-    prof_c_big = shoot_profile(spec, c, 1, n_list[-1], grid=big.radii)
-    prof_b_big = shoot_profile(spec, b, 1, n_list[-1], grid=big.radii)
+    lower_balls = [_profile_ball(spec, c, n, h) for n in n_list]
+    upper_balls = [_profile_ball(spec, b, n, h) for n in n_list]
+    (big, prof_c, _), (_, prof_b, _) = lower_balls[-1], upper_balls[-1]
     gam = g.gamma_vec(big.radii)
     slack = 1e-9
-    if np.any(gam < prof_c_big.w_values - slack) or np.any(gam > prof_b_big.w_values + slack):
+    if np.any(gam < prof_c.w_values - slack) or np.any(gam > prof_b.w_values + slack):
         raise PreconditionError(
             "initial data is not sandwiched between the two stationary profiles"
         )
 
-    def run(n, center):
-        grid = uniform_grid(n, h, 1)
-        prof = shoot_profile(spec, center, 1, n, grid=grid.radii)
-        bc = BoundaryTrace.constant(
-            float(prof.w_values[-1]), label=f"profile a={center:g} at r={n:g}"
-        )
-        return grid, InitialData.raw(g), bc, f"sandwich a={center:g} n={n:g}"
-
     # one family, so lower and upper runs also share the step sequence that
     # the comparison between the two limits relies on
-    grids, inits, bcs, tags = zip(*(run(n, center) for center in (c, b) for n in n_list))
+    grids, _, bcs = zip(*lower_balls, *upper_balls)
+    inits = [InitialData.raw(g)] * len(grids)
+    tags = [f"sandwich a={center:g} n={n:g}" for center in (c, b) for n in n_list]
     fields = evolve(spec, grids, inits, bcs, times, cfg, tags).fields
-    lower, upper = fields[: len(n_list)], fields[len(n_list):]
-    n_common = len(lower[0].grid.radii)
-    worst_lo, cauchy_lo = _monotone_violation(lower, "increasing", n_common)
-    worst_up, cauchy_up = _monotone_violation(upper, "decreasing", n_common)
-    if max(worst_lo, worst_up) > 10.0 * tol:
-        raise MonotonicityError(
-            f"sandwich families broke their ordering: worst violation "
-            f"{max(worst_lo, worst_up):.3g} exceeds 10x tolerance {tol:.3g}",
-            max(worst_lo, worst_up),
-        )
-
-    def pack(fields, worst, cauchy):
-        return SchemeSequence(
-            fields=tuple(fields),
-            labels=tuple(f"n={n:g}" for n in n_list),
-            monotone_violation=worst,
-            cauchy_diffs=tuple(cauchy),
-            limit=fields[-1],
-            diagnostics={"tolerance": tol},
-        )
-
-    sandwich = {
-        "profile_lower_w": prof_c_big.w_values,
-        "profile_upper_w": prof_b_big.w_values,
-        "grid": big,
-    }
-    return {
-        "lower": pack(lower, worst_lo, cauchy_lo),
-        "upper": pack(upper, worst_up, cauchy_up),
-        "sandwich": sandwich,
-        "tolerance": tol,
-    }
+    return (
+        _ordered_sequence(fields[: len(n_list)], n_list, True, tol, "lower sandwich"),
+        _ordered_sequence(fields[len(n_list):], n_list, False, tol, "upper sandwich"),
+    )
 
 
 def check_comparison(field1: EvolutionField, field2: EvolutionField) -> float:

@@ -40,7 +40,7 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .nonlinearity import Nonlinearity, classify_conditions, log_h_at_log
+from .nonlinearity import Nonlinearity, _condition_holds, log_h_at_log
 
 _V_CAP = 1e300
 _MAX_TABLE_PANELS = 1000
@@ -229,13 +229,7 @@ def osgood_tail(spec: Nonlinearity, v: float) -> float:
 
 
 def _require_osgood(spec: Nonlinearity) -> None:
-    if spec.family == "log_power":
-        ok = spec.alpha > 1.0
-    elif spec.family == "power":
-        ok = True
-    else:
-        ok = classify_conditions(spec).osgood
-    if not ok:
+    if not _condition_holds(spec, "osgood"):
         raise PreconditionError(
             "the lifetime tail integral diverges without the osgood condition"
         )

@@ -27,8 +27,6 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, (int,)):
-        return str(value)
     return str(value)
 
 

@@ -299,23 +299,35 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
     }
 
 
+def _condition_holds(spec: Nonlinearity, condition: str) -> bool | None:
+    """Whether ``condition`` ("osgood" or "keller_osserman") holds for h.
+
+    The analytic rule for the built-in families: log_power is osgood iff
+    alpha > 1 and keller_osserman iff alpha > 2; power laws are both.
+    Custom laws get the numerical verdict of :func:`classify_conditions`
+    for that condition alone, None when it lands in the dead band.
+    """
+    if spec.family == "log_power":
+        return spec.alpha > (1.0 if condition == "osgood" else 2.0)
+    if spec.family == "power":
+        return True
+    return _numeric_classification(spec)[f"{condition}_numeric"]
+
+
 def classify_conditions(spec: Nonlinearity) -> ConditionReport:
     """Classify the growth conditions of ``spec``.
 
-    Built-in families return analytic verdicts (log_power: osgood iff
-    alpha > 1, keller_osserman iff alpha > 2; power: both hold) with the
-    numerical tail classification attached as confidence diagnostics.  For
-    custom families the numerical classification is the verdict, and a
-    fitted slope inside the +-0.05 dead band around -1 raises
-    :class:`InconclusiveClassificationError` rather than guessing.
+    Built-in families return the analytic verdicts of
+    :func:`_condition_holds` with the numerical tail classification
+    attached as confidence diagnostics.  For custom families the numerical
+    classification is the verdict, and a fitted slope inside the +-0.05
+    dead band around -1 raises :class:`InconclusiveClassificationError`
+    rather than guessing.
     """
     confidence = _numeric_classification(spec)
-    if spec.family == "log_power":
-        osgood = spec.alpha > 1.0
-        ko = spec.alpha > 2.0
-    elif spec.family == "power":
-        osgood = True
-        ko = True
+    if spec.family != "custom":
+        osgood = _condition_holds(spec, "osgood")
+        ko = _condition_holds(spec, "keller_osserman")
     else:
         osgood = confidence["osgood_numeric"]
         ko = confidence["keller_osserman_numeric"]

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .nonlinearity import Nonlinearity, classify_conditions, eval_H, eval_h, h_of_w
+from .nonlinearity import Nonlinearity, _condition_holds, eval_H, eval_h, h_of_w
 
 _V_CLIP = 1e300
 
@@ -319,7 +319,7 @@ def ko_tail(spec: Nonlinearity, v: float) -> float:
     """Tail integral of 1/sqrt(H) over [v, infinity) for blow-up bounds."""
     if not (v > 0.0):
         raise DomainError("tail integral needs a positive lower limit")
-    if spec.family == "log_power" and spec.alpha <= 2.0:
+    if not _condition_holds(spec, "keller_osserman"):
         raise PreconditionError(
             "the barrier tail integral diverges without the keller_osserman condition"
         )
@@ -365,13 +365,7 @@ def boundary_blowup_profile(
     the largest-k profile together with the Cauchy differences (sup over
     [0, 0.9 m], measured in W) between consecutive profiles.
     """
-    if spec.family == "log_power":
-        ko = spec.alpha > 2.0
-    elif spec.family == "power":
-        ko = True
-    else:
-        ko = classify_conditions(spec).keller_osserman
-    if not ko:
+    if not _condition_holds(spec, "keller_osserman"):
         raise PreconditionError(
             "boundary blow-up profiles require the keller_osserman condition"
         )

@@ -285,13 +285,12 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     a4 = run_scheme_A4(spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg)
     # tol=1.0: ordering drift of the sandwich families is reported below,
     # not fatal (only a log-unit runaway trips the scheme guard).
-    both = run_scheme_A8_1(
+    lower, upper = run_scheme_A8_1(
         spec, g, config["c"], config["b"], config["n_list"], times, h=h, cfg=cfg,
         tol=1.0,
     )
-    lower = both["lower"]
-    man.notes["lower_family_violation"] = both["lower"].monotone_violation
-    man.notes["upper_family_violation"] = both["upper"].monotone_violation
+    man.notes["lower_family_violation"] = lower.monotone_violation
+    man.notes["upper_family_violation"] = upper.monotone_violation
 
     a4_sup = math.expm1(min(float(np.max(a4.limit.values[-1])), 690.0))
     j_star = int(round(r_star / h))

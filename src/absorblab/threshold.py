@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import erfc, erfcx
 
 from ._quad import _GL_NODES, _GL_WEIGHTS, log_simpson
 from .errors import (
@@ -242,44 +243,6 @@ def exact_absorption_integral(
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _erf_series(x: float) -> float:
-    """Maclaurin series of erf, accurate for |x| <= 1.5."""
-    term = x
-    total = x
-    k = 0
-    x2 = x * x
-    while True:
-        k += 1
-        term *= -x2 / k
-        inc = term / (2 * k + 1)
-        total += inc
-        if abs(inc) < 1e-18 * max(abs(total), 1e-30) or k > 80:
-            return 2.0 / _SQRT_PI * total
-
-
-def _erfc_cf_scaled(x: float, max_iter: int = 400) -> float:
-    """sqrt(pi) e^(x^2) erfc(x) by modified Lentz continued fraction, x > 0."""
-    tiny = 1e-300
-    f = tiny
-    C = f
-    D = 0.0
-    for k in range(1, max_iter + 1):
-        a = 1.0 if k == 1 else (k - 1) / 2.0
-        b = x
-        D = b + a * D
-        if D == 0.0:
-            D = tiny
-        C = b + a / C
-        if C == 0.0:
-            C = tiny
-        D = 1.0 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return f
-    return f
-
-
 def _erfc_asym_log1p_arg(x: float) -> float:
     """Alternating asymptotic tail sum for erfc, truncated at its least term."""
     x2_2 = 2.0 * x * x
@@ -300,36 +263,20 @@ def _erfc_asym_log1p_arg(x: float) -> float:
 
 
 def erfc_complement(x: float) -> float:
-    """Complementary error function, absolute accuracy better than 1e-12.
+    """Complementary error function (``scipy.special.erfc``).
 
-    Series for |x| <= 1.5, continued fraction up to 6, asymptotic branch
-    beyond; negative arguments by reflection.  Values underflow to 0 for
-    x above about 26.6, where the true value is below double range; use
-    :func:`log_erfc` there.
+    Values underflow from x of about 26.5 on and are 0 from 27 on, where
+    the true value is below double range; use :func:`log_erfc` there.
     """
-    if x < 0.0:
-        return 2.0 - erfc_complement(-x)
-    if x <= 1.5:
-        return 1.0 - _erf_series(x)
-    if x <= 6.0:
-        return math.exp(-x * x) / _SQRT_PI * _erfc_cf_scaled(x)
-    log_val = log_erfc(x)
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+    return float(erfc(x))
 
 
 def log_erfc(x: float) -> float:
     """ln erfc(x), finite for every representable x (no underflow)."""
-    if x < 0.0:
-        return math.log(2.0 - erfc_complement(-x))
-    if x <= 1.5:
-        return math.log(1.0 - _erf_series(x))
-    if x <= 6.0:
-        return -x * x - math.log(_SQRT_PI) + math.log(_erfc_cf_scaled(x))
-    return (
-        -x * x
-        - math.log(x * _SQRT_PI)
-        + math.log1p(_erfc_asym_log1p_arg(x))
-    )
+    if x > 0.0:
+        # erfcx(x) = e^(x^2) erfc(x) stays in range for every x
+        return math.log(erfcx(x)) - x * x
+    return math.log(erfc(x))
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from absorblab.cli import EXIT_CONFIG, main
 from absorblab.config import (
     SCENARIOS,
+    SCHEMAS,
     ExperimentConfig,
     load_config,
     parse_config,
@@ -16,6 +17,7 @@ from absorblab.config import (
 )
 from absorblab.errors import ConfigError
 from absorblab.io import OutputError, RunManifest, emit_csv, emit_manifest, parse_csv
+from absorblab.scenarios import RUNNERS
 
 
 # ----------------------------------------------------------------------
@@ -24,6 +26,7 @@ from absorblab.io import OutputError, RunManifest, emit_csv, emit_manifest, pars
 
 
 def test_defaults_exist_for_every_scenario():
+    assert set(RUNNERS) == set(SCHEMAS)
     for scenario in SCENARIOS:
         cfg = parse_config(scenario, "")
         assert cfg.scenario == scenario

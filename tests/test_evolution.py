@@ -29,6 +29,7 @@ from absorblab.evolution import (
     run_scheme_A8_1,
     uniform_grid,
     _internal_times,
+    _ordered_sequence,
 )
 import absorblab.evolution as evolution
 from absorblab.flat_ode import solve_phi
@@ -134,15 +135,18 @@ def test_evolve_time_and_data_validation():
 
 def test_initial_data_kinds_on_grid():
     grid = uniform_grid(1.0, 0.05, 1)
-    gam = InitialData.truncated(QUARTIC, 0.5).w_on_grid(LOG15, grid)
+    gam = InitialData.truncated(QUARTIC, 0.5).w_on_grid(grid)
     assert gam[0] == 0.0
     assert gam[10] == pytest.approx(2.0 * 0.5**4)
     assert np.all(gam[11:] == 0.0)
-    assert np.all(InitialData.zero().w_on_grid(LOG15, grid) == 0.0)
-    capped = InitialData.capped(QUARTIC, 1.0).w_on_grid(LOG15, grid)
+    assert np.all(InitialData.zero().w_on_grid(grid) == 0.0)
     prof = shoot_profile(LOG15, 1.0, 1, 1.0, grid=grid.radii)
+    capped = InitialData.capped(QUARTIC, prof).w_on_grid(grid)
     np.testing.assert_allclose(capped, np.minimum(prof.w_values, 2.0 * grid.radii**4),
                                atol=1e-12)
+    # the profile must already sit on the run's grid
+    with pytest.raises(GridError):
+        InitialData.capped(QUARTIC, prof).w_on_grid(uniform_grid(1.0, 0.025, 1))
 
 
 def test_boundary_trace_values():
@@ -459,8 +463,7 @@ def test_sandwich_scheme_orders_families():
     mid = shoot_profile(LOG15, 1.5, 1, 3.0)
     g = GrowthFunction(gamma=lambda r, p=mid: p.w_at(min(float(r), 3.0)),
                        beta=None, K=None)
-    out = run_scheme_A8_1(LOG15, g, 1.0, 2.0, [2.0, 3.0], [0.0, 0.05, 0.1], h=0.05)
-    lower, upper = out["lower"], out["upper"]
+    lower, upper = run_scheme_A8_1(LOG15, g, 1.0, 2.0, [2.0, 3.0], [0.0, 0.05, 0.1], h=0.05)
     assert lower.monotone_violation <= 1e-9
     assert upper.monotone_violation <= 1e-9
     # lower boundary heights sit below upper ones, so the limits order
@@ -475,6 +478,43 @@ def test_sandwich_scheme_rejects_unsandwiched_data():
         run_scheme_A8_1(LOG15, g, 1.0, 2.0, [2.0, 3.0], [0.0, 0.05], h=0.05)
     with pytest.raises(PreconditionError):
         run_scheme_A8_1(LOG15, g, 2.0, 1.0, [2.0, 3.0], [0.0, 0.05], h=0.05)
+
+
+def _ramp_fields(heights, n_nodes=(20, 24)):
+    """Hand-built runs on growing balls: run k is the constant heights[k]."""
+    times = np.array([0.0, 0.1])
+    out = []
+    for w, nodes in zip(heights, n_nodes):
+        grid = uniform_grid(0.05 * (nodes - 1), 0.05, 1)
+        out.append(EvolutionField(
+            times=times, grid=grid, values=np.full((2, nodes), w),
+            boundary=BoundaryTrace.constant(w), scheme_tag=f"w={w:g}", spec=LOG15,
+        ))
+    return out
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+def test_ordering_guard_threshold(increasing):
+    tol = 0.0625  # binary fractions keep every difference exact
+
+    def pair(excess):
+        # a wrong-direction step of ``excess`` from the first run to the second
+        lo, hi = 1.0, 1.0 + excess
+        return _ramp_fields([hi, lo] if increasing else [lo, hi])
+
+    fields = pair(10.0 * tol)
+    seq = _ordered_sequence(fields, [1.0, 2.0], increasing, tol, "test")
+    assert seq.monotone_violation == 10.0 * tol
+    assert seq.cauchy_diffs == (10.0 * tol,)
+    assert seq.labels == ("n=1", "n=2")
+    assert seq.limit is fields[-1]
+    assert seq.diagnostics == {"tolerance": tol}
+    with pytest.raises(MonotonicityError) as info:
+        _ordered_sequence(pair(10.0 * tol + 0.125), [1.0, 2.0], increasing, tol, "test")
+    assert info.value.violation == 10.0 * tol + 0.125
+    # a step in the right direction has a negative violation
+    seq = _ordered_sequence(pair(-1.0), [1.0, 2.0], increasing, tol, "test")
+    assert seq.monotone_violation == -1.0
 
 
 def test_monotonicity_error_carries_violation():
