@@ -159,10 +159,14 @@ def _scenario_checks(scenario: str, params: dict):
     if scenario == "non-uniqueness":
         if not params["c"] < params["mid"] < params["b"]:
             raise ConfigError("need c < mid < b")
-    if scenario in ("theorem-b", "non-uniqueness") and params.get("dimension") != 1:
-        raise ConfigError(
-            f"scenario {scenario} is implemented for dimension = 1 only"
-        )
+    if scenario in ("theorem-b", "non-uniqueness"):
+        if params.get("dimension") != 1:
+            raise ConfigError(
+                f"scenario {scenario} is implemented for dimension = 1 only"
+            )
+        # one ball has no pair to order: the in-n checks would pass vacuously
+        if len(params["n_list"]) < 2:
+            raise ConfigError(f"scenario {scenario} needs at least two n_list entries")
     if scenario in ("theorem-c", "non-uniqueness") and params["n_list"][-1] >= params["r_out"]:
         raise ConfigError("n_list must stay below r_out")
     if scenario == "stationary" and max(params["bound_radii"]) > params["r_max"]:

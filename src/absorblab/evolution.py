@@ -18,7 +18,14 @@ Discretization notes:
 * the per-step nonlinear system is solved in w with residual rows scaled
   by ``exp(-max(w_j, w_prev_j))``, a warm start that iterates the log-space
   Jacobi form of the step equation (this floods height plateaus one cell a
-  sweep and lands within O(1) of the solution), then damped Newton.
+  sweep and lands within O(1) of the solution), then damped Newton.  Each
+  sweep evaluates the Jacobi fixed point as one log-sum-exp of its four
+  log terms shifted by their maximum (Blanchard, Higham & Higham, IMA J.
+  Numer. Anal. 41, 2021): a handful of vector exponentials per sweep.
+  Newton stops at ``newton_tol``, or, when the damped search cannot lower
+  the residual any more, once its correction is within four ulps of
+  ``max(1, |w|)``: at large w and dt that roundoff floor of the scaled
+  residual lies above ``newton_tol``.
 
 Batching: :func:`evolve` steps either one run or a family of runs given
 as sequences.  A family's grid vectors are laid end to end in one vector
@@ -319,6 +326,10 @@ def _internal_times(times: np.ndarray, cfg: EvolveConfig):
     return np.asarray(steps), np.asarray(is_output, dtype=bool)
 
 
+# a Newton correction below this times max(1, |w|) is within four ulps of w
+_ROUNDOFF = 4.0 * np.finfo(float).eps
+
+
 def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, w_bc, dt, cfg, step_index):
     """One backward-Euler step of every run; per-run (w, newton_iters, clips).
 
@@ -330,32 +341,43 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, w_bc, dt, cfg, 
     """
     a_row, b_row, c_row = rows
     n_runs = len(starts)
+    dta, dtb, one_dtc = dt * a_row, dt * b_row, 1.0 + dt * c_row
     x = wm.copy()
     x[ends] = w_bc
-    with np.errstate(divide="ignore"):
-        log_dta = np.log(dt * a_row)
-        log_dtb = np.log(dt * b_row)
 
     # log-space Jacobi warm start: x_j <- ln of the step equation's fixed
-    # point with neighbors frozen.  In u-space this is plain Jacobi on a
-    # strictly dominant M-matrix (contraction rate < dt*c/(1+dt*c)), so it
-    # converges globally; it floods plateaus one cell per sweep, so a cliff
-    # in the data needs up to one sweep per node to cross the grid.  The
-    # -inf log coefficients at block edges keep neighbouring runs apart.
+    # point with neighbors frozen,
+    #   ln(e^{w_m} + dt a e^{x_{j-1}} + dt b e^{x_{j+1}} + dt h) - ln(1 + dt(c+h)),
+    # taken as one log-sum-exp of the four log terms shifted by their
+    # maximum, which is finite (at least w_m), so no exponential overflows.
+    # In u-space this is plain Jacobi on a strictly dominant M-matrix
+    # (contraction rate < dt*c/(1+dt*c)), so it converges globally; it floods
+    # plateaus one cell per sweep, so a cliff in the data needs up to one
+    # sweep per node to cross the grid.  The -inf log coefficients at block
+    # edges keep neighbouring runs apart.
+    terms = np.empty((4, len(x)))
+    terms[0] = wm
+    with np.errstate(divide="ignore"):
+        log_dta = np.log(dta)
+        log_dtb = np.log(dtb)
+    terms[1, 0] = terms[2, -1] = -np.inf
+    shifted = np.empty_like(terms)
     sweeping = np.ones(n_runs, dtype=bool)
     for sweep in range(1, int(sweep_caps.max()) + 1):
         hx = h_of_w(spec, x)
+        np.add(log_dta[1:], x[:-1], out=terms[1, 1:])
+        np.add(log_dtb[:-1], x[1:], out=terms[2, :-1])
         with np.errstate(divide="ignore"):
-            log_dth = np.log(dt * hx)
-        lo = np.concatenate(([-np.inf], x[:-1]))
-        up = np.concatenate((x[1:], [-np.inf]))
-        est = np.logaddexp(
-            np.logaddexp(wm, log_dta + lo),
-            np.logaddexp(log_dtb + up, log_dth),
-        ) - np.log1p(dt * (c_row + hx))
+            np.log(dt * hx, out=terms[3])
+        top = terms.max(axis=0)
+        # a term below e^-700 of the top one cannot change the sum, and
+        # clamping keeps np.exp off its slow path for underflowing arguments
+        np.maximum(np.subtract(terms, top, out=shifted), -700.0, out=shifted)
+        lse = top + np.log(np.exp(shifted, out=shifted).sum(axis=0))
+        est = lse - np.log1p(dt * (c_row + hx))
         est[ends] = w_bc
         delta = np.maximum.reduceat(np.abs(est - x), starts)
-        x = np.where(sweeping[owner], est, x)
+        x = est if sweeping.all() else np.where(sweeping[owner], est, x)
         sweeping &= ~(delta < 1e-3) & (sweep < sweep_caps)
         if not sweeping.any():
             break
@@ -364,19 +386,16 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, w_bc, dt, cfg, 
         M = np.maximum(y, wm)
         hy = h_of_w(spec, y)
         e_self = np.exp(y - M)
-        e_m = np.exp(wm - M)
         e_0 = np.exp(-M)
         e_lo = np.exp(np.minimum(np.concatenate(([0.0], y[:-1])) - M, 700.0))
         e_up = np.exp(np.minimum(np.concatenate((y[1:], [0.0])) - M, 700.0))
-        G = (
-            e_self * (1.0 + dt * c_row + dt * hy)
-            - dt * a_row * e_lo
-            - dt * b_row * e_up
-            - e_m
-            - dt * hy * e_0
-        )
+        # the row products, kept for the Newton matrix
+        self_row = e_self * (one_dtc + dt * hy)
+        lo_row = dta * e_lo
+        up_row = dtb * e_up
+        G = self_row - lo_row - up_row - np.exp(wm - M) - dt * hy * e_0
         G[ends] = 0.0  # boundary rows: the Dirichlet value is already set
-        return G, (M, hy, e_self, e_0, e_lo, e_up)
+        return G, (e_self, e_0, self_row, lo_row, up_row)
 
     def fail(run, message):
         return NewtonDivergenceError(
@@ -394,26 +413,27 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, w_bc, dt, cfg, 
         active &= ~done
         if not active.any():
             break
-        M, hy, e_self, e_0, e_lo, e_up = aux
+        e_self, e_0, self_row, lo_row, up_row = aux
         hp = dh_dw(spec, x)
-        diag = e_self * (1.0 + dt * c_row + dt * hy) + dt * hp * (e_self - e_0)
+        diag = self_row + dt * hp * (e_self - e_0)
         diag = diag - G * (x > wm)          # d/dw of the row scaling
         diag[ends] = 1.0                    # identity rows at the boundary nodes
-        lower = -dt * a_row * e_lo          # d G_j / d w_{j-1}
-        upper = -dt * b_row * e_up          # d G_j / d w_{j+1}
         if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(diag))):
             bad = np.maximum.reduceat(~np.isfinite(diag), starts) | ~np.isfinite(norm)
             raise fail(int(np.argmax(bad)), "non-finite Newton system")
-        # block couplings are exact zeros, so elimination and pivoting never
-        # cross from one run into the next
-        _, _, _, delta, info = dgtsv(lower[1:], diag, upper[:-1], -G, 1, 1, 1, 1)
+        # d G_j / d w_{j-1} and d G_j / d w_{j+1} are -lo_row and -up_row; block
+        # couplings are exact zeros, so elimination and pivoting never cross
+        # from one run into the next
+        _, _, _, delta, info = dgtsv(-lo_row[1:], diag, -up_row[:-1], -G, 1, 1, 1, 1)
         if info > 0:
             raise fail(int(owner[info - 1]), "singular Newton matrix")
         # runs still searching share one step length: all start at 1 together
         step = 1.0
         pending = active.copy()
         for _ in range(cfg.damp_max + 1):
-            x_try = np.where(pending[owner], x + step * delta, x)
+            x_try = x + step * delta
+            if not pending.all():
+                x_try = np.where(pending[owner], x_try, x)
             G_try, aux_try = scaled_residual(x_try)
             n_try = np.maximum.reduceat(np.abs(G_try), starts)
             accept = pending & ((n_try < norm) | (n_try < cfg.newton_tol))
@@ -431,7 +451,15 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, w_bc, dt, cfg, 
                 break
             step *= 0.5
         if pending.any():
-            raise fail(int(np.argmax(pending)), "damped Newton stalled")
+            # a correction within a few ulps of w cannot lower the residual
+            # any further: the run has converged as far as w can resolve
+            stalled = pending & ~np.logical_and.reduceat(
+                np.abs(delta) <= _ROUNDOFF * np.maximum(1.0, np.abs(x)), starts
+            )
+            if stalled.any():
+                raise fail(int(np.argmax(stalled)), "damped Newton stalled")
+            iters[pending] = it
+            active &= ~pending
     if active.any():
         raise fail(
             int(np.argmax(active)),

@@ -28,6 +28,7 @@ tail classification; custom families rely on the numerical route alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -274,8 +275,14 @@ def _numeric_H_interpolant(spec: Nonlinearity, x_max: float) -> Callable:
     return interp
 
 
+@functools.lru_cache(maxsize=64)
 def _numeric_classification(spec: Nonlinearity) -> dict:
-    """Tail-slope diagnostics for both conditions; verdicts may be None."""
+    """Tail-slope diagnostics for both conditions; verdicts may be None.
+
+    Cached per law (a ``Nonlinearity`` is frozen and hashable): custom laws
+    are asked for their verdicts on every flat-envelope and profile call.
+    The dict is shared between callers, who must not mutate it.
+    """
     def osgood_integrand(s):
         s = np.asarray(s, dtype=float)
         return 1.0 / (s * _h_vec(spec, s))
@@ -324,7 +331,7 @@ def classify_conditions(spec: Nonlinearity) -> ConditionReport:
     dead band around -1 raises :class:`InconclusiveClassificationError`
     rather than guessing.
     """
-    confidence = _numeric_classification(spec)
+    confidence = dict(_numeric_classification(spec))
     if spec.family != "custom":
         osgood = _condition_holds(spec, "osgood")
         ko = _condition_holds(spec, "keller_osserman")

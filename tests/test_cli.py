@@ -18,6 +18,15 @@ from absorblab.nonlinearity import Nonlinearity
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _manifest(out: Path) -> dict:
+    """The run's manifest, parsed as strict JSON (no NaN or Infinity)."""
+    return json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+
+
 def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
@@ -30,7 +39,7 @@ def test_conditions_end_to_end(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["conditions", "--out", str(out)]) == EXIT_OK
     assert "all" in capsys.readouterr().out
-    doc = json.loads((out / "manifest.json").read_text())
+    doc = _manifest(out)
     assert doc["status"] == "pass"
     assert doc["scenario"] == "conditions"
     for name in doc["files"]:
@@ -45,6 +54,7 @@ def test_alpha2_is_deterministic_across_runs(tmp_path, scenario):
     for tag in ("a", "b"):
         out = tmp_path / tag
         assert main([scenario, "--out", str(out)]) == EXIT_OK
+        _manifest(out)
         outs.append(b"".join(sorted(
             p.read_bytes() for p in out.iterdir() if p.is_file()
         )))
@@ -56,7 +66,7 @@ def test_flat_ode_power_family_reports_closed_form(tmp_path):
     cfg.write_text("family = power\np = 2.0\na_list = 0.5, 1, 10\n")
     out = tmp_path / "run"
     assert main(["flat-ode", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    doc = json.loads((out / "manifest.json").read_text())
+    doc = _manifest(out)
     assert doc["checks"]["closed_form_match"] is True
 
 
@@ -101,7 +111,7 @@ def test_stationary_power_family_skips_growth_law_fit(tmp_path):
     cfg.write_text("family = power\np = 2\nr_max = 1\na_list = 0.1\nbound_radii = 0.5\n")
     out = tmp_path / "run"
     assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    note = json.loads((out / "manifest.json").read_text())["notes"]["fit_a=0.1"]
+    note = _manifest(out)["notes"]["fit_a=0.1"]
     assert note == {
         "skipped": "growth-law fit defined only for log-power laws with 1 < alpha <= 2"
     }
@@ -148,7 +158,7 @@ def test_failed_check_exits_3_and_writes_artifacts(tmp_path, capsys):
                  "--tolerance-scale", "1e-30", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert "check(s) failed" in capsys.readouterr().err
-    doc = json.loads((out / "manifest.json").read_text())
+    doc = _manifest(out)
     assert doc["status"] == "fail"
     assert doc["tolerance_scale"] == 1e-30
 
@@ -156,7 +166,7 @@ def test_failed_check_exits_3_and_writes_artifacts(tmp_path, capsys):
 def test_tolerance_scale_recorded_on_success(tmp_path):
     out = tmp_path / "run"
     assert main(["conditions", "--tolerance-scale", "2.5", "--out", str(out)]) == EXIT_OK
-    doc = json.loads((out / "manifest.json").read_text())
+    doc = _manifest(out)
     assert doc["tolerance_scale"] == 2.5
 
 
@@ -165,7 +175,7 @@ def test_manifest_echoes_resolved_config(tmp_path):
     cfg.write_text("alpha = 1.25\n")
     out = tmp_path / "run"
     assert main(["conditions", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    doc = json.loads((out / "manifest.json").read_text())
+    doc = _manifest(out)
     assert doc["config"]["alpha"] == 1.25
 
 
@@ -181,7 +191,7 @@ def test_collapse_gap_study_prints_theorem_c_gaps(tmp_path):
     proc = _run_script("collapse_gap_study.py", "--n", "3", "4", "--h", "0.1",
                        "--dt-max", "2e-4", "--t-final", "0.5", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads((out / "manifest.json").read_text())
+    doc = _manifest(out)
     assert doc["config"]["n_list"] == [3.0, 4.0]
     assert doc["config"]["r_out"] == 7.0
     gaps = doc["notes"]["relative_gaps"]

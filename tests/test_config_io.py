@@ -128,6 +128,24 @@ def test_witness_truncation_radii_must_fit_domain(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scenario, text", [
+    ("theorem-b", "n_list = 4\na_list = 2\nt_checks = 0.05\n"),
+    ("non-uniqueness", "n_list = 6\n"),
+])
+def test_ordering_scenarios_need_two_balls(tmp_path, scenario, text):
+    # one ball has no pair to compare: theorem-b used to exit 0 with a
+    # vacuous decreasing_in_n check and write -Infinity into the manifest
+    with pytest.raises(ConfigError, match="n_list"):
+        parse_config(scenario, text)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    # theorem-c keeps single-n runs (the gap study's --n 6)
+    assert parse_config("theorem-c", "n_list = 6\n")["n_list"] == (6.0,)
+
+
 def test_bound_radii_must_fit_profile_range(tmp_path):
     # used to fail in the profile lookup with exit code 3
     with pytest.raises(ConfigError, match="r_max"):

@@ -408,20 +408,100 @@ def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch):
 
 
 def test_batched_stall_names_the_failing_run():
-    # a zero tolerance cannot be met: the all-zero run starts at roundoff and
-    # stalls on its first Newton update while the other run still improves
-    cfg = EvolveConfig(newton_tol=0.0, damp_max=2)
+    # one undamped step of dt = 1: the cliff run's full Newton step overshoots
+    # by a correction of order one, far above roundoff, so it stalls while the
+    # smooth run converges without damping
+    cfg = EvolveConfig(dt_init=1.0, dt_max=1.0, damp_max=0)
+    smooth = _mixed_family()[0][1]
+    runs = [
+        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "smooth"),
+        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
+         BoundaryTrace.constant(0.0), "cliff"),
+    ]
+    with pytest.raises(NewtonDivergenceError, match="'cliff'") as batched:
+        _family(runs, [0.0, 1.0], cfg)
+    assert "stalled" in str(batched.value)
+    with pytest.raises(NewtonDivergenceError) as solo:
+        evolve(LOG15, *runs[1][:3], [0.0, 1.0], cfg, scheme_tag=runs[1][3])
+    assert str(solo.value) == str(batched.value)
+    assert batched.value.step_index == solo.value.step_index == 0
+    assert batched.value.residual == solo.value.residual > 1.0
+
+
+@pytest.mark.parametrize("dt", [0.1, 1.0])
+def test_newton_stall_at_roundoff_is_accepted(dt):
+    # one large step on data reaching w = 800: the damped search cannot push
+    # the scaled residual below 1.8e-10 (dt = 0.1) or 2.2e-9 (dt = 1), above
+    # newton_tol, because the last Newton correction is a third of an ulp of w
+    g = GrowthFunction(gamma=lambda r: 50.0 * float(r) ** 4, beta=4.0, K=50.0)
+    fld = evolve(LOG15, uniform_grid(3.0, 0.1, 1), InitialData.truncated(g, 2.0),
+                 BoundaryTrace.constant(0.0), [0.0, dt], EvolveConfig(dt_init=dt, dt_max=dt))
+    assert np.all(np.isfinite(fld.values))
+    assert np.all(fld.values >= 0.0)
+    assert np.all(fld.values <= 50.0 * 2.0**4)
+
+
+def test_zero_tolerance_settles_at_roundoff():
+    # newton_tol = 0 cannot be met; each run stops where its Newton
+    # correction is within four ulps of w, within the default tolerance's own
+    # error (a 1e-10 scaled residual) of the default result
     runs = _mixed_family()[:1] + [
         (uniform_grid(1.0, 0.05, 1), InitialData.zero(), BoundaryTrace.constant(0.0), "flat zero"),
     ]
-    with pytest.raises(NewtonDivergenceError, match="'flat zero'") as batched:
-        _family(runs, [0.0, 0.01], cfg)
-    assert "stalled" in str(batched.value)
-    with pytest.raises(NewtonDivergenceError) as solo:
-        evolve(LOG15, *runs[1][:3], [0.0, 0.01], cfg, scheme_tag=runs[1][3])
-    assert str(solo.value) == str(batched.value)
-    assert batched.value.step_index == solo.value.step_index == 0
-    assert batched.value.residual == solo.value.residual
+    exact = _family(runs, [0.0, 0.01], EvolveConfig(newton_tol=0.0, damp_max=2))
+    default = _family(runs, [0.0, 0.01], EvolveConfig())
+    for one, ref in zip(exact.fields, default.fields):
+        assert np.max(np.abs(one.values - ref.values)) < 1e-9
+    assert np.max(exact.fields[1].values) < 1e-15
+
+
+def _nested_logaddexp_warm_start(spec, grid, w0, w_bc, dt):
+    """The warm start with the fixed point as nested ``np.logaddexp`` calls,
+    on one run alone: the stepper's sweep cap, stop rule and final clip."""
+    a, b, c = evolution._operator_rows(grid)
+    with np.errstate(divide="ignore"):
+        log_dta, log_dtb = np.log(dt * a), np.log(dt * b)
+    wm = w0.copy()
+    x = w0.copy()
+    x[-1] = w_bc
+    cap = max(EvolveConfig().sweeps_max, 2 * (len(x) - 1) + 100)
+    for _ in range(cap):
+        hx = h_of_w(spec, x)
+        with np.errstate(divide="ignore"):
+            log_dth = np.log(dt * hx)
+        lo = np.concatenate(([-np.inf], x[:-1]))
+        up = np.concatenate((x[1:], [-np.inf]))
+        est = np.logaddexp(
+            np.logaddexp(wm, log_dta + lo), np.logaddexp(log_dtb + up, log_dth)
+        ) - np.log1p(dt * (c + hx))
+        est[-1] = w_bc
+        settled = np.max(np.abs(est - x)) < 1e-3
+        x = est
+        if settled:
+            break
+    return np.maximum(x, 0.0)
+
+
+def test_warm_start_matches_nested_logaddexp_oracle():
+    # an infinite newton_tol returns the warm start itself; one step of dt = 1
+    # on a family of two runs of different lengths, one of them a cliff from
+    # w = 2592 to zero data (nodes with h = 0) that exhausts its sweep cap
+    cfg = EvolveConfig(dt_init=1.0, dt_max=1.0, newton_tol=math.inf)
+    smooth = _mixed_family()[0][1]
+    runs = [
+        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "smooth"),
+        (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
+         BoundaryTrace.constant(0.0), "giant cliff"),
+    ]
+    family = _family(runs, [0.0, 1.0], cfg)
+    assert float(np.max(family.fields[1].values[0])) == 2.0 * 6.0**4
+    for (grid, init, bc, _), fld in zip(runs, family.fields):
+        w0 = init.w_on_grid(grid)
+        w_bc = float(bc.w_of_times(np.array([0.0]))[0])
+        w0[-1] = w_bc
+        want = _nested_logaddexp_warm_start(LOG15, grid, w0, w_bc, 1.0)
+        got = fld.values[1]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absorblab import nonlinearity
 from absorblab.errors import (
     BracketError,
     DomainError,
@@ -269,3 +270,20 @@ def test_finite_data_routes_reject_nonfinite_inputs(ln_a, times, err):
         solve_phi_log(LOG15, ln_a, times)
     with pytest.raises(err):
         solve_phi(LOG15, math.exp(ln_a), times)
+
+
+def test_custom_law_is_classified_once(monkeypatch):
+    # the osgood verdict of a custom law is computed numerically; a second
+    # envelope call must reuse it (it used to cost 0.38 s a call)
+    built = []
+    real = nonlinearity._numeric_H_interpolant
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nonlinearity, "_numeric_H_interpolant", counted)
+    spec = Nonlinearity.custom(lambda s: s, 1.0)
+    first = solve_phi_infinity_log(spec, 0.5)
+    assert solve_phi_infinity_log(spec, 0.5) == first
+    assert len(built) == 1
