@@ -76,6 +76,23 @@ def _inv_h(spec: Nonlinearity):
     return f
 
 
+def _tail_settled(up: list, t_min: float) -> bool:
+    """Whether the ascending tail panels ``up`` (at least three) reach far enough.
+
+    Either the last panel is below 1e-13 t_min, or the panel ratio has
+    settled to 1e-14 relative and the geometric remainder it predicts lies
+    below t_min, so every time is bracketed by a computed panel.  The second
+    rule serves slow tails such as log-power laws near alpha = 1, whose
+    panels shrink by only about 2^(1-alpha) per doubling of the level.
+    """
+    if abs(up[-1]) < 1e-13 * t_min:
+        return True
+    rho, rho_prev = up[-1] / up[-2], up[-2] / up[-3]
+    return 0.0 < rho < 1.0 and abs(rho - rho_prev) <= 1e-14 * rho and (
+        up[-1] * rho / (1.0 - rho) < t_min
+    )
+
+
 def _level_table(spec: Nonlinearity, x_top: float, t_min: float, t_max: float):
     """Level-time table: edges ascending in x and the time ``T`` at each edge.
 
@@ -83,15 +100,15 @@ def _level_table(spec: Nonlinearity, x_top: float, t_min: float, t_max: float):
     to fall to ``exp(x)``.  Edges lie on one lattice, ``2^k - 1`` above 0
     and the integers below, so finite data cost O(log x_top) panels: one
     panel from ``x_top`` down to the lattice, then lattice panels.  Infinite
-    data (``x_top = inf``) ascend from 0 until a panel is below 1e-13 t_min
-    and extrapolate the remainder from the last panel ratio as in
-    :func:`tail_integral`.  Both descend until ``T`` covers t_max.  ``T`` is
-    summed from the top, so no cancellation occurs.
+    data (``x_top = inf``) ascend from 0 until the tail has settled (see
+    :func:`_tail_settled`) and extrapolate the remainder from the last panel
+    ratio as in :func:`tail_integral`.  Both descend until ``T`` covers
+    t_max.  ``T`` is summed from the top, so no cancellation occurs.
     """
     f = _inv_h(spec)
     if math.isinf(x_top):
         up = []
-        while len(up) < 4 or abs(up[-1]) >= 1e-13 * t_min:
+        while len(up) < 4 or not _tail_settled(up, t_min):
             if len(up) == _MAX_TABLE_PANELS:
                 raise BracketError("lifetime tail did not settle within the panel budget")
             k = len(up)

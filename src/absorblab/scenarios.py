@@ -41,6 +41,13 @@ def _power_growth(K: float, beta: float) -> GrowthFunction:
     )
 
 
+def _solver_notes(seqs) -> dict:
+    """The step count and the solver work summed over the drivers' runs."""
+    work = [seq.diagnostics["solver_work"] for seq in seqs]
+    totals = {k: sum(w[k] for w in work) for k in ("runs", "warm_start_sweeps", "newton_solves")}
+    return {"steps": work[0]["steps"], **totals}
+
+
 def _field_rows(prefix: tuple, fld, times) -> list:
     """One CSV row ``[*prefix, t, r, w]`` per node and output time of a field."""
     return [
@@ -172,6 +179,7 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
     man = RunManifest(config=config, tolerance_scale=scale)
     rows = []
     centers = {}
+    seqs = []
     t_checks = config["t_checks"]
     lam = dict(zip(t_checks, solve_phi_infinity_log(spec, t_checks).tolist()))
     for a in config["a_list"]:
@@ -181,6 +189,7 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
             spec, g, a, config["n_list"], times, h=h, cfg=cfg, tol=1.0,
             domination=config["domination"],
         )
+        seqs.append(seq)
         man.notes[f"domination_a={a:g}"] = {
             k: v for k, v in seq.diagnostics.items() if k.startswith("domination")
         }
@@ -203,6 +212,7 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
         for a1, a2 in zip(a_sorted[:-1], a_sorted[1:])
     )
     man.record_check("center_nondecreasing_in_a", inc, 1e-9 * scale)
+    man.notes["solver_work"] = _solver_notes(seqs)
     man.record_file(emit_csv(out_dir / "theorem_b.csv", ["a", "n", "t", "r", "w"], rows))
     return man
 
@@ -249,6 +259,7 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     man.record_check("final_gap_small", rel_gaps[-1] <= frac, frac)
     man.notes["relative_gaps"] = rel_gaps
     man.notes["influence_diff"] = seq.diagnostics.get("influence_diff")
+    man.notes["solver_work"] = _solver_notes([seq])
     man.record_file(emit_csv(out_dir / "theorem_c.csv", ["n", "t", "r", "w"], rows))
     gap_rows = [[n, rel] for n, rel in zip(config["n_list"], rel_gaps)]
     man.record_file(emit_csv(out_dir / "gaps.csv", ["n", "relative_gap"], gap_rows))
@@ -291,6 +302,7 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     )
     man.notes["lower_family_violation"] = lower.monotone_violation
     man.notes["upper_family_violation"] = upper.monotone_violation
+    man.notes["solver_work"] = _solver_notes([a4, lower, upper])
 
     a4_sup = math.expm1(min(float(np.max(a4.limit.values[-1])), 690.0))
     j_star = int(round(r_star / h))

@@ -121,6 +121,18 @@ def test_internal_times_land_on_outputs():
     np.testing.assert_allclose(hit, times[1:], atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "times", [[0.0, 0.125, 0.25, 0.5], [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]]
+)
+def test_internal_times_leave_no_sliver_steps(times):
+    # summed rounding in t used to leave a last step of 4.8e-14 (2.0e-15) before
+    # an output time, each a full Newton solve; that step is now stretched
+    cfg = EvolveConfig(dt_max=2e-5)
+    steps, is_output = _internal_times(np.array(times), cfg)
+    assert np.array_equal(steps[is_output], times[1:])
+    assert np.min(np.diff(np.concatenate(([0.0], steps)))) >= cfg.dt_init
+
+
 def test_evolve_time_and_data_validation():
     grid = uniform_grid(1.0, 0.05, 1)
     bc = BoundaryTrace.constant(0.0)
@@ -365,6 +377,7 @@ def test_batched_family_matches_solo_runs_bitwise(monkeypatch):
         assert np.array_equal(one.values, many.values)
         assert one.newton_iterations_max == many.newton_iterations_max
         assert one.negative_clips == many.negative_clips
+        assert (one.warm_start_sweeps, one.newton_solves) == (many.warm_start_sweeps, many.newton_solves)
         assert many.grid is one.grid and np.array_equal(many.times, one.times)
     assert family.fields[3].values[0, -1] == 0.7
     assert family.newton_iterations_max == max(f.newton_iterations_max for f in solo)
@@ -502,6 +515,88 @@ def test_warm_start_matches_nested_logaddexp_oracle():
         want = _nested_logaddexp_warm_start(LOG15, grid, w0, w_bc, 1.0)
         got = fld.values[1]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_extrapolated_start_agrees_with_start_from_previous_step():
+    # each step starts from the clipped extrapolation of the last two; an
+    # in-test loop over the same schedule starts every step from w_m instead.
+    # The schedule has ramp steps, full steps and, after the landing on
+    # t = 0.0123, a step three times longer than its predecessor.
+    cfg, times = EvolveConfig(), [0.0, 0.0123, 0.02]
+    smooth = _mixed_family()[0][1]
+    runs = [
+        (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
+         BoundaryTrace.constant(0.0), "giant cliff"),
+        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "smooth"),
+    ]
+    family = _family(runs, times, cfg)
+
+    grids, inits, bcs, tags = zip(*runs)
+    rows = tuple(np.concatenate(parts) for parts in zip(*map(evolution._operator_rows, grids)))
+    sizes = np.array([len(gr.radii) for gr in grids])
+    ends = np.cumsum(sizes) - 1
+    starts = ends - sizes + 1
+    owner = np.repeat(np.arange(len(grids)), sizes)
+    caps = np.maximum(cfg.sweeps_max, 2 * (sizes - 1) + 100)
+    w_bc = np.array([0.0, 0.7])
+    w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
+    w[ends] = w_bc
+    step_times, is_output = _internal_times(np.array(times), cfg)
+    want, prev_t = [w], 0.0
+    for k, t in enumerate(step_times):
+        w = evolution._step(LOG15, rows, starts, ends, owner, caps, tags,
+                            w, w, w_bc, t - prev_t, cfg, k)[0]
+        if is_output[k]:
+            want.append(w)
+        prev_t = t
+    for i, fld in enumerate(family.fields):
+        ref = np.array(want)[:, starts[i]: ends[i] + 1]
+        assert np.max(np.abs(fld.values - ref)) < 1e-8
+    assert family.warm_start_sweeps == sum(f.warm_start_sweeps for f in family.fields)
+    assert family.newton_solves == sum(f.newton_solves for f in family.fields)
+
+
+def test_start_falls_back_to_previous_step_after_short_steps(monkeypatch):
+    # the first step, and any step more than cfg.ramp times longer than the
+    # one before (here the step after the landing on t = 0.0123, three times
+    # longer than the landing step), start from w_m: the extrapolation would
+    # scale the last step's rounding and solve error by dt / dt_prev
+    cfg, times = EvolveConfig(), [0.0, 0.0123, 0.02]
+    from_wm = []
+    step = evolution._step
+
+    def recording(spec, rows, starts, ends, owner, caps, tags, wm, x0, *rest):
+        from_wm.append(np.array_equal(x0, wm))
+        return step(spec, rows, starts, ends, owner, caps, tags, wm, x0, *rest)
+
+    monkeypatch.setattr(evolution, "_step", recording)
+    evolve(LOG15, uniform_grid(2.0, 0.05, 1), _mixed_family()[0][1],
+           BoundaryTrace.constant(0.7), times, cfg)
+    steps, is_output = _internal_times(np.array(times), cfg)
+    dts = np.diff(np.concatenate(([0.0], steps)))
+    after_landing = int(np.argmax(is_output)) + 1
+    want = [k == 0 or dts[k] > cfg.ramp * dts[k - 1] for k in range(len(dts))]
+    assert want[after_landing] and want.count(False) > len(want) / 2
+    assert from_wm == want
+
+
+def test_theorem_c_family_solver_work_budget():
+    # the theorem-c family (n = 3..6 and the influence run, 1,985 nodes) over
+    # [0, 0.1]: 5,009 steps.  Started from w_m, its costliest run took 5.24
+    # sweeps and 1.86 Newton solves per step; from the extrapolation, 2.13
+    # and 1.35.
+    seq = run_scheme_A4(LOG15, QUARTIC, [3.0, 4.0, 5.0, 6.0], 9.0, [0.0, 0.1],
+                        h=0.025, cfg=EvolveConfig(dt_max=2e-5), influence_check=True)
+    work = seq.diagnostics["solver_work"]
+    assert work["steps"] == 5009 and work["runs"] == 5
+    assert all(fld.steps == 5009 for fld in seq.fields)
+    # the influence run's counts are the family totals less the other four
+    sweeps = [fld.warm_start_sweeps for fld in seq.fields]
+    solves = [fld.newton_solves for fld in seq.fields]
+    sweeps.append(work["warm_start_sweeps"] - sum(sweeps))
+    solves.append(work["newton_solves"] - sum(solves))
+    assert max(sweeps) / 5009 < 3.0
+    assert max(solves) / 5009 < 1.6
 
 
 # ----------------------------------------------------------------------

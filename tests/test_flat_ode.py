@@ -172,6 +172,24 @@ def test_full_collapse_unsettled_tail_raises_typed_error():
         solve_phi_infinity_log(Nonlinearity.log_power(1.001), 0.5)
 
 
+@pytest.mark.parametrize("t", [1e-9, 1e-6, 1e-3])
+def test_full_collapse_slow_tail_against_mpmath(t):
+    # alpha = 1.05: tail panels shrink by only 2^-0.05 per doubling of the
+    # level, so the table stops on a settled panel ratio; the level is
+    # about 1e86 at t = 1e-3 and 1e206 at t = 1e-9
+    lam = solve_phi_infinity_log(Nonlinearity.log_power(1.05), t)
+    mp.mp.dps = 30
+
+    def integrand(s):
+        # G(lam) = integral of dx / ln^1.05(1 + e^x) over [lam, inf), with x = lam e^s
+        x = mp.mpf(lam) * mp.exp(s)
+        soft = mp.log1p(mp.exp(x)) if x < 1e4 else x  # ln(1 + e^x) to 30 digits
+        return x / soft ** mp.mpf("1.05")
+
+    ref = mp.quad(integrand, [0, 1, 10, 100, 1000, mp.inf])
+    assert float(ref) == pytest.approx(t, rel=1e-10)
+
+
 def test_full_collapse_linear_scale_overflow_guard():
     with pytest.raises(OverflowGuardError):
         solve_phi_infinity(LOG15, 1e-3)  # level (2/t)^2 = 4e6 in log scale
