@@ -1,8 +1,11 @@
 """Run every CLI scenario at its default configuration into one output tree.
 
 Prints one line per scenario with the exit code and the check summary from
-the emitted manifest.  At default settings two scenarios report failing
-checks and exit 3 (see README): `theorem-b` (the capped-data family is not
+the emitted manifest.  The evolution scenarios get a second line with the
+manifest's `solver_work` note (steps, runs, warm-start sweeps, Newton
+solves, damping halvings), so that a slow run can be explained from this
+one command.  At default settings two scenarios report failing checks and
+exit 3 (see README): `theorem-b` (the capped-data family is not
 decreasing in the ball radius at the h^2 margin) and `theorem-c` (the
 truncated-data limit at n = 6 is still ~71% above the flat envelope).
 Exit code of this driver is 0 if every scenario matched its expected
@@ -43,7 +46,7 @@ def run_all(cfg: DriverConfig) -> int:
             "--tolerance-scale", repr(cfg.tolerance_scale),
         ])
         manifest = out / "manifest.json"
-        summary = "no manifest"
+        summary, work = "no manifest", None
         if manifest.exists():
             doc = json.loads(manifest.read_text())
             checks = doc["checks"]
@@ -52,10 +55,13 @@ def run_all(cfg: DriverConfig) -> int:
             if n_fail:
                 summary += " (" + ", ".join(
                     k for k, v in sorted(checks.items()) if not v) + ")"
+            work = doc["notes"].get("solver_work")
         expected = EXPECTED_EXIT.get(name)
         tag = "ok" if code == expected else f"UNEXPECTED (wanted {expected})"
         bad += code != expected
         print(f"{name:16s} exit {code}  [{tag}]  {summary}")
+        if work:
+            print(f"{'':16s} solver_work: " + ", ".join(f"{k} {v}" for k, v in work.items()))
     return 1 if bad else 0
 
 

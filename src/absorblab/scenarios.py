@@ -44,7 +44,7 @@ def _power_growth(K: float, beta: float) -> GrowthFunction:
 def _solver_notes(seqs) -> dict:
     """The step count and the solver work summed over the drivers' runs."""
     work = [seq.diagnostics["solver_work"] for seq in seqs]
-    totals = {k: sum(w[k] for w in work) for k in ("runs", "warm_start_sweeps", "newton_solves")}
+    totals = {k: sum(w[k] for w in work) for k in work[0] if k != "steps"}
     return {"steps": work[0]["steps"], **totals}
 
 
