@@ -3,8 +3,9 @@
 Prints one line per scenario with the exit code and the check summary from
 the emitted manifest.  The evolution scenarios get a second line with the
 manifest's `solver_work` note (steps, runs, warm-start sweeps, Newton
-solves, damping halvings), so that a slow run can be explained from this
-one command.  At default settings two scenarios report failing checks and
+solves, damping halvings, negative clips, the worst accepted scaled
+residual, and the shortest and longest step), so that a slow run can be
+explained from this one command.  At default settings two scenarios report failing checks and
 exit 3 (see README): `theorem-b` (the capped-data family is not
 decreasing in the ball radius at the h^2 margin) and `theorem-c` (the
 truncated-data limit at n = 6 is still ~71% above the flat envelope).
@@ -61,7 +62,8 @@ def run_all(cfg: DriverConfig) -> int:
         bad += code != expected
         print(f"{name:16s} exit {code}  [{tag}]  {summary}")
         if work:
-            print(f"{'':16s} solver_work: " + ", ".join(f"{k} {v}" for k, v in work.items()))
+            print(f"{'':16s} solver_work: " + ", ".join(
+                f"{k} {v:.3g}" if isinstance(v, float) else f"{k} {v}" for k, v in work.items()))
     return 1 if bad else 0
 
 

@@ -42,9 +42,11 @@ def _power_growth(K: float, beta: float) -> GrowthFunction:
 
 
 def _solver_notes(seqs) -> dict:
-    """The step count and the solver work summed over the drivers' runs."""
+    """The step count and the solver work over the drivers' runs: summed,
+    except the largest worst residual and longest step and the shortest step."""
     work = [seq.diagnostics["solver_work"] for seq in seqs]
-    totals = {k: sum(w[k] for w in work) for k in work[0] if k != "steps"}
+    reduce = {"worst_residual": max, "max_dt": max, "min_dt": min}
+    totals = {k: reduce.get(k, sum)(w[k] for w in work) for k in work[0] if k != "steps"}
     return {"steps": work[0]["steps"], **totals}
 
 

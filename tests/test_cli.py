@@ -6,10 +6,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from absorblab import flat_ode
+from absorblab import evolution, flat_ode, scenarios
 from absorblab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from absorblab.flat_ode import osgood_tail_from_log
 from absorblab.io import parse_csv
@@ -145,6 +146,39 @@ def test_unknown_scenario_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["orbit"])
     assert exc.value.code == EXIT_CONFIG
+
+
+def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch):
+    # theorem-b steps one capped family per center height, three sequences
+    # on one step sequence.  Its solver_work note sums their counts, but
+    # takes the largest worst residual and longest step and the shortest step
+    seqs = []
+
+    def recording(*args, **kwargs):
+        seqs.append(evolution.run_scheme_A8(*args, **kwargs))
+        return seqs[-1]
+
+    monkeypatch.setattr(scenarios, "run_scheme_A8", recording)
+    out = tmp_path / "run"
+    assert main(["theorem-b", "--out", str(out)]) == EXIT_NUMERICAL  # acceptance 7
+    note = _manifest(out)["notes"]["solver_work"]
+    work = [seq.diagnostics["solver_work"] for seq in seqs]
+    assert len(work) == 3 and note["steps"] == work[0]["steps"] == 524
+    for key in ("runs", "warm_start_sweeps", "newton_solves", "damping_halvings",
+                "negative_clips"):
+        assert note[key] == sum(w[key] for w in work)
+    residuals = [w["worst_residual"] for w in work]
+    assert len(set(residuals)) == 3 and note["worst_residual"] == max(residuals)
+    assert 0.0 < note["worst_residual"] < 1e-10  # newton_tol: no run stalled
+    assert note["min_dt"] == 1e-6 and note["max_dt"] == pytest.approx(1e-3)
+    for seq, w in zip(seqs, work):
+        assert w["worst_residual"] == max(f.worst_residual for f in seq.fields)
+        assert (w["min_dt"], w["max_dt"]) == (note["min_dt"], note["max_dt"])
+    # sequences on different step ranges
+    fake = [SimpleNamespace(diagnostics={"solver_work": {**work[0], "min_dt": lo, "max_dt": hi}})
+            for lo, hi in ((1e-6, 2e-3), (3e-7, 1e-3))]
+    assert scenarios._solver_notes(fake)["min_dt"] == 3e-7
+    assert scenarios._solver_notes(fake)["max_dt"] == 2e-3
 
 
 def test_failed_check_exits_3_and_writes_artifacts(tmp_path, capsys):

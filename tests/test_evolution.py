@@ -521,7 +521,7 @@ def test_warm_start_matches_nested_logaddexp_oracle():
 
 
 def test_extrapolated_start_agrees_with_start_from_previous_step():
-    # each step starts from the clipped extrapolation of the last two; an
+    # each step starts from the polynomial through the last four; an
     # in-test loop over the same schedule starts every step from w_m instead.
     # The schedule has ramp steps, full steps and, after the landing on
     # t = 0.0123, a step three times longer than its predecessor.
@@ -557,6 +557,122 @@ def test_extrapolated_start_agrees_with_start_from_previous_step():
         assert np.max(np.abs(fld.values - ref)) < 1e-8
     assert family.warm_start_sweeps == sum(f.warm_start_sweeps for f in family.fields)
     assert family.newton_solves == sum(f.newton_solves for f in family.fields)
+
+
+def test_step_arrays_give_the_same_step_bitwise():
+    # evolve hands _step one set of scratch arrays and per-dt products for
+    # all its steps; without them _step builds its own.  Over the first 40
+    # steps of the mixed family (ramp steps with a new dt each, runs leaving
+    # the sweeps at different times, Newton solves) both give bitwise-equal
+    # tuples, and every accepted w is a fresh array that later steps leave
+    # alone
+    cfg = EvolveConfig()
+    grids, inits, bcs, tags = zip(*_mixed_family())
+    rows = tuple(np.concatenate(parts) for parts in zip(*map(evolution._operator_rows, grids)))
+    sizes = np.array([len(gr.radii) for gr in grids])
+    ends = np.cumsum(sizes) - 1
+    starts = ends - sizes + 1
+    owner = np.repeat(np.arange(len(grids)), sizes)
+    caps = np.maximum(cfg.sweeps_max, 2 * (sizes - 1) + 100)
+    w_bc = np.array([float(bc.w_of_times(np.array([0.0]))[0]) for bc in bcs])
+    w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
+    w[ends] = w_bc
+    arrays = evolution._StepArrays(rows, len(w))
+    step_times, _ = _internal_times(np.array([0.0, 0.0123, 0.02]), cfg)
+    prev_t, accepted, resweeps, solves = 0.0, [], 0, 0
+    for k, t in enumerate(step_times[:40]):
+        args = (LOG15, rows, starts, ends, owner, caps, tags, w, w, w_bc, t - prev_t, cfg, k)
+        shared, own = evolution._step(*args, arrays), evolution._step(*args)
+        assert len(shared) == len(own) == 7
+        for a, b in zip(shared, own):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        w, prev_t = shared[0], t
+        accepted.append((w, w.copy()))
+        resweeps += int(shared[2].sum() > len(starts))
+        solves += int(shared[3].sum())
+    assert resweeps > 0 and solves > 0
+    assert all(np.array_equal(w, copy) for w, copy in accepted)
+    ws = [w for w, _ in accepted]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(ws) for b in ws[i + 1:])
+
+
+def _plain_scaled_residual(spec, rows, y, wm, ends, dt):
+    """The step's scaled residual and Newton pieces as plain array
+    expressions, one temporary per operation."""
+    a_row, b_row, c_row = rows
+    M = np.maximum(y, wm)
+    hy = h_of_w(spec, y)
+    e_self = np.exp(y - M)
+    e_0 = np.exp(-M)
+    e_lo = np.exp(np.minimum(np.concatenate(([0.0], y[:-1])) - M, 700.0))
+    e_up = np.exp(np.minimum(np.concatenate((y[1:], [0.0])) - M, 700.0))
+    self_row = e_self * ((1.0 + dt * c_row) + dt * hy)
+    lo_row = (dt * a_row) * e_lo
+    up_row = (dt * b_row) * e_up
+    G = self_row - lo_row - up_row - np.exp(wm - M) - dt * hy * e_0
+    G[ends] = 0.0
+    return G, e_self, e_0, self_row, lo_row, up_row
+
+
+def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch):
+    # the stepper takes its residual's exponentials as one block in scratch
+    # arrays, and accumulates the start's Lagrange terms in place; both must
+    # be bitwise the plain expressions, at every residual and start of a
+    # family with w up to 2592 (exponentials that underflow) over default
+    # steps, and of the damped dt = 1 family (partly accepted line searches)
+    residual, extrapolate, checked = evolution._scaled_residual, evolution._extrapolate, []
+
+    def checked_residual(spec, arrays, it, ends, dt):
+        y, wm = it.x.copy(), arrays.source[3].copy()
+        G = residual(spec, arrays, it, ends, dt)
+        want = _plain_scaled_residual(spec, arrays.rows, y, wm, ends, dt)
+        got = (G, it.e[0], it.e[4], it.self_row, it.lo_row, it.up_row)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        checked.append("residual")
+        return G
+
+    def checked_extrapolate(ts, ws, t, scratch):
+        x = extrapolate(ts, ws, t, scratch)
+        want = sum(
+            math.prod((t - tj) / (ti - tj) for tj in ts if tj != ti) * wi
+            for ti, wi in zip(ts, ws)
+        )
+        assert x.tobytes() == want.tobytes()
+        checked.append("start")
+        return x
+
+    monkeypatch.setattr(evolution, "_scaled_residual", checked_residual)
+    monkeypatch.setattr(evolution, "_extrapolate", checked_extrapolate)
+    cliff = (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
+             BoundaryTrace.constant(0.0), "giant cliff")
+    _family([cliff, *_mixed_family()], [0.0, 0.0123, 0.02], EvolveConfig())
+    smooth = _mixed_family()[0][1]
+    damped = [
+        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
+         BoundaryTrace.constant(0.0), "damped"),
+        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
+    ]
+    family = _family(damped, [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0))
+    assert family.damping_halvings == 1
+    assert checked.count("residual") > checked.count("start") > 30
+
+
+def test_evolving_a_family_twice_gives_bitwise_equal_fields():
+    # the scratch arrays live for one evolve call: a second call on the same
+    # family repeats the first bitwise, and no values array of either call
+    # shares memory with another
+    cfg, times = EvolveConfig(), [0.0, 0.0123, 0.02]
+    first, second = (_family(_mixed_family(), times, cfg) for _ in range(2))
+    steps, _ = _internal_times(np.array(times), cfg)
+    dts = np.diff(np.concatenate(([0.0], steps)))
+    for one, two in zip(first.fields, second.fields):
+        assert one.values.tobytes() == two.values.tobytes()
+        assert one.worst_residual == two.worst_residual < cfg.newton_tol
+        assert (one.min_dt, one.max_dt) == (dts.min(), dts.max())
+    values = [f.values for fam in (first, second) for f in fam.fields]
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(values) for b in values[i + 1:]
+    )
 
 
 def test_start_falls_back_to_previous_step_after_short_steps(monkeypatch):
