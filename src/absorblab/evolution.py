@@ -32,9 +32,7 @@ Discretization notes:
   one point per step.  One sweep shrinks the start's error about 16-fold at
   ``dt c ≈ 0.064``, so from the cubic start the residual check after it
   usually passes already: on the collapse family over [0, 0.1] the
-  costliest run needs 1.94 sweeps and 0.78 Newton solves per step, against
-  2.13 and 1.35 from the linear extrapolation of the last two steps and
-  5.24 and 1.86 from ``w_m``.  Each
+  costliest run needs 1.94 sweeps and 0.78 Newton solves per step.  Each
   sweep evaluates the Jacobi fixed point as one log-sum-exp of its four
   log terms shifted by their maximum (Blanchard, Higham & Higham, IMA J.
   Numer. Anal. 41, 2021): a handful of vector exponentials per sweep.
@@ -47,18 +45,18 @@ Discretization notes:
   flooding across the data cliffs; 3,634 steps take a Newton solve (3,931
   family iterations, the last at step 6,261); the other 21,375 steps take
   one sweep and one residual check and nothing else.  So the step's fixed
-  cost is what counts, and :func:`evolve`
-  builds the step's scratch arrays once per call (``_StepArrays``): the
-  sweeps and Newton iterations compute into them with ``out=`` arithmetic,
-  the products of the operator rows with dt are rebuilt only when dt
-  changes, the residual takes its five exponentials as one (5, n) block,
-  and the Newton loop is skipped when every run meets ``newton_tol`` after
-  the sweep.  Every operation and its order are those of the plain
-  expressions, so the results are bitwise the same; each accepted w is
-  still a fresh array, as the start's history keeps the last four.  On a
-  2-core Xeon VM a one-sweep step went from 165 to 124 µs and a step
-  with one Newton solve from 326 to 285 µs (the fastest of repeated
-  timings on states captured at steps 15,000 and 3,000).
+  cost is what counts.
+
+Stepper: :func:`evolve` builds one ``_Stepper`` per call and hands it to
+every ``_step``.  It holds the family's block layout, the scratch arrays
+that the sweeps and Newton iterations compute into with ``out=``
+arithmetic, the products of the operator rows with dt (rebuilt only when
+dt changes), and each run's solver counters, which every step adds to in
+place.  The residual takes its five exponentials as one (5, n) block, and
+the Newton loop is skipped when every run meets ``newton_tol`` after the
+sweep.  Every operation and its order are those of the plain expressions,
+so the results are bitwise the same; each accepted w is still a fresh
+array, as the start's history keeps the last four.
 
 Batching: :func:`evolve` steps either one run or a family of runs given
 as sequences.  A family's grid vectors are laid end to end in one vector
@@ -255,9 +253,7 @@ class EvolveConfig:
     dt_init: float = 1e-6
     ramp: float = 1.3
     newton_tol: float = 1e-10
-    newton_max: int = 50
     damp_max: int = 30
-    sweeps_max: int = 60  # floor; the stepper allows >= one sweep per node
 
 
 @dataclass(frozen=True)
@@ -394,14 +390,25 @@ class _ResidualArrays:
             np.copyto(getattr(self, name), getattr(other, name), where=where)
 
 
-class _StepArrays:
-    """Scratch arrays for the steps of one :func:`evolve` call, and the
-    products of its operator rows with the current step length.  ``_step``
-    computes into these instead of allocating, and rebuilds the products
-    only when dt changes, which at a fixed ``dt_max`` is rare."""
+class _Stepper:
+    """The steps of one :func:`evolve` call (see the module notes).  Run i
+    owns nodes ``starts[i]..ends[i]`` of the concatenated operator ``rows``
+    (``owner`` maps nodes to runs) and takes at most ``sweep_caps[i]``
+    warm-start sweeps a step, enough to flood its grid twice over.  The dt
+    products are rebuilt only when dt changes, at a fixed ``dt_max`` rarely."""
 
-    def __init__(self, rows, n):
-        self.rows = rows
+    def __init__(self, spec, grids, tags, cfg):
+        self.spec, self.tags, self.cfg = spec, tags, cfg
+        # row j of a run couples only to j-1 and j+1 of the same run: a = 0 at
+        # each block start and b = 0 at each block end, so the concatenated rows
+        # form a block-diagonal system
+        self.rows = tuple(np.concatenate(parts) for parts in zip(*map(_operator_rows, grids)))
+        sizes = np.array([len(gr.radii) for gr in grids])
+        self.ends = np.cumsum(sizes) - 1
+        self.starts = self.ends - sizes + 1
+        self.owner = np.repeat(np.arange(len(grids)), sizes)
+        self.sweep_caps = 2 * (sizes - 1) + 100
+        n, runs = int(sizes.sum()), len(grids)
         self.dt = None
         self.terms = np.empty((4, n))       # the sweep's four log terms
         self.terms[1, 0] = self.terms[2, -1] = -np.inf
@@ -418,6 +425,15 @@ class _StepArrays:
         self.lower = np.empty(n - 1)
         self.upper = np.empty(n - 1)
         self.rhs = np.empty(n)
+        # per run, over the steps so far: the most Newton iterations of a step,
+        # the summed sweeps, Newton solves, damping halvings and negative
+        # clips, and the largest accepted scaled-residual max-norm
+        self.iters_max = np.zeros(runs, dtype=int)
+        self.sweeps = np.zeros(runs, dtype=int)
+        self.solves = np.zeros(runs, dtype=int)
+        self.halvings = np.zeros(runs, dtype=int)
+        self.clips = np.zeros(runs, dtype=int)
+        self.worst_residual = np.zeros(runs)
 
     def constants(self, dt):
         """``dt a``, ``dt b``, ``1 + dt c``, ``ln(dt a)`` and ``ln(dt b)``."""
@@ -430,17 +446,17 @@ class _StepArrays:
         return self.products
 
 
-def _scaled_residual(spec, arrays, it, ends, dt):
+def _scaled_residual(stepper, it, dt):
     """Fill ``it`` with the scaled residual at ``it.x``; returns ``it.G``.
-    ``arrays`` must hold this step's dt products and its w_m (source row 3).
+    ``stepper`` must hold this step's dt products and its w_m (source row 3).
 
     Row j is the step equation divided by e^{M_j}, M = max(x, w_m): all five
     exponentials are taken as one (5, n) block, the neighbour terms clamped
     at 700 (the others are at most 0, since M >= w_m >= 0)."""
-    dta, dtb, one_dtc = arrays.products[:3]
-    y, src, e = it.x, arrays.source, it.e
-    M = np.maximum(y, src[3], out=arrays.M)
-    hy = h_of_w(spec, y)
+    dta, dtb, one_dtc = stepper.products[:3]
+    y, src, e = it.x, stepper.source, it.e
+    M = np.maximum(y, src[3], out=stepper.M)
+    hy = h_of_w(stepper.spec, y)
     src[0] = y
     src[1, 1:] = y[:-1]
     src[2, :-1] = y[1:]
@@ -448,7 +464,7 @@ def _scaled_residual(spec, arrays, it, ends, dt):
     np.minimum(e[1:3], 700.0, out=e[1:3])
     np.exp(e, out=e)
     e_self, e_lo, e_up, e_wm, e_0 = e
-    dthy = np.multiply(hy, dt, out=arrays.dthy)
+    dthy = np.multiply(hy, dt, out=stepper.dthy)
     # the row products, kept for the Newton matrix
     self_row = np.multiply(np.add(one_dtc, dthy, out=it.self_row), e_self, out=it.self_row)
     lo_row = np.multiply(dta, e_lo, out=it.lo_row)
@@ -457,31 +473,29 @@ def _scaled_residual(spec, arrays, it, ends, dt):
     G -= up_row
     G -= e_wm
     G -= np.multiply(dthy, e_0, out=dthy)
-    G[ends] = 0.0  # boundary rows: the Dirichlet value is already set
+    G[stepper.ends] = 0.0  # boundary rows: the Dirichlet value is already set
     return G
 
 
-def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, x0, w_bc, dt, cfg, step_index,
-          arrays=None):
-    """One backward-Euler step of every run from the starting iterate ``x0``;
-    per-run (w, newton_iters, sweeps, newton_solves, damping_halvings, clips,
-    residual), ``residual`` being the accepted scaled-residual max-norm.
+# Newton iterations a step may take before it raises
+_NEWTON_MAX = 50
 
-    ``rows`` are the runs' concatenated operator rows; run i owns nodes
-    ``starts[i]..ends[i]`` (``owner`` maps nodes to runs).  Each run keeps
-    its own convergence state, so it does exactly the arithmetic it would
-    do if stepped alone; runs that have finished a phase keep their values
-    while the others go on.  ``arrays`` are the caller's
-    :class:`_StepArrays` for these rows; without them the step builds its
-    own.  The returned w is always a fresh array.
+
+def _step(stepper, wm, x0, w_bc, dt, step_index):
+    """One backward-Euler step of every run from the starting iterate ``x0``;
+    returns the accepted w, always a fresh array, and adds the step's solver
+    work to the stepper's per-run counters.
+
+    Each run keeps its own convergence state, so it does exactly the
+    arithmetic it would do if stepped alone; runs that have finished a phase
+    keep their values while the others go on.
     """
-    if arrays is None:
-        arrays = _StepArrays(rows, len(wm))
-    log_dta, log_dtb = arrays.constants(dt)[3:]
-    c_row = rows[2]
-    n_runs = len(starts)
-    tmp = arrays.tmp
-    cur, trial = arrays.iterates
+    spec, cfg, tags = stepper.spec, stepper.cfg, stepper.tags
+    starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
+    log_dta, log_dtb = stepper.constants(dt)[3:]
+    c_row = stepper.rows[2]
+    tmp = stepper.tmp
+    cur, trial = stepper.iterates
     # the step solution lies in [0, max(max w_m, w_bc)] per run (discrete
     # maximum principle: rows sum to c and h >= 0), so the start does too
     cap = np.maximum(np.maximum.reduceat(wm, starts), w_bc)
@@ -499,13 +513,13 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, x0, w_bc, dt, c
     # sweep per node to cross the grid.  The -inf log coefficients at block
     # edges keep neighbouring runs apart.  The sweeps alternate between the
     # two iterate buffers.
-    terms, shifted, top, est = arrays.terms, arrays.shifted, arrays.top, trial.x
+    terms, shifted, top, est = stepper.terms, stepper.shifted, stepper.top, trial.x
     terms[0] = wm
-    sweeping = np.ones(n_runs, dtype=bool)
-    sweeps = np.zeros(n_runs, dtype=int)
+    sweeping = np.ones(len(starts), dtype=bool)
+    sweep_caps = stepper.sweep_caps
     with np.errstate(divide="ignore"):
         for sweep in range(1, int(sweep_caps.max()) + 1):
-            sweeps += sweeping
+            stepper.sweeps += sweeping
             hx = h_of_w(spec, x)
             np.add(log_dta[1:], x[:-1], out=terms[1, 1:])
             np.add(log_dtb[:-1], x[1:], out=terms[2, :-1])
@@ -538,25 +552,24 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, x0, w_bc, dt, c
             f"(residual {norm[run]:.3g})", step_index, float(norm[run]),
         )
 
-    arrays.source[3] = wm
-    G = _scaled_residual(spec, arrays, cur, ends, dt)
+    stepper.source[3] = wm
+    G = _scaled_residual(stepper, cur, dt)
     norm = np.maximum.reduceat(np.abs(G, out=tmp), starts)
-    iters = np.ones(n_runs, dtype=int)
-    solves = np.zeros(n_runs, dtype=int)
-    halvings = np.zeros(n_runs, dtype=int)
+    iters_max = stepper.iters_max
+    np.maximum(iters_max, 1, out=iters_max)  # a step counts as one iteration at least
     active = ~(norm < cfg.newton_tol)
     # the Newton loop, skipped when every run meets the tolerance at the
     # warm start already, as most steps' runs do
     if active.any():
-        for it in range(1, cfg.newton_max + 1):
+        for it in range(1, _NEWTON_MAX + 1):
             done = active & (norm < cfg.newton_tol)
-            iters[done] = it
+            np.maximum(iters_max, it, out=iters_max, where=done)
             active &= ~done
             if not active.any():
                 break
             x, G, e = cur.x, cur.G, cur.e
             hp = dh_dw(spec, x)
-            diag = np.multiply(hp, dt, out=arrays.diag)
+            diag = np.multiply(hp, dt, out=stepper.diag)
             diag *= np.subtract(e[0], e[4], out=tmp)
             diag += cur.self_row
             diag -= np.multiply(G, x > wm, out=tmp)  # d/dw of the row scaling
@@ -567,11 +580,11 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, x0, w_bc, dt, c
             # d G_j / d w_{j-1} and d G_j / d w_{j+1} are -lo_row and -up_row; block
             # couplings are exact zeros, so elimination and pivoting never cross
             # from one run into the next
-            solves += active
+            stepper.solves += active
             _, _, _, delta, info = dgtsv(
-                np.negative(cur.lo_row[1:], out=arrays.lower), diag,
-                np.negative(cur.up_row[:-1], out=arrays.upper),
-                np.negative(G, out=arrays.rhs), 1, 1, 1, 1,
+                np.negative(cur.lo_row[1:], out=stepper.lower), diag,
+                np.negative(cur.up_row[:-1], out=stepper.upper),
+                np.negative(G, out=stepper.rhs), 1, 1, 1, 1,
             )
             if info > 0:
                 raise fail(int(owner[info - 1]), "singular Newton matrix")
@@ -580,13 +593,13 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, x0, w_bc, dt, c
             pending = active.copy()
             for tries in range(cfg.damp_max + 1):
                 if tries:
-                    halvings += pending
+                    stepper.halvings += pending
                 x_try = np.multiply(delta, step, out=trial.x)
                 x_try += x
                 if not pending.all():
                     np.copyto(x_try, x, where=~pending[owner])
                 n_try = np.maximum.reduceat(
-                    np.abs(_scaled_residual(spec, arrays, trial, ends, dt), out=tmp), starts
+                    np.abs(_scaled_residual(stepper, trial, dt), out=tmp), starts
                 )
                 accept = pending & ((n_try < norm) | (n_try < cfg.newton_tol))
                 if np.array_equal(accept, pending):
@@ -608,17 +621,18 @@ def _step(spec, rows, starts, ends, owner, sweep_caps, tags, wm, x0, w_bc, dt, c
                 )
                 if stalled.any():
                     raise fail(int(np.argmax(stalled)), "damped Newton stalled")
-                iters[pending] = it
+                np.maximum(iters_max, it, out=iters_max, where=pending)
                 active &= ~pending
         if active.any():
             raise fail(
                 int(np.argmax(active)),
-                f"Newton did not reach {cfg.newton_tol:g} within {cfg.newton_max} iterations",
+                f"Newton did not reach {cfg.newton_tol:g} within {_NEWTON_MAX} iterations",
             )
 
     x = cur.x
-    clips = np.add.reduceat(x < -1e-10, starts, dtype=int)
-    return np.maximum(x, 0.0), iters, sweeps, solves, halvings, clips, norm
+    stepper.clips += np.add.reduceat(x < -1e-10, starts, dtype=int)
+    np.maximum(stepper.worst_residual, norm, out=stepper.worst_residual)
+    return np.maximum(x, 0.0)
 
 
 # each step starts from the polynomial through this many accepted steps
@@ -677,16 +691,8 @@ def evolve(
     if np.any(np.diff(times) <= 0.0):
         raise PreconditionError("output times must be strictly increasing")
 
-    # row j of a run couples only to j-1 and j+1 of the same run: a = 0 at
-    # each block start and b = 0 at each block end, so the concatenated rows
-    # form a block-diagonal system
-    rows = tuple(np.concatenate(parts) for parts in zip(*map(_operator_rows, grids)))
-    sizes = np.array([len(gr.radii) for gr in grids])
-    ends = np.cumsum(sizes) - 1
-    starts = ends - sizes + 1
-    owner = np.repeat(np.arange(len(grids)), sizes)
-    sweep_caps = np.maximum(cfg.sweeps_max, 2 * (sizes - 1) + 100)
-
+    stepper = _Stepper(spec, grids, tags, cfg)
+    starts, ends = stepper.starts, stepper.ends
     w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
     step_times, is_output = _internal_times(times, cfg)
     all_times = np.concatenate(([0.0], step_times))
@@ -700,13 +706,6 @@ def evolve(
     w[ends] = bc[0]
     out[0] = w
     row = 1
-    iters_max = np.zeros(len(grids), dtype=int)
-    sweeps_total = np.zeros(len(grids), dtype=int)
-    solves_total = np.zeros(len(grids), dtype=int)
-    halvings_total = np.zeros(len(grids), dtype=int)
-    clips_total = np.zeros(len(grids), dtype=int)
-    worst_residual = np.zeros(len(grids))
-    arrays = _StepArrays(rows, len(w))
     # the accepted steps the start extrapolates from, oldest first
     hist_t, hist_w = [0.0], [w]
     dt_prev = None
@@ -718,17 +717,8 @@ def evolve(
         # slack keeps rounding in t from tripping it on a regular ramp step
         if dt_prev is not None and dt > cfg.ramp * dt_prev * (1.0 + 1e-9):
             del hist_t[:-1], hist_w[:-1]
-        x0 = _extrapolate(hist_t, hist_w, t, arrays.tmp)
-        w, iters, sweeps, solves, halvings, clips, residual = _step(
-            spec, rows, starts, ends, owner, sweep_caps, tags,
-            w, x0, bc[k + 1], dt, cfg, k, arrays,
-        )
-        np.maximum(iters_max, iters, out=iters_max)
-        sweeps_total += sweeps
-        solves_total += solves
-        halvings_total += halvings
-        clips_total += clips
-        np.maximum(worst_residual, residual, out=worst_residual)
+        x0 = _extrapolate(hist_t, hist_w, t, stepper.tmp)
+        w = _step(stepper, w, x0, bc[k + 1], dt, k)
         if is_output[k]:
             out[row] = w
             row += 1
@@ -745,21 +735,21 @@ def evolve(
         values[:, -1] = trace.w_of_times(times)  # exact by declaration
         fields.append(EvolutionField(
             times=times, grid=gr, values=values, boundary=trace, scheme_tag=tag,
-            spec=spec, newton_iterations_max=int(iters_max[i]),
-            negative_clips=int(clips_total[i]), steps=len(step_times),
-            warm_start_sweeps=int(sweeps_total[i]), newton_solves=int(solves_total[i]),
-            damping_halvings=int(halvings_total[i]),
-            worst_residual=float(worst_residual[i]), min_dt=min_dt, max_dt=max_dt,
+            spec=spec, newton_iterations_max=int(stepper.iters_max[i]),
+            negative_clips=int(stepper.clips[i]), steps=len(step_times),
+            warm_start_sweeps=int(stepper.sweeps[i]), newton_solves=int(stepper.solves[i]),
+            damping_halvings=int(stepper.halvings[i]),
+            worst_residual=float(stepper.worst_residual[i]), min_dt=min_dt, max_dt=max_dt,
         ))
     if single:
         return fields[0]
     return EvolutionFamily(
         fields=tuple(fields),
-        newton_iterations_max=int(iters_max.max()),
-        negative_clips=int(clips_total.sum()),
-        warm_start_sweeps=int(sweeps_total.sum()),
-        newton_solves=int(solves_total.sum()),
-        damping_halvings=int(halvings_total.sum()),
+        newton_iterations_max=int(stepper.iters_max.max()),
+        negative_clips=int(stepper.clips.sum()),
+        warm_start_sweeps=int(stepper.sweeps.sum()),
+        newton_solves=int(stepper.solves.sum()),
+        damping_halvings=int(stepper.halvings.sum()),
     )
 
 
@@ -777,20 +767,26 @@ def _profile_ball(spec: Nonlinearity, a: float, n: float, h: float):
     return grid, prof, bc
 
 
+# how the solver counters of runs, or of sequences, on one step sequence
+# combine; every counter not named here is summed
+_WORK_REDUCE = {"steps": max, "worst_residual": max, "min_dt": min, "max_dt": max}
+
+
+def _reduce_work(parts: Sequence[dict]) -> dict:
+    """One solver-work dict from several, key by key by ``_WORK_REDUCE``."""
+    return {k: _WORK_REDUCE.get(k, sum)(p[k] for p in parts) for k in parts[0]}
+
+
 def _solver_work(fields: Sequence[EvolutionField]) -> dict:
     """Step count, step-size range, summed solver work and worst accepted
     residual of runs on one step sequence."""
-    return {
-        "steps": fields[0].steps,
-        "runs": len(fields),
-        "warm_start_sweeps": sum(f.warm_start_sweeps for f in fields),
-        "newton_solves": sum(f.newton_solves for f in fields),
-        "damping_halvings": sum(f.damping_halvings for f in fields),
-        "negative_clips": sum(f.negative_clips for f in fields),
-        "worst_residual": max(f.worst_residual for f in fields),
-        "min_dt": fields[0].min_dt,
-        "max_dt": fields[0].max_dt,
-    }
+    return _reduce_work([
+        {"steps": f.steps, "runs": 1, "warm_start_sweeps": f.warm_start_sweeps,
+         "newton_solves": f.newton_solves, "damping_halvings": f.damping_halvings,
+         "negative_clips": f.negative_clips, "worst_residual": f.worst_residual,
+         "min_dt": f.min_dt, "max_dt": f.max_dt}
+        for f in fields
+    ])
 
 
 def _ordered_sequence(

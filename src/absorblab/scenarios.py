@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import AbsorbLabError, ConfigError
-from .evolution import EvolveConfig, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
+from .evolution import EvolveConfig, _reduce_work, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
 from .flat_ode import solve_phi, solve_phi_infinity_log
 from .io import RunManifest, emit_csv, emit_manifest
 from .nonlinearity import Nonlinearity, classify_conditions, log_u_from_w
@@ -42,12 +42,9 @@ def _power_growth(K: float, beta: float) -> GrowthFunction:
 
 
 def _solver_notes(seqs) -> dict:
-    """The step count and the solver work over the drivers' runs: summed,
-    except the largest worst residual and longest step and the shortest step."""
-    work = [seq.diagnostics["solver_work"] for seq in seqs]
-    reduce = {"worst_residual": max, "max_dt": max, "min_dt": min}
-    totals = {k: reduce.get(k, sum)(w[k] for w in work) for k in work[0] if k != "steps"}
-    return {"steps": work[0]["steps"], **totals}
+    """The drivers' solver work over all their runs, by the drivers' own
+    rule: summed, except the step count and the step and residual extremes."""
+    return _reduce_work([seq.diagnostics["solver_work"] for seq in seqs])
 
 
 def _field_rows(prefix: tuple, fld, times) -> list:
