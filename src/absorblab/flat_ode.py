@@ -7,7 +7,8 @@ relation
     t  =  integral from Phi(t) to a  of  ds / (s h(s))
 
 along x = ln s, from one cumulative table of Gauss-Legendre panels per call,
-by safeguarded Newton on the panel that brackets each time.  That gives
+by one safeguarded Newton that runs on the array of all times at once, each
+time on the table panel that brackets it.  That gives
 machine-accurate values at arbitrary times with no error accumulation, and
 extends naturally to two objects a time-stepper cannot reach:
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gl_panel_refined, tail_integral
+from ._quad import _GL_NODES, _GL_WEIGHTS, gl_panel_refined, tail_integral
 from .errors import (
     BracketError,
     DomainError,
@@ -43,6 +44,7 @@ from .errors import (
 from .nonlinearity import Nonlinearity, _condition_holds, log_h_at_log
 
 _V_CAP = 1e300
+_EPS = sys.float_info.epsilon
 _MAX_TABLE_PANELS = 1000
 
 
@@ -134,52 +136,71 @@ def _level_table(spec: Nonlinearity, x_top: float, t_min: float, t_max: float):
     return np.array(edges[::-1]), T[::-1]
 
 
-def _invert_on_panel(spec, f, x_lo, x_hi, T_lo, T_hi, t):
-    """Solve T(x) = t on [x_lo, x_hi] where T(x_lo) = T_lo >= t >= T(x_hi) = T_hi."""
+def _panel_residuals(f, x, x_hi, T_hi, t):
+    """T(x) - t for arrays of times, from the table value T_hi at x_hi.
 
-    def residual(x: float) -> float:
-        return T_hi + gl_panel_refined(f, x, x_hi, splits=2) - t
+    ``[x, x_hi]`` is split into two 15-point Gauss-Legendre sub-panels whose
+    nodes form one (m, 2, 15) array for a single integrand call; each entry
+    repeats the arithmetic of ``gl_panel_refined(f, x, x_hi, splits=2)``.
+    """
+    e = np.empty((len(x), 3))  # the edges of np.linspace(x, x_hi, 3)
+    e[:, 0], e[:, 1], e[:, 2] = x, 0.5 * (x_hi - x) + x, x_hi
+    lo, hi = e[:, :2], e[:, 1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # np.dot on a 3-D array takes one ddot per row, as gl_panel does
+    sub = half * np.dot(f(mid[..., None] + half[..., None] * _GL_NODES), _GL_WEIGHTS)
+    return T_hi + (sub[:, 0] + sub[:, 1]) - t
 
-    a, b = x_lo, x_hi  # residual(a) >= 0 >= residual(b)
-    x = x_hi - (x_hi - x_lo) * (t - T_hi) / (T_lo - T_hi) if T_lo > T_hi else x_hi
+
+def _invert_levels(spec: Nonlinearity, x_top: float, times: np.ndarray) -> np.ndarray:
+    """ln Phi(t) for each positive t in ``times``, initial level exp(x_top).
+
+    One safeguarded Newton runs on all times at once.  Each time keeps its
+    own bracketing panel, starts from the panel's linear interpolant, falls
+    back to bisection of its bracket and leaves the active set once its step
+    is below 4 ulp, so it takes the iterations it would take alone.
+    """
+    edges, T = _level_table(spec, x_top, float(times.min()), float(times.max()))
+    f = _inv_h(spec)
+    # panel j brackets T[j] <= t <= T[j-1]
+    js = np.clip(np.searchsorted(-T, -times), 1, len(T) - 1)
+    x_lo, x_hi, T_lo, T_hi = edges[js - 1], edges[js], T[js - 1], T[js]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(T_lo > T_hi, x_hi - (x_hi - x_lo) * (times - T_hi) / (T_lo - T_hi), x_hi)
+    # the active times: their indices, iterates, brackets [a, b] and panel data
+    idx, xa, a, b = np.arange(len(times)), x.copy(), x_lo, x_hi
+    x_hia, T_hia, ta = x_hi, T_hi, times
     for _ in range(60):
-        res = residual(x)
-        if res >= 0.0:
-            a = x
-        else:
-            b = x
-        step = res * math.exp(float(log_h_at_log(spec, x)))  # dT/dx = -1/h(e^x)
-        x += step
+        res = _panel_residuals(f, xa, x_hia, T_hia, ta)  # >= 0 at a, <= 0 at b
+        above = res >= 0.0
+        a, b = np.where(above, xa, a), np.where(above, b, xa)
+        step = res * np.exp(log_h_at_log(spec, xa))  # dT/dx = -1/h(e^x)
+        xa = xa + step
         # test convergence before the safeguard: a converged step can leave
         # the open bracket by rounding once x sits on one of its ends
-        if abs(step) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(x)):
-            break
-        if not a < x < b:
-            x = 0.5 * (a + b)
-    res = residual(x)
+        done = np.abs(step) <= 4.0 * _EPS * np.maximum(1.0, np.abs(xa))
+        xa = np.where(done | ((a < xa) & (xa < b)), xa, 0.5 * (a + b))
+        if done.any():
+            x[idx[done]] = xa[done]
+            keep = ~done
+            if not keep.any():
+                break
+            idx, xa, a, b = idx[keep], xa[keep], a[keep], b[keep]
+            x_hia, T_hia, ta = x_hia[keep], T_hia[keep], ta[keep]
+    else:
+        x[idx] = xa
+    res = _panel_residuals(f, x, x_hi, T_hi, times)
     # where h is tiny (low levels decay slowly) T is steep in x and one
     # ulp of x moves T by eps/h; below that the inversion is exact to
     # representability and the leftover residual is conditioning, not
     # error — the level itself is off by under h*|res| relative, which
     # is far below an ulp exactly when this slack bites
-    slack = 4.0 * sys.float_info.epsilon * max(1.0, abs(x)) * math.exp(
-        -float(log_h_at_log(spec, x))
-    )
-    if abs(res) > 1e-10 * max(abs(t), 1e-6) + slack:
-        raise ToleranceError("level inversion residual above tolerance", residual=res)
+    slack = 4.0 * _EPS * np.maximum(1.0, np.abs(x)) * np.exp(-log_h_at_log(spec, x))
+    bad = np.abs(res) > 1e-10 * np.maximum(np.abs(times), 1e-6) + slack
+    if bad.any():
+        worst = res[bad][np.argmax(np.abs(res[bad]))]
+        raise ToleranceError("level inversion residual above tolerance", residual=float(worst))
     return x
-
-
-def _invert_levels(spec: Nonlinearity, x_top: float, times: np.ndarray) -> np.ndarray:
-    """ln Phi(t) for each positive t in ``times``, initial level exp(x_top)."""
-    edges, T = _level_table(spec, x_top, float(times.min()), float(times.max()))
-    f = _inv_h(spec)
-    # panel j brackets T[j] <= t <= T[j-1]
-    js = np.clip(np.searchsorted(-T, -times), 1, len(T) - 1)
-    return np.array([
-        _invert_on_panel(spec, f, edges[j - 1], edges[j], T[j - 1], T[j], float(t))
-        for j, t in zip(js, times)
-    ])
 
 
 def _solve_log_levels(spec: Nonlinearity, x_a: float, times: np.ndarray) -> np.ndarray:
@@ -258,10 +279,10 @@ def solve_phi_infinity_log(spec: Nonlinearity, t):
     ``Phi_inf(t)`` is characterized by the lifetime relation
     ``G(ln Phi_inf(t)) = t`` with ``G(x) = integral of 1/h(e^y) over
     [x, infinity)``.  One call builds one lifetime table covering all of
-    ``t`` and inverts each time on its bracketing panel by Newton from the
-    panel's linear interpolant, safeguarded by bisection of the bracket, to
-    residual 1e-10 max(t, 1e-6).  Working in log
-    coordinates, early values like exp(4e12) pose no problem.
+    ``t`` and inverts all times in one array Newton, each from the linear
+    interpolant of its bracketing panel, safeguarded by bisection of that
+    bracket, to residual 1e-10 max(t, 1e-6).  Working in log coordinates,
+    early values like exp(4e12) pose no problem.
 
     ``t`` is a float or a 1-D array of times in any order; the result is a
     float or an array of the same shape.

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from absorblab import evolution, flat_ode, scenarios
@@ -89,7 +90,8 @@ def test_flat_ode_at_defaults_within_budget(tmp_path):
 
 def test_flat_ode_at_defaults_quadrature_count(tmp_path, monkeypatch):
     # a wall-clock-free guard on the inversion cost: panel quadratures per
-    # inverted time, table panels included, for 3 heights and the envelope
+    # inverted time, table panels included, for 3 heights and the envelope;
+    # and the integrand's nodes and calls, residuals and Newton steps included
     calls = []
     real = flat_ode.gl_panel_refined
 
@@ -97,7 +99,15 @@ def test_flat_ode_at_defaults_quadrature_count(tmp_path, monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
+    h_nodes = []
+    real_log_h = flat_ode.log_h_at_log
+
+    def counted_log_h(spec, x):
+        h_nodes.append(np.size(x))
+        return real_log_h(spec, x)
+
     monkeypatch.setattr(flat_ode, "gl_panel_refined", counted)
+    monkeypatch.setattr(flat_ode, "log_h_at_log", counted_log_h)
     out = tmp_path / "run"
     assert main(["flat-ode", "--out", str(out)]) == EXIT_OK
     _, rows = parse_csv(out / "flat_ode.csv")
@@ -105,6 +115,10 @@ def test_flat_ode_at_defaults_quadrature_count(tmp_path, monkeypatch):
     inverted = sum(float(t) > 0.0 for _, t, _ in rows) + len(env)
     assert inverted == 400
     assert len(calls) <= 8 * inverted, f"{len(calls) / inverted:.1f} quadratures per time"
+    # every time takes the Newton iterations of a one-time inversion, and the
+    # times of one table share each integrand call
+    assert sum(h_nodes) <= 73_552
+    assert len(h_nodes) <= 300
 
 
 def test_stationary_power_family_skips_growth_law_fit(tmp_path):

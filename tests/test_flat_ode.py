@@ -1,6 +1,7 @@
 """Space-independent decay: closed forms, level inversion, full collapse."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorblab import nonlinearity
+from absorblab import flat_ode, nonlinearity
+from absorblab._quad import gl_panel_refined
 from absorblab.errors import (
     BracketError,
     DomainError,
     GridError,
     OverflowGuardError,
     PreconditionError,
+    ToleranceError,
 )
 from absorblab.flat_ode import (
     FlatTrajectory,
@@ -138,6 +141,56 @@ def test_full_collapse_array_matches_scalar_calls():
         solve_phi_infinity(POW2, times[times > 0.1]), 1.0 / times[times > 0.1], rtol=1e-10
     )
     assert solve_phi_infinity_log(LOG15, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("spec", [LOG15, POW2], ids=["log_power_1.5", "power_2"])
+@pytest.mark.parametrize("ln_a", [math.log(10.0), 2592.0])
+def test_finite_data_array_matches_one_time_calls_bitwise(spec, ln_a):
+    # all times of a table are inverted jointly; each keeps its own arithmetic
+    times = np.linspace(0.0, 0.5, 41)
+    joint = solve_phi_log(spec, ln_a, times)
+    alone = np.array([solve_phi_log(spec, ln_a, [t])[0] for t in times])
+    np.testing.assert_array_equal(joint, alone)
+
+
+def test_panel_residuals_match_scalar_quadrature_bitwise():
+    # the residual of each time repeats gl_panel_refined(f, x, x_hi, splits=2)
+    rng = np.random.default_rng(0)
+    for spec in (LOG15, POW2):
+        f = flat_ode._inv_h(spec)
+        x_hi = rng.uniform(-3.0, 40.0, 25)
+        x = x_hi - rng.uniform(0.0, 8.0, 25)
+        x[0] = x_hi[0]
+        T_hi, t = rng.uniform(0.0, 1.0, 25), rng.uniform(0.0, 1.0, 25)
+        want = [
+            T_hi[i] + gl_panel_refined(f, x[i], x_hi[i], splits=2) - t[i] for i in range(25)
+        ]
+        np.testing.assert_array_equal(flat_ode._panel_residuals(f, x, x_hi, T_hi, t), want)
+
+
+def test_inversion_failure_reports_the_worst_residual(monkeypatch):
+    # the table integrates 1/h and the Newton residual half of it, so times
+    # in the upper half of their panel have no root inside their bracket
+    real = flat_ode._inv_h
+
+    def inv_h(spec):
+        f = real(spec)
+        if sys._getframe(1).f_code.co_name == "_level_table":
+            return f
+        return lambda x: 0.5 * f(x)
+
+    monkeypatch.setattr(flat_ode, "_inv_h", inv_h)
+    times = np.linspace(0.0, 0.5, 11)
+    with pytest.raises(ToleranceError) as joint:
+        solve_phi_log(LOG15, 2592.0, times)
+    failing = []
+    for t in times[1:]:
+        try:
+            solve_phi_log(LOG15, 2592.0, [t])
+        except ToleranceError as err:
+            failing.append(err.residual)
+    assert len(failing) > 1  # the worst residual is not just the first
+    assert joint.value.residual == max(failing, key=abs)
 
 
 def test_full_collapse_negative_levels_against_mpmath():
