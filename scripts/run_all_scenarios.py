@@ -2,13 +2,14 @@
 
 Prints one line per scenario with the exit code and the check summary from
 the emitted manifest.  The evolution scenarios get a second line with the
-manifest's `solver_work` note (steps, runs, warm-start sweeps, Newton
-solves, damping halvings, negative clips, the worst accepted scaled
-residual, and the shortest and longest step), so that a slow run can be
-explained from this one command.  At default settings two scenarios report failing checks and
-exit 3 (see README): `theorem-b` (the capped-data family is not
-decreasing in the ball radius at the h^2 margin) and `theorem-c` (the
-truncated-data limit at n = 6 is still ~71% above the flat envelope).
+manifest's `solver_work` note (steps, the steps taken in u, runs,
+warm-start sweeps, Newton solves, damping halvings, negative clips, the
+worst accepted scaled residual, and the shortest and longest step), so
+that a slow run can be explained from this one command.  At default
+settings two scenarios report failing checks and exit 3 (see README):
+`theorem-b` (the capped-data family is not decreasing in the ball radius
+at the h^2 margin) and `theorem-c` (the truncated-data limit at n = 6 is
+still ~71% above the flat envelope).
 Exit code of this driver is 0 if every scenario matched its expected
 status, 1 otherwise.
 """

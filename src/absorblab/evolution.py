@@ -2,9 +2,11 @@
 
 Solves ``u_t - (u_rr + (N-1)/r u_r) + u h(u) = 0`` on 0 <= r <= R with a
 Dirichlet condition at R and reflection symmetry at 0, by backward Euler
-with an exact per-step Newton solve.  The unknown is stored and iterated
-as ``w = ln(1+u)`` throughout: boundary heights of interest are far beyond
-double range, while their logs stay small.
+with an exact per-step Newton solve.  The unknown is stored as
+``w = ln(1+u)``: boundary heights of interest are far beyond double range,
+while their logs stay small.  A step is iterated in w only while the
+family's heights need that range; below the switch ``_U_SWITCH`` (w = 600)
+it is iterated in u itself (see "u path" below).
 
 Discretization notes:
 
@@ -40,23 +42,44 @@ Discretization notes:
   the residual any more, once its correction is within four ulps of
   ``max(1, |w|)``: at large w and dt that roundoff floor of the scaled
   residual lies above ``newton_tol``.
+* u path: a step whose family cap ``max(max w_m, w_bc)`` lies below
+  ``_U_SWITCH`` sweeps and checks its residual in ``u = e^w - 1``.  The
+  Jacobi form ``u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c +
+  dt h)`` has the log-sum-exp's fixed point, and ``R(u) / (1 + max(u,
+  u_m))``, R the step equation in u, is the same scaled residual, since
+  ``e^w = 1 + u`` and rows sum to c.  Each iterate's ``w = log1p(u)`` is
+  taken once; it feeds h, the unchanged ``|dw| < 1e-3`` stop rule and the
+  accepted w.  The sweep caps, the clipped start and the boundary rows are
+  the w path's.  Runs that miss ``newton_tol`` go on with the w-form
+  residual and damped Newton from that w.  A guard keeps the step in w
+  when ``u_cap (1 + dt (max c + h(u_cap)))`` is not finite, as a power law
+  can make it below the switch.  The start's history stays in w, and the
+  step's accepted u is the next step's u_m on the runs Newton left alone,
+  so a step needs one ``expm1``, that of its start.
 * per-step cost: on ``theorem-c`` at defaults (one 1,985-node family
   vector, 25,009 steps) the first 100 steps take 5,132 family sweeps,
   flooding across the data cliffs; 3,634 steps take a Newton solve (3,931
   family iterations, the last at step 6,261); the other 21,375 steps take
   one sweep and one residual check and nothing else.  So the step's fixed
-  cost is what counts.
+  cost is what counts.  From step 2,988 (t ≈ 0.06) the family's cap is
+  below the switch, and the 22,021 steps from there on take the u path,
+  which replaces the w path's nine exponentials and three logs a node by
+  one expm1 and one log1p: a one-sweep step at step 15,000 took 111 µs in
+  u against 201 µs in w (2-core Xeon VM, best of 7 x 300 calls).
 
 Stepper: :func:`evolve` builds one ``_Stepper`` per call and hands it to
 every ``_step``.  It holds the family's block layout, the scratch arrays
 that the sweeps and Newton iterations compute into with ``out=``
 arithmetic, the products of the operator rows with dt (rebuilt only when
 dt changes), and each run's solver counters, which every step adds to in
-place.  The residual takes its five exponentials as one (5, n) block, and
-the Newton loop is skipped when every run meets ``newton_tol`` after the
-sweep.  Every operation and its order are those of the plain expressions,
-so the results are bitwise the same; each accepted w is still a fresh
-array, as the start's history keeps the last four.
+place.  The w-form residual takes its five exponentials as one (5, n)
+block, clamped below at -746 where exp is 0, and the Newton loop is
+skipped when every run meets ``newton_tol`` after the sweep.  Every
+operation and its order are those of the plain expressions, so the results
+are bitwise the same; each accepted w is still a fresh array, as the
+start's history keeps the last four.  The only state a step hands the next
+besides the counters is the u path's u_m, which is valid while the next
+step's w_m is the array this step returned.
 
 Batching: :func:`evolve` steps either one run or a family of runs given
 as sequences.  A family's grid vectors are laid end to end in one vector
@@ -67,11 +90,15 @@ together.  This pays numpy's and LAPACK's per-call overhead once per
 family instead of once per run.  Rows couple only within their own run, so
 elimination never crosses a block.  Each run keeps its own sweep count,
 Newton convergence and damping, so it does exactly the arithmetic of a
-solo run: its values are bitwise those of the same run stepped alone.  A
-family shares one internal step schedule.  That is what makes batching
-possible, and it is also required: the discrete comparison principle, and
-with it every in-n ordering check between members, holds only between runs
-taken through identical step sequences.
+solo run: its values are bitwise those of the same run stepped alone, as
+long as the family and the run take the same path at every step (the
+switch goes by the family's cap, so a low run stepped with a high one
+takes the w path while the family is above the switch, and agrees with its
+solo self to the solve tolerance only).  A family shares one internal step
+schedule.  That is what makes batching possible, and it is also required:
+the discrete comparison principle, and with it every in-n ordering check
+between members, holds only between runs taken through identical step
+sequences.
 
 Drivers cover the three ball-exhaustion sequences used by the collapse
 experiments: truncated data on a fixed large ball (A4), profile-capped
@@ -102,7 +129,7 @@ from .errors import (
     PreconditionError,
 )
 from .flat_ode import solve_phi_log
-from .nonlinearity import Nonlinearity, dh_dw, h_of_w, w_from_log_u
+from .nonlinearity import Nonlinearity, dh_dw, eval_h, h_of_w, w_from_log_u
 from .profiles import RadialProfile, shoot_profile
 from .threshold import GrowthFunction, domination_radius
 
@@ -275,6 +302,7 @@ class EvolutionField:
     worst_residual: float = 0.0     # largest accepted scaled-residual max-norm
     min_dt: float = 0.0             # shortest and longest step of the sequence
     max_dt: float = 0.0
+    u_steps: int = 0                # steps whose warm start was taken in u
 
     def heights(self) -> np.ndarray:
         """u = exp(w) - 1, saturating at 1e300 where w exceeds double range."""
@@ -434,6 +462,15 @@ class _Stepper:
         self.halvings = np.zeros(runs, dtype=int)
         self.clips = np.zeros(runs, dtype=int)
         self.worst_residual = np.zeros(runs)
+        # the u path: its two iterates and the step's u_m, which is the last
+        # accepted u when w_m is the array ``um_of`` that step returned, on
+        # the runs not ``um_stale``
+        self.c_max = float(self.rows[2].max())
+        self.fit_dt, self.fit_cap = None, -math.inf  # the last cap that fitted, and its dt
+        self.u_arrays = [np.empty(n) for _ in range(3)]
+        self.den = np.empty(n)
+        self.um_of, self.um_stale = None, None
+        self.u_steps = 0
 
     def constants(self, dt):
         """``dt a``, ``dt b``, ``1 + dt c``, ``ln(dt a)`` and ``ln(dt b)``."""
@@ -452,7 +489,9 @@ def _scaled_residual(stepper, it, dt):
 
     Row j is the step equation divided by e^{M_j}, M = max(x, w_m): all five
     exponentials are taken as one (5, n) block, the neighbour terms clamped
-    at 700 (the others are at most 0, since M >= w_m >= 0)."""
+    at 700 (the others are at most 0, since M >= w_m >= 0).  The block is
+    clamped below at -746 too: exp is exactly 0 there and below, and the
+    clamp keeps np.exp off its slow path for underflowing arguments."""
     dta, dtb, one_dtc = stepper.products[:3]
     y, src, e = it.x, stepper.source, it.e
     M = np.maximum(y, src[3], out=stepper.M)
@@ -462,6 +501,7 @@ def _scaled_residual(stepper, it, dt):
     src[2, :-1] = y[1:]
     np.subtract(src, M, out=e)
     np.minimum(e[1:3], 700.0, out=e[1:3])
+    np.maximum(e, -746.0, out=e)
     np.exp(e, out=e)
     e_self, e_lo, e_up, e_wm, e_0 = e
     dthy = np.multiply(hy, dt, out=stepper.dthy)
@@ -477,30 +517,105 @@ def _scaled_residual(stepper, it, dt):
     return G
 
 
-# Newton iterations a step may take before it raises
-_NEWTON_MAX = 50
+# a step whose family cap max(max w_m, w_bc) lies below this w is taken in
+# u = e^w - 1 (see the module notes)
+_U_SWITCH = 600.0
 
 
-def _step(stepper, wm, x0, w_bc, dt, step_index):
-    """One backward-Euler step of every run from the starting iterate ``x0``;
-    returns the accepted w, always a fresh array, and adds the step's solver
-    work to the stepper's per-run counters.
+def _u_path_fits(stepper, cap, dt):
+    """Whether a step with family cap ``cap`` (in w) is taken in u: below the
+    switch, and with ``u_cap (1 + dt (max c + h(u_cap)))`` finite, which bounds
+    every term of the u-space step equation (a power law can overflow it
+    below the switch).  The bound grows with the cap, so a cap at most the
+    last one that fitted at this dt fits too."""
+    if not cap < _U_SWITCH:
+        return False
+    if dt == stepper.fit_dt and cap <= stepper.fit_cap:
+        return True
+    u_cap = math.expm1(cap)
+    with np.errstate(over="ignore"):
+        h_cap = eval_h(stepper.spec, u_cap)
+    fits = math.isfinite(u_cap * (1.0 + dt * (stepper.c_max + h_cap)))
+    if fits:
+        stepper.fit_dt, stepper.fit_cap = dt, cap
+    return fits
 
-    Each run keeps its own convergence state, so it does exactly the
-    arithmetic it would do if stepped alone; runs that have finished a phase
-    keep their values while the others go on.
-    """
-    spec, cfg, tags = stepper.spec, stepper.cfg, stepper.tags
-    starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
+
+def _u_warm_start(stepper, wm, w_bc, dt):
+    """The warm start and residual check in u from the start in
+    ``stepper.iterates[0].x``; returns the iterates ``(cur, trial)`` with
+    the last sweep's w in ``cur.x``, and each run's scaled-residual norm.
+
+    The Jacobi fixed point of the step equation in u,
+      u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c + dt h),
+    is that of the w path's log-sum-exp.  Each iterate's w = log1p(u) is
+    taken once and serves the stop rule, h and the accepted w.  Every u
+    stays in [0, u_cap], where ``_u_path_fits`` has bounded the terms."""
+    spec, starts, ends, owner = stepper.spec, stepper.starts, stepper.ends, stepper.owner
+    dta, dtb, one_dtc = stepper.constants(dt)[:3]
+    tmp, den = stepper.tmp, stepper.den
+    cur, trial = stepper.iterates
+    um, u, est = stepper.u_arrays
+    if wm is not stepper.um_of:
+        np.expm1(wm, out=um)
+    elif stepper.um_stale.any():
+        np.copyto(um, np.expm1(wm, out=tmp), where=stepper.um_stale[owner])
+    x, w_est = cur.x, trial.x
+    np.expm1(x, out=u)
+    u_bc = u[ends]
+    sweeping = np.ones(len(starts), dtype=bool)
+    sweep_caps = stepper.sweep_caps
+    for sweep in range(1, int(sweep_caps.max()) + 1):
+        stepper.sweeps += sweeping
+        hx = h_of_w(spec, x)
+        np.add(one_dtc, np.multiply(hx, dt, out=den), out=den)
+        # a is 0 at each block start and b at each block end, so the
+        # neighbour terms never cross from one run into the next
+        np.add(um[:-1], np.multiply(dtb[:-1], u[1:], out=tmp[:-1]), out=est[:-1])
+        est[-1] = um[-1]
+        est[1:] += np.multiply(dta[1:], u[:-1], out=tmp[1:])
+        est /= den
+        est[ends] = u_bc
+        np.log1p(est, out=w_est)
+        w_est[ends] = w_bc
+        delta = np.maximum.reduceat(np.abs(np.subtract(w_est, x, out=tmp), out=tmp), starts)
+        if sweeping.all():
+            x, w_est = w_est, x
+            u, est = est, u
+        else:
+            np.copyto(x, w_est, where=sweeping[owner])
+            np.copyto(u, est, where=sweeping[owner])
+        settled = delta < 1e-3
+        if settled.all():
+            break
+        sweeping &= ~settled & (sweep < sweep_caps)
+        if not sweeping.any():
+            break
+    if x is trial.x:
+        cur, trial = trial, cur
+    # the scaled residual R(u) / (1 + max(u, u_m)), R the step equation in
+    # u: the w path's G, since e^w = 1 + u and rows sum to c
+    hx = h_of_w(spec, x)
+    G = np.multiply(np.add(one_dtc, np.multiply(hx, dt, out=den), out=den), u, out=cur.G)
+    G[1:] -= np.multiply(dta[1:], u[:-1], out=tmp[1:])
+    G[:-1] -= np.multiply(dtb[:-1], u[1:], out=tmp[:-1])
+    G -= um
+    G /= np.add(np.maximum(u, um, out=tmp), 1.0, out=tmp)
+    G[ends] = 0.0
+    # this step's u is the next step's u_m
+    stepper.u_arrays = [u, um, est]
+    return cur, trial, np.maximum.reduceat(np.abs(G, out=tmp), starts)
+
+
+def _w_warm_start(stepper, wm, w_bc, dt):
+    """The warm start in w from the start in ``stepper.iterates[0].x``;
+    returns the iterates ``(cur, trial)`` with the last sweep's w in ``cur.x``."""
+    spec, starts, ends, owner = stepper.spec, stepper.starts, stepper.ends, stepper.owner
     log_dta, log_dtb = stepper.constants(dt)[3:]
     c_row = stepper.rows[2]
     tmp = stepper.tmp
     cur, trial = stepper.iterates
-    # the step solution lies in [0, max(max w_m, w_bc)] per run (discrete
-    # maximum principle: rows sum to c and h >= 0), so the start does too
-    cap = np.maximum(np.maximum.reduceat(wm, starts), w_bc)
-    x = np.minimum(np.maximum(x0, 0.0, out=cur.x), cap[owner], out=cur.x)
-    x[ends] = w_bc
+    x = cur.x
 
     # log-space Jacobi warm start: x_j <- ln of the step equation's fixed
     # point with neighbors frozen,
@@ -545,6 +660,41 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
                 break
     if x is trial.x:
         cur, trial = trial, cur
+    return cur, trial
+
+
+# Newton iterations a step may take before it raises
+_NEWTON_MAX = 50
+
+
+def _step(stepper, wm, x0, w_bc, dt, step_index):
+    """One backward-Euler step of every run from the starting iterate ``x0``;
+    returns the accepted w, always a fresh array, and adds the step's solver
+    work to the stepper's per-run counters.
+
+    Each run keeps its own convergence state, so it does exactly the
+    arithmetic it would do if stepped alone on the same path (the family's
+    cap picks u or w, see ``_u_path_fits``); runs that have finished a phase
+    keep their values while the others go on.
+    """
+    spec, cfg, tags = stepper.spec, stepper.cfg, stepper.tags
+    starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
+    tmp = stepper.tmp
+    cur = stepper.iterates[0]
+    # the step solution lies in [0, max(max w_m, w_bc)] per run (discrete
+    # maximum principle: rows sum to c and h >= 0), so the start does too
+    cap = np.maximum(np.maximum.reduceat(wm, starts), w_bc)
+    x = np.minimum(np.maximum(x0, 0.0, out=cur.x), cap[owner], out=cur.x)
+    x[ends] = w_bc
+    u_path = _u_path_fits(stepper, float(cap.max()), dt)
+    if u_path:
+        stepper.u_steps += 1
+        cur, trial, norm = _u_warm_start(stepper, wm, w_bc, dt)
+    else:
+        cur, trial = _w_warm_start(stepper, wm, w_bc, dt)
+        stepper.source[3] = wm
+        G = _scaled_residual(stepper, cur, dt)
+        norm = np.maximum.reduceat(np.abs(G, out=tmp), starts)
 
     def fail(run, message):
         return NewtonDivergenceError(
@@ -552,15 +702,18 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
             f"(residual {norm[run]:.3g})", step_index, float(norm[run]),
         )
 
-    stepper.source[3] = wm
-    G = _scaled_residual(stepper, cur, dt)
-    norm = np.maximum.reduceat(np.abs(G, out=tmp), starts)
     iters_max = stepper.iters_max
     np.maximum(iters_max, 1, out=iters_max)  # a step counts as one iteration at least
     active = ~(norm < cfg.newton_tol)
     # the Newton loop, skipped when every run meets the tolerance at the
     # warm start already, as most steps' runs do
+    newton_runs = active.copy()  # their u is left behind
     if active.any():
+        if u_path:
+            # the runs that missed it go on in w, from the w of their u
+            stepper.source[3] = wm
+            G = _scaled_residual(stepper, cur, dt)
+            np.copyto(norm, np.maximum.reduceat(np.abs(G, out=tmp), starts), where=active)
         for it in range(1, _NEWTON_MAX + 1):
             done = active & (norm < cfg.newton_tol)
             np.maximum(iters_max, it, out=iters_max, where=done)
@@ -632,7 +785,10 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
     x = cur.x
     stepper.clips += np.add.reduceat(x < -1e-10, starts, dtype=int)
     np.maximum(stepper.worst_residual, norm, out=stepper.worst_residual)
-    return np.maximum(x, 0.0)
+    w = np.maximum(x, 0.0)
+    # the next step's u_m is this step's u, except on the runs Newton moved
+    stepper.um_of, stepper.um_stale = (w if u_path else None), newton_runs
+    return w
 
 
 # each step starts from the polynomial through this many accepted steps
@@ -740,6 +896,7 @@ def evolve(
             warm_start_sweeps=int(stepper.sweeps[i]), newton_solves=int(stepper.solves[i]),
             damping_halvings=int(stepper.halvings[i]),
             worst_residual=float(stepper.worst_residual[i]), min_dt=min_dt, max_dt=max_dt,
+            u_steps=stepper.u_steps,
         ))
     if single:
         return fields[0]
@@ -769,7 +926,9 @@ def _profile_ball(spec: Nonlinearity, a: float, n: float, h: float):
 
 # how the solver counters of runs, or of sequences, on one step sequence
 # combine; every counter not named here is summed
-_WORK_REDUCE = {"steps": max, "worst_residual": max, "min_dt": min, "max_dt": max}
+_WORK_REDUCE = {
+    "steps": max, "u_steps": max, "worst_residual": max, "min_dt": min, "max_dt": max,
+}
 
 
 def _reduce_work(parts: Sequence[dict]) -> dict:
@@ -784,7 +943,7 @@ def _solver_work(fields: Sequence[EvolutionField]) -> dict:
         {"steps": f.steps, "runs": 1, "warm_start_sweeps": f.warm_start_sweeps,
          "newton_solves": f.newton_solves, "damping_halvings": f.damping_halvings,
          "negative_clips": f.negative_clips, "worst_residual": f.worst_residual,
-         "min_dt": f.min_dt, "max_dt": f.max_dt}
+         "min_dt": f.min_dt, "max_dt": f.max_dt, "u_steps": f.u_steps}
         for f in fields
     ])
 

@@ -397,6 +397,8 @@ def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch):
     # one step of dt = 1: the warm start contracts so slowly that every run
     # stops at its own cap of 2J + 100 sweeps, and the cliff run halves one
     # Newton step.  An h_of_w count is sweeps + Newton iterations + halvings.
+    # Pinned to the w path; its u-path twin is below.
+    monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
     times, cfg = [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0)
     smooth = _mixed_family()[0][1]
     runs = [
@@ -777,6 +779,158 @@ def test_theorem_c_family_solver_work_budget():
     solves.append(work["newton_solves"] - sum(solves))
     assert max(sweeps) / 5009 < 3.0
     assert max(solves) / 5009 < 1.0
+
+
+# ----------------------------------------------------------------------
+# the step in u = e^w - 1 below the switch
+# ----------------------------------------------------------------------
+
+
+def _w_path_only(monkeypatch):
+    """Every step on the w path: the switch at -inf, and a u warm start that
+    fails the test if a step reaches it anyway."""
+    monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
+
+    def unreachable(*args):
+        raise AssertionError("a step took the u path with the switch at -inf")
+
+    monkeypatch.setattr(evolution, "_u_warm_start", unreachable)
+
+
+def _theorem_c_fields():
+    seq = run_scheme_A4(LOG15, QUARTIC, [3.0, 4.0, 5.0, 6.0], 9.0, [0.0, 0.1],
+                        h=0.025, cfg=EvolveConfig(dt_max=2e-5), influence_check=True)
+    return seq.fields, seq.diagnostics
+
+
+def _mixed_fields():
+    return _family(_mixed_family(), [0.0, 0.01, 0.02], EvolveConfig()).fields, None
+
+
+@pytest.mark.parametrize("family, u_steps", [(_mixed_fields, 44), (_theorem_c_fields, 2021)],
+                         ids=["mixed", "theorem-c"])
+def test_u_path_agrees_with_w_path(monkeypatch, family, u_steps):
+    # below the switch a step sweeps and checks its residual in u: the same
+    # Jacobi fixed point and the same scaled residual as in w, rounded
+    # otherwise.  The mixed family (w <= 78) is below it at every one of its
+    # 44 steps, the theorem-c family over [0, 0.1] from step 2,988 on.
+    # Against the w path alone the fields agree within 1e-9 in w, and every
+    # run's sweeps and Newton solves are equal.  A count may move by a
+    # rounding edge (a sweep's |dw| within rounding of 1e-3, or a residual
+    # within rounding of newton_tol, falling on the other side); each such
+    # edge moves a count by one or two, and none occurred when this was
+    # written, so at most two edges per count are allowed.
+    fields, notes = family()
+    with monkeypatch.context() as patch:
+        _w_path_only(patch)
+        w_fields, w_notes = family()
+    for u_fld, w_fld in zip(fields, w_fields):
+        assert np.max(np.abs(u_fld.values - w_fld.values)) < 1e-9
+        assert abs(u_fld.warm_start_sweeps - w_fld.warm_start_sweeps) <= 2
+        assert abs(u_fld.newton_solves - w_fld.newton_solves) <= 4
+        assert (u_fld.u_steps, w_fld.u_steps) == (u_steps, 0)
+        assert u_fld.worst_residual < EvolveConfig().newton_tol
+    if notes is not None:
+        assert notes["solver_work"]["u_steps"] == u_steps
+        assert w_notes["solver_work"]["u_steps"] == 0
+
+
+def test_overflow_guard_keeps_power_law_steps_in_w():
+    # h(s) = s^2 near w = 300, below the switch: one step of dt = 1e-82 from
+    # zero data to a boundary at w = 300 makes u·dt·h(u) at the cap e^711,
+    # beyond double range, so the step stays in w, bitwise as with the
+    # switch at -inf.  At a boundary of w = 240 it is e^531 and the step is
+    # taken in u.  The coarse grid (h = 10^4) keeps the step next to the
+    # boundary mild enough for the w path.
+    spec = Nonlinearity.power(3.0)
+    cfg = EvolveConfig(dt_init=1e-82, dt_max=1e-82)
+
+    def run(w_bc, switch):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "_U_SWITCH", switch)
+            return evolve(spec, uniform_grid(170000.0, 10000.0, 1), InitialData.zero(),
+                          BoundaryTrace.constant(w_bc), [0.0, 1e-82], cfg)
+
+    guarded, w_only = run(300.0, evolution._U_SWITCH), run(300.0, -math.inf)
+    assert guarded.u_steps == w_only.u_steps == 0
+    assert guarded.values.tobytes() == w_only.values.tobytes()
+    assert guarded.newton_solves == w_only.newton_solves > 0
+    stepper = evolution._Stepper(spec, [uniform_grid(170000.0, 10000.0, 1)], ["g"], cfg)
+    assert not evolution._u_path_fits(stepper, 300.0, 1e-82)
+    taken, w_only = run(240.0, evolution._U_SWITCH), run(240.0, -math.inf)
+    assert (taken.u_steps, w_only.u_steps) == (1, 0)
+    assert np.max(np.abs(taken.values - w_only.values)) < 1e-12
+
+
+def test_batched_large_step_on_the_u_path_keeps_caps_and_damping_per_run(monkeypatch):
+    # the u-path twin of test_batched_large_step_keeps_caps_and_damping_per_run:
+    # the same per-run sweep caps, Newton iterations and halvings, solo and in
+    # the family.  A run that needs Newton evaluates h once more than on the
+    # w path: the w-form residual at the w of its u, where Newton starts.
+    times, cfg = [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0)
+    smooth = _mixed_family()[0][1]
+    runs = [
+        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
+         BoundaryTrace.constant(0.0), "damped"),
+        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
+        (uniform_grid(3.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "long"),
+    ]
+    solo, evals = zip(*(_h_evals(monkeypatch, run, times, cfg) for run in runs))
+    assert all(f.u_steps == 1 and f.newton_solves > 0 for f in solo)
+    caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
+    halvings = [n - cap - f.newton_iterations_max - 1 for n, cap, f in zip(evals, caps, solo)]
+    assert [f.warm_start_sweeps for f in solo] == caps == [160, 180, 220]
+    assert halvings == [1, 0, 0]
+    assert [f.damping_halvings for f in solo] == halvings
+    family = _family(runs[::-1], times, cfg)
+    for one, many in zip(solo[::-1], family.fields):
+        assert np.array_equal(one.values, many.values)
+        assert one.newton_iterations_max == many.newton_iterations_max
+        assert one.damping_halvings == many.damping_halvings
+    assert family.damping_halvings == 1
+    assert family.newton_iterations_max == solo[0].newton_iterations_max > max(
+        f.newton_iterations_max for f in solo[1:]
+    )
+
+
+def test_u_path_step_carries_only_its_u(monkeypatch):
+    # the u-path twin of test_reused_stepper_gives_the_same_step_bitwise.  A
+    # u-path step leaves its accepted u as the next step's u_m, for the runs
+    # that Newton did not move, so evolve's steps need no expm1 of w_m.  At
+    # every step of a two-run family over [0, 0.01] at dt_max = 2e-5, a fresh
+    # stepper handed only that u_m takes bitwise the reused stepper's step,
+    # with the same work; and the u_m is within rounding of expm1(w_m).
+    cfg, times = EvolveConfig(dt_max=2e-5), [0.0, 0.005, 0.01]
+    runs = [
+        (uniform_grid(2.0, 0.05, 1), InitialData.truncated(QUARTIC, 1.0),
+         BoundaryTrace.constant(0.0), "truncated"),
+        (uniform_grid(2.0, 0.05, 1), _mixed_family()[0][1], BoundaryTrace.constant(0.7), "smooth"),
+    ]
+    grids, inits, bcs, tags = zip(*runs)
+    step, kept_runs = evolution._step, []
+
+    def checked(stepper, wm, x0, w_bc, dt, k):
+        fresh = evolution._Stepper(LOG15, grids, tags, cfg)
+        if wm is stepper.um_of:
+            kept_runs.append(int((~stepper.um_stale).sum()))
+            fresh.u_arrays[0][:] = stepper.u_arrays[0]
+            fresh.um_of, fresh.um_stale = wm, stepper.um_stale
+            kept = ~stepper.um_stale[stepper.owner]
+            um = stepper.u_arrays[0][kept]
+            assert np.all(np.abs(um - np.expm1(wm[kept])) <= 1e-14 * (1.0 + um))
+        want = step(fresh, wm, x0, w_bc, dt, k)
+        before = stepper.sweeps.copy(), stepper.solves.copy()
+        got = step(stepper, wm, x0, w_bc, dt, k)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(stepper.sweeps - before[0], fresh.sweeps)
+        assert np.array_equal(stepper.solves - before[1], fresh.solves)
+        return got
+
+    monkeypatch.setattr(evolution, "_step", checked)
+    family = evolve(LOG15, grids, inits, bcs, times, cfg, tags)
+    assert family.fields[0].u_steps == len(kept_runs) + 1 == family.fields[0].steps
+    # most steps reuse the u of both runs, some that of the smooth run only
+    assert kept_runs.count(2) > len(kept_runs) / 2 and kept_runs.count(1) > 0
 
 
 # ----------------------------------------------------------------------
