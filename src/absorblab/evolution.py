@@ -56,16 +56,16 @@ Discretization notes:
   can make it below the switch.  The start's history stays in w, and the
   step's accepted u is the next step's u_m on the runs Newton left alone,
   so a step needs one ``expm1``, that of its start.
-* per-step cost: on ``theorem-c`` at defaults (one 1,985-node family
-  vector, 25,009 steps) the first 100 steps take 5,132 family sweeps,
+* per-step cost: on ``theorem-c`` at defaults (one 1,444-node family
+  vector, 25,009 steps) the first 100 steps take 4,196 family sweeps,
   flooding across the data cliffs; 3,634 steps take a Newton solve (3,931
   family iterations, the last at step 6,261); the other 21,375 steps take
   one sweep and one residual check and nothing else.  So the step's fixed
   cost is what counts.  From step 2,988 (t ≈ 0.06) the family's cap is
   below the switch, and the 22,021 steps from there on take the u path,
   which replaces the w path's nine exponentials and three logs a node by
-  one expm1 and one log1p: a one-sweep step at step 15,000 took 111 µs in
-  u against 201 µs in w (2-core Xeon VM, best of 7 x 300 calls).
+  one expm1 and one log1p: a one-sweep step at step 15,000 took 86 µs in
+  u against 138 µs in w (2-core Xeon VM, best of 7 x 300 calls).
 
 Stepper: :func:`evolve` builds one ``_Stepper`` per call and hands it to
 every ``_step``.  It holds the family's block layout, the scratch arrays
@@ -313,16 +313,12 @@ class EvolutionField:
 
 @dataclass(frozen=True)
 class EvolutionFamily:
-    """Runs stepped together by one :func:`evolve` call, in call order; the
-    Newton and clipping counts are taken over all of them (the maximum of
-    ``newton_iterations_max``, the sum of the others)."""
+    """Runs stepped together by one :func:`evolve` call, in call order, with
+    the most Newton iterations of any run's step and the summed clips."""
 
     fields: tuple
     newton_iterations_max: int = 0
     negative_clips: int = 0
-    warm_start_sweeps: int = 0
-    newton_solves: int = 0
-    damping_halvings: int = 0
 
 
 @dataclass(frozen=True)
@@ -330,9 +326,7 @@ class SchemeSequence:
     """A monotone family of runs with its limit candidate and margins."""
 
     fields: tuple
-    labels: tuple
     monotone_violation: float     # worst wrong-direction log difference
-    cauchy_diffs: tuple           # sup log differences of consecutive runs
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -904,9 +898,6 @@ def evolve(
         fields=tuple(fields),
         newton_iterations_max=int(stepper.iters_max.max()),
         negative_clips=int(stepper.clips.sum()),
-        warm_start_sweeps=int(stepper.sweeps.sum()),
-        newton_solves=int(stepper.solves.sum()),
-        damping_halvings=int(stepper.halvings.sum()),
     )
 
 
@@ -950,27 +941,21 @@ def _solver_work(fields: Sequence[EvolutionField]) -> dict:
 
 def _ordered_sequence(
     fields: Sequence[EvolutionField],
-    n_list: Sequence[float],
     increasing: bool,
     tol: float,
     name: str,
-    monitor: np.ndarray | None = None,
     diagnostics: dict | None = None,
 ) -> SchemeSequence:
     """Check that consecutive runs order in n in one direction and pack them.
 
     Runs are compared on the nodes of the first (smallest) ball.  The worst
     wrong-direction log difference is the sequence's violation; above 10x
-    ``tol`` it raises :class:`MonotonicityError`.  The Cauchy differences
-    are sup log differences of consecutive runs, over the ``monitor`` nodes
-    when given.
+    ``tol`` it raises :class:`MonotonicityError`.
     """
     n_common = len(fields[0].grid.radii)
     worst = -np.inf
-    cauchy = []
     for f1, f2 in zip(fields[:-1], fields[1:]):
         d = f2.values[:, :n_common] - f1.values[:, :n_common]
-        cauchy.append(float(np.max(np.abs(d if monitor is None else d[:, monitor]))))
         worst = max(worst, float(np.max(-d if increasing else d)))
     if worst > 10.0 * tol:
         direction = "increasing" if increasing else "decreasing"
@@ -980,9 +965,7 @@ def _ordered_sequence(
         )
     return SchemeSequence(
         fields=tuple(fields),
-        labels=tuple(f"n={n:g}" for n in n_list),
         monotone_violation=worst,
-        cauchy_diffs=tuple(cauchy),
         diagnostics={"tolerance": tol, **(diagnostics or {})},
     )
 
@@ -996,18 +979,15 @@ def run_scheme_A4(
     h: float = 0.025,
     cfg: EvolveConfig = EvolveConfig(),
     tol: float | None = None,
-    influence_check: bool = False,
     dimension: int = 1,
 ) -> SchemeSequence:
     """Truncated-data exhaustion: data g cut at radius n, zero boundary.
 
     All runs share the grid on [0, r_out] with homogeneous Dirichlet at
     r_out (stand-in for the whole-space problem; it under-estimates, which
-    suits a minimal-limit construction).  The family must increase with n;
-    a violation above 10x the discretization tolerance aborts.  Cauchy
-    differences are taken over the monitor region r <= r_out/2.  With
-    ``influence_check`` the last run is repeated at 1.5x the domain and
-    the monitored-region difference reported.
+    suits a minimal-limit construction) and are stepped as one family.
+    The family must increase with n; a violation above 10x the
+    discretization tolerance aborts.
     """
     n_list = sorted(float(n) for n in n_list)
     if n_list[-1] >= r_out:
@@ -1015,25 +995,12 @@ def run_scheme_A4(
     if tol is None:
         tol = discretization_tolerance(h, cfg.dt_max)
     grid = uniform_grid(r_out, h, dimension)
-    grids = [grid] * len(n_list)
     inits = [InitialData.truncated(g, n) for n in n_list]
     tags = [f"truncated n={n:g}" for n in n_list]
-    if influence_check:
-        # the last run again on the wider domain, stepped with the family
-        r_wide = math.ceil(1.5 * r_out / h - 1e-9) * h
-        grids.append(uniform_grid(r_wide, h, dimension))
-        inits.append(inits[-1])
-        tags.append(f"truncated n={n_list[-1]:g} on r_out={r_wide:g}")
-    bcs = [BoundaryTrace.constant(0.0, label="zero")] * len(grids)
-    fields = list(evolve(spec, grids, inits, bcs, times, cfg, tags).fields)
-    mon = grid.radii <= r_out / 2.0 + 1e-12
-    diagnostics = {"monitor_radius": r_out / 2.0, "solver_work": _solver_work(fields)}
-    if influence_check:
-        wide = fields.pop()
-        diagnostics["influence_diff"] = float(
-            np.max(np.abs(wide.values[:, : len(grid.radii)][:, mon] - fields[-1].values[:, mon]))
-        )
-    return _ordered_sequence(fields, n_list, True, tol, "truncation", mon, diagnostics)
+    bcs = [BoundaryTrace.constant(0.0, label="zero")] * len(n_list)
+    fields = evolve(spec, [grid] * len(n_list), inits, bcs, times, cfg, tags).fields
+    return _ordered_sequence(fields, True, tol, "truncation",
+                             diagnostics={"solver_work": _solver_work(fields)})
 
 
 def run_scheme_A8(
@@ -1092,7 +1059,7 @@ def run_scheme_A8(
             scheme_tag=f"capped a={a:g} n={n:g}",
         ))
     diagnostics["solver_work"] = _solver_work(fields)
-    return _ordered_sequence(fields, n_list, False, tol, "capped", diagnostics=diagnostics)
+    return _ordered_sequence(fields, False, tol, "capped", diagnostics=diagnostics)
 
 
 def run_scheme_A8_1(
@@ -1137,9 +1104,9 @@ def run_scheme_A8_1(
     fields = evolve(spec, grids, inits, bcs, times, cfg, tags).fields
     lower, upper = fields[: len(n_list)], fields[len(n_list):]
     return (
-        _ordered_sequence(lower, n_list, True, tol, "lower sandwich",
+        _ordered_sequence(lower, True, tol, "lower sandwich",
                           diagnostics={"solver_work": _solver_work(lower)}),
-        _ordered_sequence(upper, n_list, False, tol, "upper sandwich",
+        _ordered_sequence(upper, False, tol, "upper sandwich",
                           diagnostics={"solver_work": _solver_work(upper)}),
     )
 

@@ -226,7 +226,7 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     man = RunManifest(config=config, tolerance_scale=scale)
     seq = run_scheme_A4(
         spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg,
-        influence_check=True, dimension=config["dimension"],
+        dimension=config["dimension"],
     )
     lam = dict(zip(times[1:], solve_phi_infinity_log(spec, times[1:]).tolist()))
     rows = []
@@ -257,7 +257,6 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     frac = config["gap_fraction"] * scale
     man.record_check("final_gap_small", rel_gaps[-1] <= frac, frac)
     man.notes["relative_gaps"] = rel_gaps
-    man.notes["influence_diff"] = seq.diagnostics.get("influence_diff")
     man.notes["solver_work"] = _solver_notes([seq])
     man.record_file(emit_csv(out_dir / "theorem_c.csv", ["n", "t", "r", "w"], rows))
     gap_rows = [[n, rel] for n, rel in zip(config["n_list"], rel_gaps)]

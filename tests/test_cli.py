@@ -250,3 +250,6 @@ def test_collapse_gap_study_prints_theorem_c_gaps(tmp_path):
         assert f"{n:4d} {gap:14.4f}" in lines
     assert f"= {doc['notes']['envelope_margin']:.3e} " in proc.stdout
     assert gaps[0] > gaps[1]
+    # theorem-c steps the truncated family and nothing else
+    assert doc["notes"]["solver_work"]["runs"] == 2
+    assert "influence_diff" not in doc["notes"]

@@ -419,7 +419,7 @@ def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch):
         assert np.array_equal(one.values, many.values)
         assert one.newton_iterations_max == many.newton_iterations_max
         assert one.damping_halvings == many.damping_halvings
-    assert family.damping_halvings == 1
+    assert sum(f.damping_halvings for f in family.fields) == 1
     assert family.newton_iterations_max == solo[0].newton_iterations_max > max(
         f.newton_iterations_max for f in solo[1:]
     )
@@ -551,8 +551,6 @@ def test_extrapolated_start_agrees_with_start_from_previous_step():
     for i, fld in enumerate(family.fields):
         ref = np.array(want)[:, stepper.starts[i]: stepper.ends[i] + 1]
         assert np.max(np.abs(fld.values - ref)) < 1e-8
-    assert family.warm_start_sweeps == sum(f.warm_start_sweeps for f in family.fields)
-    assert family.newton_solves == sum(f.newton_solves for f in family.fields)
 
 
 def test_reused_stepper_gives_the_same_step_bitwise():
@@ -650,7 +648,7 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch):
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
     ]
     family = _family(damped, [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0))
-    assert family.damping_halvings == 1
+    assert sum(f.damping_halvings for f in family.fields) == 1
     assert checked.count("residual") > checked.count("start") > 30
 
 
@@ -763,22 +761,28 @@ def test_four_point_start_is_closer_than_two_point_start(monkeypatch):
 
 
 def test_theorem_c_family_solver_work_budget():
-    # the theorem-c family (n = 3..6 and the influence run, 1,985 nodes) over
-    # [0, 0.1]: 5,009 steps.  Started from w_m, its costliest run took 5.24
-    # sweeps and 1.86 Newton solves per step; from the linear extrapolation
-    # of the last two steps, 2.13 and 1.35; from the cubic one, 1.94 and 0.78.
-    seq = run_scheme_A4(LOG15, QUARTIC, [3.0, 4.0, 5.0, 6.0], 9.0, [0.0, 0.1],
-                        h=0.025, cfg=EvolveConfig(dt_max=2e-5), influence_check=True)
-    work = seq.diagnostics["solver_work"]
-    assert work["steps"] == 5009 and work["runs"] == 5
-    assert all(fld.steps == 5009 for fld in seq.fields)
-    # the influence run's counts are the family totals less the other four
-    sweeps = [fld.warm_start_sweeps for fld in seq.fields]
-    solves = [fld.newton_solves for fld in seq.fields]
-    sweeps.append(work["warm_start_sweeps"] - sum(sweeps))
-    solves.append(work["newton_solves"] - sum(solves))
-    assert max(sweeps) / 5009 < 3.0
-    assert max(solves) / 5009 < 1.0
+    # the theorem-c family (n = 3..6 on r_out = 9) and n = 6 again on 1.5x
+    # the domain, 1,985 nodes, over [0, 0.1]: 5,009 steps.  Started from
+    # w_m, its costliest run took 5.24 sweeps and 1.86 Newton solves per
+    # step; from the linear extrapolation of the last two steps, 2.13 and
+    # 1.35; from the cubic one, 1.94 and 0.78.
+    dt_max = 2e-5
+    narrow, wide = uniform_grid(9.0, 0.025, 1), uniform_grid(13.5, 0.025, 1)
+    ns = [3.0, 4.0, 5.0, 6.0, 6.0]
+    family = evolve(
+        LOG15, [narrow] * 4 + [wide], [InitialData.truncated(QUARTIC, n) for n in ns],
+        [BoundaryTrace.constant(0.0)] * 5, [0.0, 0.1], EvolveConfig(dt_max=dt_max),
+        [f"n={n:g}" for n in ns[:4]] + ["n=6 on r_out=13.5"],
+    )
+    assert all(fld.steps == 5009 for fld in family.fields)
+    assert max(fld.warm_start_sweeps for fld in family.fields) / 5009 < 3.0
+    assert max(fld.newton_solves for fld in family.fields) / 5009 < 1.0
+    # the zero boundary at r_out = 9 stands in for the whole space: on
+    # r <= 4.5 the n = 6 run agrees with its twin on the wider domain
+    six, six_wide = family.fields[3:]
+    inner = narrow.radii <= 4.5 + 1e-12
+    diff = six_wide.values[:, : len(narrow.radii)][:, inner] - six.values[:, inner]
+    assert np.max(np.abs(diff)) < discretization_tolerance(0.025, dt_max)
 
 
 # ----------------------------------------------------------------------
@@ -799,7 +803,7 @@ def _w_path_only(monkeypatch):
 
 def _theorem_c_fields():
     seq = run_scheme_A4(LOG15, QUARTIC, [3.0, 4.0, 5.0, 6.0], 9.0, [0.0, 0.1],
-                        h=0.025, cfg=EvolveConfig(dt_max=2e-5), influence_check=True)
+                        h=0.025, cfg=EvolveConfig(dt_max=2e-5))
     return seq.fields, seq.diagnostics
 
 
@@ -887,7 +891,7 @@ def test_batched_large_step_on_the_u_path_keeps_caps_and_damping_per_run(monkeyp
         assert np.array_equal(one.values, many.values)
         assert one.newton_iterations_max == many.newton_iterations_max
         assert one.damping_halvings == many.damping_halvings
-    assert family.damping_halvings == 1
+    assert sum(f.damping_halvings for f in family.fields) == 1
     assert family.newton_iterations_max == solo[0].newton_iterations_max > max(
         f.newton_iterations_max for f in solo[1:]
     )
@@ -940,13 +944,15 @@ def test_u_path_step_carries_only_its_u(monkeypatch):
 
 def test_truncation_family_is_exactly_monotone():
     g = GrowthFunction(gamma=lambda r: 0.5 + float(r) ** 2 / 8.0, beta=None, K=None)
-    seq = run_scheme_A4(LOG15, g, [0.4, 0.7], 1.0, [0.0, 0.01, 0.02], h=0.05,
-                        influence_check=True)
-    assert seq.labels == ("n=0.4", "n=0.7")
+    times = [0.0, 0.01, 0.02]
+    seq = run_scheme_A4(LOG15, g, [0.4, 0.7], 1.0, times, h=0.05)
     assert seq.monotone_violation <= 1e-12
-    assert len(seq.cauchy_diffs) == 1
-    assert seq.diagnostics["influence_diff"] < 1e-3  # boundary barely reaches r/2
     assert seq.limit.scheme_tag == "truncated n=0.7"
+    # the boundary barely reaches r <= 0.5: a domain 1.5x wider agrees there
+    wide = run_scheme_A4(LOG15, g, [0.4, 0.7], 1.5, times, h=0.05)
+    inner = seq.limit.grid.radii <= 0.5 + 1e-12
+    diff = wide.limit.values[:, : len(inner)][:, inner] - seq.limit.values[:, inner]
+    assert np.max(np.abs(diff)) < 1e-3
 
 
 def test_truncation_radii_must_fit_domain():
@@ -1012,17 +1018,15 @@ def test_ordering_guard_threshold(increasing):
         return _ramp_fields([hi, lo] if increasing else [lo, hi])
 
     fields = pair(10.0 * tol)
-    seq = _ordered_sequence(fields, [1.0, 2.0], increasing, tol, "test")
+    seq = _ordered_sequence(fields, increasing, tol, "test")
     assert seq.monotone_violation == 10.0 * tol
-    assert seq.cauchy_diffs == (10.0 * tol,)
-    assert seq.labels == ("n=1", "n=2")
     assert seq.limit is fields[-1]
     assert seq.diagnostics == {"tolerance": tol}
     with pytest.raises(MonotonicityError) as info:
-        _ordered_sequence(pair(10.0 * tol + 0.125), [1.0, 2.0], increasing, tol, "test")
+        _ordered_sequence(pair(10.0 * tol + 0.125), increasing, tol, "test")
     assert info.value.violation == 10.0 * tol + 0.125
     # a step in the right direction has a negative violation
-    seq = _ordered_sequence(pair(-1.0), [1.0, 2.0], increasing, tol, "test")
+    seq = _ordered_sequence(pair(-1.0), increasing, tol, "test")
     assert seq.monotone_violation == -1.0
 
 
