@@ -20,7 +20,6 @@ import numpy as np
 
 from absorblab.evolution import (
     BoundaryTrace,
-    EvolveConfig,
     InitialData,
     evolve,
     uniform_grid,
@@ -56,7 +55,7 @@ def time_order(cfg: OrderConfig) -> None:
     errs = []
     for dt in cfg.dt_list:
         fld = evolve(spec, grid, InitialData.raw(flat), trace,
-                     [0.0, cfg.t_final], EvolveConfig(dt_max=dt))
+                     [0.0, cfg.t_final], dt_max=dt)
         err = abs(math.expm1(fld.values[-1, 0]) - exact)
         ratio = errs[-1] / err if errs else float("nan")
         errs.append(err)
@@ -80,7 +79,7 @@ def space_order(cfg: OrderConfig) -> None:
             beta=None, K=None)
         fld = evolve(spec, grid, InitialData.raw(data),
                      BoundaryTrace.constant(float(prof.w_at(r_max))),
-                     [0.0, cfg.t_final], cfg=EvolveConfig(dt_max=1e-4))
+                     [0.0, cfg.t_final], dt_max=1e-4)
         drift = float(np.max(np.abs(fld.values[-1] - fld.values[0])))
         ratio = errs[-1] / drift if errs else float("nan")
         errs.append(drift)

@@ -24,6 +24,15 @@ from scipy.special import logsumexp
 from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# sub-panels per interval of cumulative_gl; the length ratio of consecutive
+# tail_integral panels and its panel budget; classify_tail's panel count, the
+# last panels its slope fit reads, and its dead band's half-width
+_CUMULATIVE_SPLITS = 2
+_TAIL_GROWTH = 2.0
+_TAIL_MAX_PANELS = 200
+_CLASSIFY_PANELS = 40
+_FIT_PANELS = 10
+_DEAD_BAND = 0.05
 
 
 def gl_panel(f, a: float, b: float) -> float:
@@ -39,19 +48,20 @@ def gl_panel_refined(f, a: float, b: float, splits: int = 4) -> float:
     return float(sum(gl_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
 
 
-def cumulative_gl(f, xs: np.ndarray, splits: int = 2) -> np.ndarray:
+def cumulative_gl(f, xs: np.ndarray) -> np.ndarray:
     """Running integral of ``f`` from xs[0] to each breakpoint in ``xs``.
 
     ``xs`` must be sorted (ascending or descending); the result has the same
     length as ``xs`` with value 0 at the first entry.  Each consecutive pair
-    is integrated with ``splits`` Gauss-Legendre sub-panels, so the result is
-    spectrally accurate for smooth integrands on panels of moderate width.
+    is integrated with ``_CUMULATIVE_SPLITS`` Gauss-Legendre sub-panels, so
+    the result is spectrally accurate for smooth integrands on panels of
+    moderate width.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     acc = 0.0
     for i in range(1, len(xs)):
-        acc += gl_panel_refined(f, xs[i - 1], xs[i], splits=splits)
+        acc += gl_panel_refined(f, xs[i - 1], xs[i], splits=_CUMULATIVE_SPLITS)
         out[i] = acc
     return out
 
@@ -60,9 +70,7 @@ def tail_integral(
     f,
     x0: float,
     first_len: float = 1.0,
-    growth: float = 2.0,
     rel_tol: float = 1e-13,
-    max_panels: int = 200,
 ) -> float:
     """Integral of ``f`` over [x0, infinity) for eventually geometric decay.
 
@@ -77,7 +85,7 @@ def tail_integral(
     panels: list[float] = []
     lo = x0
     length = first_len
-    for _ in range(max_panels):
+    for _ in range(_TAIL_MAX_PANELS):
         hi = lo + length
         val = gl_panel_refined(f, lo, hi, splits=4)
         panels.append(val)
@@ -85,7 +93,7 @@ def tail_integral(
         if len(panels) >= 4 and abs(val) < rel_tol * max(abs(total), 1e-300):
             break
         lo = hi
-        length *= growth
+        length *= _TAIL_GROWTH
     else:
         raise QuadratureError(
             "tail integral did not settle within panel budget",
@@ -110,32 +118,28 @@ class TailDiagnostics:
     extrapolated_total: float | None  # None when the tail looks divergent
 
 
-def classify_tail(
-    f,
-    start: float = 1.0,
-    k_max: int = 40,
-    fit_panels: int = 10,
-    band: float = 0.05,
-) -> tuple[bool | None, TailDiagnostics]:
-    """Decide convergence of ``integral of f over [start, infinity)``.
+def classify_tail(f) -> tuple[bool | None, TailDiagnostics]:
+    """Decide convergence of ``integral of f over [1, infinity)``.
 
-    The integrand is summed over geometric panels ``[start*2^k, start*2^(k+1)]``
-    and the mean integrand level per panel is regressed against the log of the
-    panel midpoint.  A fitted slope below ``-1 - band`` reports convergence
-    (True), above ``-1 + band`` divergence (False), and inside the dead band
-    ``None`` -- the caller decides whether an inconclusive verdict is an error.
+    The integrand is summed over the geometric panels ``[2^k, 2^(k+1)]``, k
+    below ``_CLASSIFY_PANELS``, and the mean integrand level of the last
+    ``_FIT_PANELS`` is regressed against the log of the panel midpoint.  A
+    fitted slope below ``-1 - _DEAD_BAND`` reports convergence (True), above
+    ``-1 + _DEAD_BAND`` divergence (False), and inside the dead band ``None``
+    -- the caller decides whether an inconclusive verdict is an error.
     """
+    k_max = _CLASSIFY_PANELS
     ks = np.arange(k_max)
     panel_sums = np.empty(k_max)
     for k in ks:
-        lo = start * 2.0 ** float(k)
+        lo = 2.0 ** float(k)
         hi = 2.0 * lo
         panel_sums[k] = gl_panel_refined(f, lo, hi, splits=4)
-    widths = start * 2.0 ** ks.astype(float)
+    widths = 2.0 ** ks.astype(float)
     mids = 1.5 * widths  # arithmetic midpoint of [w, 2w]
     with np.errstate(divide="ignore"):
         log_mean = np.log(np.maximum(panel_sums / widths, 1e-300))
-    sel = slice(k_max - fit_panels, k_max)
+    sel = slice(k_max - _FIT_PANELS, k_max)
     x = np.log(mids[sel])
     y = log_mean[sel]
     slope, _ = np.polyfit(x, y, 1)
@@ -151,9 +155,9 @@ def classify_tail(
         partial_sum=partial,
         extrapolated_total=extrapolated,
     )
-    if slope < -1.0 - band:
+    if slope < -1.0 - _DEAD_BAND:
         return True, diags
-    if slope > -1.0 + band:
+    if slope > -1.0 + _DEAD_BAND:
         return False, diags
     return None, diags
 

@@ -12,6 +12,7 @@ digits and parse back bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,6 +127,11 @@ def _validate(scenario: str, key: str, value, f: Field):
         raise ConfigError(
             f"{key!r} must be one of {', '.join(map(str, f.choices))}, got {value!r}"
         )
+    # inf parses as a float, and an infinite time or step never ends a run
+    if f.kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    if f.kind == "float_list" and not all(map(math.isfinite, value)):
+        raise ConfigError(f"all entries of {key!r} must be finite")
     if f.kind in ("float", "int") and f.positive and not value > 0:
         raise ConfigError(f"{key!r} must be positive, got {value!r}")
     if f.kind == "float_list":

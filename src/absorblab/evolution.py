@@ -27,7 +27,7 @@ Discretization notes:
   in DAEs*, §5.2; Hairer & Wanner, *Solving ODEs II*, §IV.8), clipped per
   run to ``[0, max(max w_m, w_bc)]``, the discrete maximum principle's
   bound on the step solution.  The first step, and any step more than
-  ``cfg.ramp`` times longer than the one before (the step after a short
+  ``_RAMP`` times longer than the one before (the step after a short
   landing step), begin from the old values ``w_m`` instead, since there
   the extrapolation would scale the last step's rounding and solve error
   by ``dt/dt_prev``; the history restarts there and the polynomial gains
@@ -38,10 +38,10 @@ Discretization notes:
   sweep evaluates the Jacobi fixed point as one log-sum-exp of its four
   log terms shifted by their maximum (Blanchard, Higham & Higham, IMA J.
   Numer. Anal. 41, 2021): a handful of vector exponentials per sweep.
-  Newton stops at ``newton_tol``, or, when the damped search cannot lower
+  Newton stops at ``_NEWTON_TOL``, or, when the damped search cannot lower
   the residual any more, once its correction is within four ulps of
   ``max(1, |w|)``: at large w and dt that roundoff floor of the scaled
-  residual lies above ``newton_tol``.
+  residual lies above ``_NEWTON_TOL``.
 * u path: a step whose family cap ``max(max w_m, w_bc)`` lies below
   ``_U_SWITCH`` sweeps and checks its residual in ``u = e^w - 1``.  The
   Jacobi form ``u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c +
@@ -50,7 +50,7 @@ Discretization notes:
   ``e^w = 1 + u`` and rows sum to c.  Each iterate's ``w = log1p(u)`` is
   taken once; it feeds h, the unchanged ``|dw| < 1e-3`` stop rule and the
   accepted w.  The sweep caps, the clipped start and the boundary rows are
-  the w path's.  Runs that miss ``newton_tol`` go on with the w-form
+  the w path's.  Runs that miss ``_NEWTON_TOL`` go on with the w-form
   residual and damped Newton from that w.  A guard keeps the step in w
   when ``u_cap (1 + dt (max c + h(u_cap)))`` is not finite, as a power law
   can make it below the switch.  The start's history stays in w, and the
@@ -74,7 +74,7 @@ arithmetic, the products of the operator rows with dt (rebuilt only when
 dt changes), and each run's solver counters, which every step adds to in
 place.  The w-form residual takes its five exponentials as one (5, n)
 block, clamped below at -746 where exp is 0, and the Newton loop is
-skipped when every run meets ``newton_tol`` after the sweep.  Every
+skipped when every run meets ``_NEWTON_TOL`` after the sweep.  Every
 operation and its order are those of the plain expressions, so the results
 are bitwise the same; each accepted w is still a fresh array, as the
 start's history keeps the last four.  The only state a step hands the next
@@ -104,8 +104,8 @@ Drivers cover the three ball-exhaustion sequences used by the collapse
 experiments: truncated data on a fixed large ball (A4), profile-capped
 data on growing balls (A8), and the two-sided profile-boundary variant
 (A8.1).  A4 and A8.1 step each family with one :func:`evolve` call; A8
-calls :func:`evolve` once per ball with the same times and config, which
-gives the same step sequence.  The profile balls of A8 and A8.1 (grid,
+calls :func:`evolve` once per ball with the same times and ``dt_max``,
+which gives the same step sequence.  The profile balls of A8 and A8.1 (grid,
 stationary profile, constant boundary trace) all come from
 ``_profile_ball``, and every driver checks and packs its ordering through
 ``_ordered_sequence``.
@@ -138,7 +138,6 @@ __all__ = [
     "uniform_grid",
     "InitialData",
     "BoundaryTrace",
-    "EvolveConfig",
     "EvolutionField",
     "EvolutionFamily",
     "SchemeSequence",
@@ -273,17 +272,6 @@ class BoundaryTrace:
 
 
 @dataclass(frozen=True)
-class EvolveConfig:
-    """Time stepping and Newton controls for one evolution run."""
-
-    dt_max: float = 1e-3
-    dt_init: float = 1e-6
-    ramp: float = 1.3
-    newton_tol: float = 1e-10
-    damp_max: int = 30
-
-
-@dataclass(frozen=True)
 class EvolutionField:
     """One evolution run: values[i, j] = ln(1 + u(times[i], radii[j]))."""
 
@@ -367,11 +355,22 @@ def _operator_rows(grid: RadialGrid):
     return a, b, c
 
 
-def _internal_times(times: np.ndarray, cfg: EvolveConfig):
+# the step controls: the first step and the ratio of each ramp step to the
+# one before, up to the caller's dt_max; the scaled residual a step must
+# reach; the Newton iterations a step may take before it raises, and the
+# halvings of one damped search
+_DT_INIT = 1e-6
+_RAMP = 1.3
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX = 50
+_DAMP_MAX = 30
+
+
+def _internal_times(times: np.ndarray, dt_max: float):
     """Backward-Euler step sequence hitting every output time exactly."""
     steps = []
     is_output = []
-    dt = cfg.dt_init
+    dt = _DT_INIT
     t = 0.0
     for T in times[1:]:
         while t < T * (1.0 - 1e-14) - 1e-300:
@@ -380,7 +379,7 @@ def _internal_times(times: np.ndarray, cfg: EvolveConfig):
             t = T if T - t <= dt * (1.0 + 1e-6) else t + dt
             steps.append(t)
             is_output.append(t == T)
-            dt = min(dt * cfg.ramp, cfg.dt_max)
+            dt = min(dt * _RAMP, dt_max)
         if not is_output or not is_output[-1]:
             # T coincided with an earlier landing within rounding
             steps.append(T)
@@ -419,8 +418,8 @@ class _Stepper:
     warm-start sweeps a step, enough to flood its grid twice over.  The dt
     products are rebuilt only when dt changes, at a fixed ``dt_max`` rarely."""
 
-    def __init__(self, spec, grids, tags, cfg):
-        self.spec, self.tags, self.cfg = spec, tags, cfg
+    def __init__(self, spec, grids, tags):
+        self.spec, self.tags = spec, tags
         # row j of a run couples only to j-1 and j+1 of the same run: a = 0 at
         # each block start and b = 0 at each block end, so the concatenated rows
         # form a block-diagonal system
@@ -657,10 +656,6 @@ def _w_warm_start(stepper, wm, w_bc, dt):
     return cur, trial
 
 
-# Newton iterations a step may take before it raises
-_NEWTON_MAX = 50
-
-
 def _step(stepper, wm, x0, w_bc, dt, step_index):
     """One backward-Euler step of every run from the starting iterate ``x0``;
     returns the accepted w, always a fresh array, and adds the step's solver
@@ -671,7 +666,7 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
     cap picks u or w, see ``_u_path_fits``); runs that have finished a phase
     keep their values while the others go on.
     """
-    spec, cfg, tags = stepper.spec, stepper.cfg, stepper.tags
+    spec, tags = stepper.spec, stepper.tags
     starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
     tmp = stepper.tmp
     cur = stepper.iterates[0]
@@ -686,9 +681,15 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
         cur, trial, norm = _u_warm_start(stepper, wm, w_bc, dt)
     else:
         cur, trial = _w_warm_start(stepper, wm, w_bc, dt)
+        norm = np.full(len(starts), math.inf)  # the w sweep checks no residual
+    # the w-form residual, where Newton starts, of the runs that the sweep's
+    # check did not settle: every run on the w path, on the u path the runs
+    # whose u residual missed the tolerance
+    unsettled = ~(norm < _NEWTON_TOL)
+    if unsettled.any():
         stepper.source[3] = wm
         G = _scaled_residual(stepper, cur, dt)
-        norm = np.maximum.reduceat(np.abs(G, out=tmp), starts)
+        np.copyto(norm, np.maximum.reduceat(np.abs(G, out=tmp), starts), where=unsettled)
 
     def fail(run, message):
         return NewtonDivergenceError(
@@ -698,18 +699,12 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
 
     iters_max = stepper.iters_max
     np.maximum(iters_max, 1, out=iters_max)  # a step counts as one iteration at least
-    active = ~(norm < cfg.newton_tol)
+    active = ~(norm < _NEWTON_TOL)
     # the Newton loop, skipped when every run meets the tolerance at the
     # warm start already, as most steps' runs do
-    newton_runs = active.copy()  # their u is left behind
     if active.any():
-        if u_path:
-            # the runs that missed it go on in w, from the w of their u
-            stepper.source[3] = wm
-            G = _scaled_residual(stepper, cur, dt)
-            np.copyto(norm, np.maximum.reduceat(np.abs(G, out=tmp), starts), where=active)
         for it in range(1, _NEWTON_MAX + 1):
-            done = active & (norm < cfg.newton_tol)
+            done = active & (norm < _NEWTON_TOL)
             np.maximum(iters_max, it, out=iters_max, where=done)
             active &= ~done
             if not active.any():
@@ -738,7 +733,7 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
             # runs still searching share one step length: all start at 1 together
             step = 1.0
             pending = active.copy()
-            for tries in range(cfg.damp_max + 1):
+            for tries in range(_DAMP_MAX + 1):
                 if tries:
                     stepper.halvings += pending
                 x_try = np.multiply(delta, step, out=trial.x)
@@ -748,7 +743,7 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
                 n_try = np.maximum.reduceat(
                     np.abs(_scaled_residual(stepper, trial, dt), out=tmp), starts
                 )
-                accept = pending & ((n_try < norm) | (n_try < cfg.newton_tol))
+                accept = pending & ((n_try < norm) | (n_try < _NEWTON_TOL))
                 if np.array_equal(accept, pending):
                     # runs outside `pending` kept their x, so their rows are unchanged
                     cur, trial = trial, cur
@@ -773,15 +768,15 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
         if active.any():
             raise fail(
                 int(np.argmax(active)),
-                f"Newton did not reach {cfg.newton_tol:g} within {_NEWTON_MAX} iterations",
+                f"Newton did not reach {_NEWTON_TOL:g} within {_NEWTON_MAX} iterations",
             )
 
     x = cur.x
     stepper.clips += np.add.reduceat(x < -1e-10, starts, dtype=int)
     np.maximum(stepper.worst_residual, norm, out=stepper.worst_residual)
     w = np.maximum(x, 0.0)
-    # the next step's u_m is this step's u, except on the runs Newton moved
-    stepper.um_of, stepper.um_stale = (w if u_path else None), newton_runs
+    # the next step's u_m is this step's u, except on the runs that went on in w
+    stepper.um_of, stepper.um_stale = (w, unsettled) if u_path else (None, None)
     return w
 
 
@@ -811,14 +806,15 @@ def evolve(
     init: InitialData | Sequence[InitialData],
     boundary: BoundaryTrace | Sequence[BoundaryTrace],
     times: Sequence[float],
-    cfg: EvolveConfig = EvolveConfig(),
+    dt_max: float = 1e-3,
     scheme_tag: str | Sequence[str] = "evolve",
 ) -> EvolutionField | EvolutionFamily:
     """Backward-Euler evolution of the absorption problem on the grid.
 
-    ``times`` are the output instants (times[0] = 0); internal stepping
-    refines geometrically near t = 0 (first step cfg.dt_init, ratio
-    cfg.ramp) up to cfg.dt_max and lands on every output time exactly.
+    ``times`` are the output instants (times[0] = 0), finite and strictly
+    increasing; internal stepping refines geometrically near t = 0 (first
+    step ``_DT_INIT``, ratio ``_RAMP``) up to ``dt_max`` and lands on every
+    output time exactly.
     The boundary column of the result equals the declared trace exactly.
 
     Family form: with a sequence of grids, ``init``, ``boundary`` and
@@ -838,13 +834,17 @@ def evolve(
     times = np.asarray(list(times), dtype=float)
     if len(times) == 0 or times[0] != 0.0:
         raise PreconditionError("output times must start at t = 0")
+    if not np.all(np.isfinite(times)):
+        raise PreconditionError("output times must be finite")
     if np.any(np.diff(times) <= 0.0):
         raise PreconditionError("output times must be strictly increasing")
+    if not 0.0 < dt_max < math.inf:
+        raise PreconditionError(f"dt_max must be positive and finite, got {dt_max!r}")
 
-    stepper = _Stepper(spec, grids, tags, cfg)
+    stepper = _Stepper(spec, grids, tags)
     starts, ends = stepper.starts, stepper.ends
     w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
-    step_times, is_output = _internal_times(times, cfg)
+    step_times, is_output = _internal_times(times, dt_max)
     all_times = np.concatenate(([0.0], step_times))
     bc = np.empty((len(all_times), len(grids)))  # row k: boundary values at step k
     for i, trace in enumerate(bcs):
@@ -865,7 +865,7 @@ def evolve(
         # restart the history after a step much shorter than this one, whose
         # error the extrapolation would magnify (see the module notes); the
         # slack keeps rounding in t from tripping it on a regular ramp step
-        if dt_prev is not None and dt > cfg.ramp * dt_prev * (1.0 + 1e-9):
+        if dt_prev is not None and dt > _RAMP * dt_prev * (1.0 + 1e-9):
             del hist_t[:-1], hist_w[:-1]
         x0 = _extrapolate(hist_t, hist_w, t, stepper.tmp)
         w = _step(stepper, w, x0, bc[k + 1], dt, k)
@@ -977,7 +977,7 @@ def run_scheme_A4(
     r_out: float,
     times: Sequence[float],
     h: float = 0.025,
-    cfg: EvolveConfig = EvolveConfig(),
+    dt_max: float = 1e-3,
     tol: float | None = None,
     dimension: int = 1,
 ) -> SchemeSequence:
@@ -993,12 +993,12 @@ def run_scheme_A4(
     if n_list[-1] >= r_out:
         raise PreconditionError("truncation radii must stay below r_out")
     if tol is None:
-        tol = discretization_tolerance(h, cfg.dt_max)
+        tol = discretization_tolerance(h, dt_max)
     grid = uniform_grid(r_out, h, dimension)
     inits = [InitialData.truncated(g, n) for n in n_list]
     tags = [f"truncated n={n:g}" for n in n_list]
     bcs = [BoundaryTrace.constant(0.0, label="zero")] * len(n_list)
-    fields = evolve(spec, [grid] * len(n_list), inits, bcs, times, cfg, tags).fields
+    fields = evolve(spec, [grid] * len(n_list), inits, bcs, times, dt_max, tags).fields
     return _ordered_sequence(fields, True, tol, "truncation",
                              diagnostics={"solver_work": _solver_work(fields)})
 
@@ -1010,7 +1010,7 @@ def run_scheme_A8(
     n_list: Sequence[float],
     times: Sequence[float],
     h: float = 0.025,
-    cfg: EvolveConfig = EvolveConfig(),
+    dt_max: float = 1e-3,
     tol: float | None = None,
     domination: str = "warn",
 ) -> SchemeSequence:
@@ -1024,7 +1024,7 @@ def run_scheme_A8(
     """
     n_list = sorted(float(n) for n in n_list)
     if tol is None:
-        tol = discretization_tolerance(h, cfg.dt_max)
+        tol = discretization_tolerance(h, dt_max)
     if domination not in ("warn", "require", "skip"):
         raise DomainError("domination policy must be warn, require or skip")
 
@@ -1049,13 +1049,13 @@ def run_scheme_A8(
                 f"data does not dominate the height-{a:g} profile up to {max(n_list):g}"
             )
 
-    # one evolve call per ball; the shared times and cfg give every run the
-    # same step sequence, as the ordering check needs
+    # one evolve call per ball; the shared times and dt_max give every run
+    # the same step sequence, as the ordering check needs
     fields = []
     for n in n_list:
         grid, prof, bc = _profile_ball(spec, a, n, h)
         fields.append(evolve(
-            spec, grid, InitialData.capped(g, prof), bc, times, cfg,
+            spec, grid, InitialData.capped(g, prof), bc, times, dt_max,
             scheme_tag=f"capped a={a:g} n={n:g}",
         ))
     diagnostics["solver_work"] = _solver_work(fields)
@@ -1070,7 +1070,7 @@ def run_scheme_A8_1(
     n_list: Sequence[float],
     times: Sequence[float],
     h: float = 0.025,
-    cfg: EvolveConfig = EvolveConfig(),
+    dt_max: float = 1e-3,
     tol: float | None = None,
 ) -> tuple[SchemeSequence, SchemeSequence]:
     """Two-sided profile-boundary exhaustion for sandwiched data.
@@ -1084,7 +1084,7 @@ def run_scheme_A8_1(
         raise PreconditionError("need 0 < c < b")
     n_list = sorted(float(n) for n in n_list)
     if tol is None:
-        tol = discretization_tolerance(h, cfg.dt_max)
+        tol = discretization_tolerance(h, dt_max)
 
     lower_balls = [_profile_ball(spec, c, n, h) for n in n_list]
     upper_balls = [_profile_ball(spec, b, n, h) for n in n_list]
@@ -1101,7 +1101,7 @@ def run_scheme_A8_1(
     grids, _, bcs = zip(*lower_balls, *upper_balls)
     inits = [InitialData.raw(g)] * len(grids)
     tags = [f"sandwich a={center:g} n={n:g}" for center in (c, b) for n in n_list]
-    fields = evolve(spec, grids, inits, bcs, times, cfg, tags).fields
+    fields = evolve(spec, grids, inits, bcs, times, dt_max, tags).fields
     lower, upper = fields[: len(n_list)], fields[len(n_list):]
     return (
         _ordered_sequence(lower, True, tol, "lower sandwich",

@@ -269,7 +269,7 @@ def _numeric_H_interpolant(spec: Nonlinearity, x_max: float) -> Callable:
     def integrand(x):
         return np.exp(2.0 * np.asarray(x) + log_h_at_log(spec, np.asarray(x)))
 
-    Hs = cumulative_gl(integrand, xs, splits=2)
+    Hs = cumulative_gl(integrand, xs)
     good = Hs > 0.0
     interp = PchipInterpolator(xs[good], np.log(Hs[good]), extrapolate=True)
     return interp
@@ -287,7 +287,7 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
         s = np.asarray(s, dtype=float)
         return 1.0 / (s * _h_vec(spec, s))
 
-    verdict_o, diag_o = classify_tail(osgood_integrand, start=1.0)
+    verdict_o, diag_o = classify_tail(osgood_integrand)
 
     lnH = _numeric_H_interpolant(spec, x_max=math.log(2.0) * 42.0)
 
@@ -295,7 +295,7 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
         s = np.asarray(s, dtype=float)
         return np.exp(-0.5 * lnH(np.log(s)))
 
-    verdict_k, diag_k = classify_tail(ko_integrand, start=1.0)
+    verdict_k, diag_k = classify_tail(ko_integrand)
     return {
         "osgood_numeric": verdict_o,
         "osgood_slope": diag_o.slope,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import AbsorbLabError, ConfigError
-from .evolution import EvolveConfig, _reduce_work, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
+from .evolution import _reduce_work, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
 from .flat_ode import solve_phi, solve_phi_infinity_log
 from .io import RunManifest, emit_csv, emit_manifest
 from .nonlinearity import Nonlinearity, classify_conditions, log_u_from_w
@@ -174,7 +174,6 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
     g = _power_growth(config["growth_constant"], config["growth_power"])
     times = [0.0, *config["t_checks"]]
     h = config["h"]
-    cfg = EvolveConfig(dt_max=config["dt_max"])
     man = RunManifest(config=config, tolerance_scale=scale)
     rows = []
     centers = {}
@@ -185,7 +184,7 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
         # tol here is only the runaway-scheme guard; the pass/fail threshold
         # for the ordering check is h^2 and lives in the manifest.
         seq = run_scheme_A8(
-            spec, g, a, config["n_list"], times, h=h, cfg=cfg, tol=1.0,
+            spec, g, a, config["n_list"], times, h=h, dt_max=config["dt_max"], tol=1.0,
             domination=config["domination"],
         )
         seqs.append(seq)
@@ -222,10 +221,9 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     tf = config["t_final"]
     times = [0.0, tf / 4.0, tf / 2.0, tf]
     h = config["h"]
-    cfg = EvolveConfig(dt_max=config["dt_max"])
     man = RunManifest(config=config, tolerance_scale=scale)
     seq = run_scheme_A4(
-        spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg,
+        spec, g, config["n_list"], config["r_out"], times, h=h, dt_max=config["dt_max"],
         dimension=config["dimension"],
     )
     lam = dict(zip(times[1:], solve_phi_infinity_log(spec, times[1:]).tolist()))
@@ -266,8 +264,7 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
 
 def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
-    h = config["h"]
-    cfg = EvolveConfig(dt_max=config["dt_max"])
+    h, dt_max = config["h"], config["dt_max"]
     tf = config["t_final"]
     times = [0.0, tf / 2.0, tf]
     man = RunManifest(config=config, tolerance_scale=scale)
@@ -291,11 +288,11 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     r_star = brentq(lambda r: prof_c.w_at(r) - target_w, 1e-6, config["n_list"][0])
     v_c_star = math.expm1(float(prof_c.w_at(r_star)))
 
-    a4 = run_scheme_A4(spec, g, config["n_list"], config["r_out"], times, h=h, cfg=cfg)
+    a4 = run_scheme_A4(spec, g, config["n_list"], config["r_out"], times, h=h, dt_max=dt_max)
     # tol=1.0: ordering drift of the sandwich families is reported below,
     # not fatal (only a log-unit runaway trips the scheme guard).
     lower, upper = run_scheme_A8_1(
-        spec, g, config["c"], config["b"], config["n_list"], times, h=h, cfg=cfg,
+        spec, g, config["c"], config["b"], config["n_list"], times, h=h, dt_max=dt_max,
         tol=1.0,
     )
     man.notes["lower_family_violation"] = lower.monotone_violation

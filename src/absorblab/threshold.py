@@ -62,6 +62,12 @@ __all__ = [
     "threshold_report",
 ]
 
+# nodes of domination_radius's profile scan, the largest height that
+# critical_flat_height brackets, and heat_core_log_integral's Simpson nodes
+_DOMINATION_GRID = 2049
+_BRACKET_MAX = 1e12
+_HEAT_CORE_NODES = 4001
+
 
 @dataclass(frozen=True)
 class GrowthFunction:
@@ -93,7 +99,6 @@ def domination_radius(
     n: float,
     N: int,
     search_max: float,
-    grid_points: int = 2049,
 ) -> float:
     """Last radius after which the data dominates the height-n profile.
 
@@ -102,7 +107,8 @@ def domination_radius(
     data dominates everywhere.  Raises :class:`DominationError` when the
     data is still below the profile at ``search_max``.
     """
-    prof = shoot_profile(spec, n, N, search_max, grid=np.linspace(0.0, search_max, grid_points))
+    grid = np.linspace(0.0, search_max, _DOMINATION_GRID)
+    prof = shoot_profile(spec, n, N, search_max, grid=grid)
     diff = g.gamma_vec(prof.radii) - prof.w_values
     if diff[-1] < 0.0:
         raise DominationError(
@@ -125,7 +131,7 @@ def domination_radius(
     return 0.5 * (lo + hi)
 
 
-def critical_flat_height(spec: Nonlinearity, bracket_max: float = 1e12) -> float:
+def critical_flat_height(spec: Nonlinearity) -> float:
     """Least initial height whose flat solution still exceeds 1 at t = 1.
 
     Above this height the flat trajectory keeps ``omega/(omega+1) >= 1/2``
@@ -143,7 +149,7 @@ def critical_flat_height(spec: Nonlinearity, bracket_max: float = 1e12) -> float
         return 1.0
     while final_value(hi) < 1.0:
         lo, hi = hi, hi * 4.0
-        if hi > bracket_max:
+        if hi > _BRACKET_MAX:
             raise PreconditionError("no finite height reaches 1 at t = 1")
     for _ in range(60):
         mid = math.sqrt(lo * hi)
@@ -338,7 +344,6 @@ def heat_core_log_integral(
     g: GrowthFunction,
     omega_int: float,
     N: int = 1,
-    n_nodes: int = 4001,
 ) -> float:
     """log of the inner heat-convolution term over the ball of radius r_n.
 
@@ -356,7 +361,7 @@ def heat_core_log_integral(
     def log_f(y: np.ndarray) -> np.ndarray:
         return -((x_radius - y) ** 2) / (4.0 * t) + g.log_data(np.abs(y))
 
-    log_int = log_simpson(log_f, -r_n, r_n, n=n_nodes)
+    log_int = log_simpson(log_f, -r_n, r_n, n=_HEAT_CORE_NODES)
     return float(-omega_int - 0.5 * math.log(4.0 * math.pi * t) + log_int)
 
 

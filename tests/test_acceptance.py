@@ -36,7 +36,6 @@ from absorblab._quad import log_simpson
 from absorblab.config import load_config
 from absorblab.evolution import (
     BoundaryTrace,
-    EvolveConfig,
     InitialData,
     check_comparison,
     evolve,

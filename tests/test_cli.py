@@ -234,6 +234,14 @@ def test_script_help_runs(name):
     assert "usage:" in proc.stdout
 
 
+def test_stepsize_orders_reaches_both_studies():
+    # --help stops before the script's two evolve calls; a short horizon runs them
+    proc = _run_script("stepsize_orders.py", "--t-final", "0.01")
+    assert proc.returncode == 0, proc.stderr
+    assert "observed order in dt:" in proc.stdout
+    assert "observed order in h:" in proc.stdout
+
+
 def test_collapse_gap_study_prints_theorem_c_gaps(tmp_path):
     out = tmp_path / "study"
     proc = _run_script("collapse_gap_study.py", "--n", "3", "4", "--h", "0.1",

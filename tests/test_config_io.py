@@ -78,6 +78,24 @@ def test_positivity_enforced():
         parse_config("theorem-b", "h = -0.025\n")
 
 
+@pytest.mark.parametrize("text", [
+    "t_final = inf\n", "t_final = nan\n", "r_out = -inf\n",
+    "t_checks = 0.25, inf\n", "n_list = 3, nan\n",
+])
+def test_non_finite_numbers_rejected(tmp_path, text):
+    # t_final = inf and t_checks = 0.25, inf used to parse, and theorem-c
+    # then stepped toward T = inf without end
+    key = text.split(" =")[0]
+    scenario = "theorem-b" if key == "t_checks" else "theorem-c"
+    with pytest.raises(ConfigError, match=f"{key}.*finite"):
+        parse_config(scenario, text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_family_choice_enforced():
     with pytest.raises(ConfigError):
         parse_config("flat-ode", "family = cubic\n")

@@ -16,7 +16,6 @@ from absorblab.errors import (
 )
 from absorblab.evolution import (
     BoundaryTrace,
-    EvolveConfig,
     EvolutionFamily,
     EvolutionField,
     InitialData,
@@ -39,6 +38,17 @@ from absorblab.threshold import GrowthFunction
 
 LOG15 = Nonlinearity.log_power(1.5)
 QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * float(r) ** 4, beta=4.0, K=2.0)
+
+
+@pytest.fixture
+def controls(monkeypatch):
+    """Sets the stepper's private controls for one test by their names in
+    lower case: ``controls(dt_init=1.0, damp_max=0)`` sets ``_DT_INIT`` and
+    ``_DAMP_MAX``."""
+    def set_controls(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(evolution, f"_{name.upper()}", value)
+    return set_controls
 
 
 def flat_growth(w_value: float) -> GrowthFunction:
@@ -111,10 +121,10 @@ def test_grid_validation():
                    dimension=1)  # nonuniform
 
 
-def test_internal_times_land_on_outputs():
-    cfg = EvolveConfig(dt_max=1e-2, dt_init=1e-4, ramp=1.5)
+def test_internal_times_land_on_outputs(controls):
+    controls(dt_init=1e-4, ramp=1.5)
     times = np.array([0.0, 0.013, 0.05])
-    steps, is_output = _internal_times(times, cfg)
+    steps, is_output = _internal_times(times, 1e-2)
     assert steps[0] == pytest.approx(1e-4)
     assert np.all(np.diff(np.concatenate(([0.0], steps))) <= 1e-2 + 1e-12)
     hit = steps[is_output]
@@ -127,10 +137,9 @@ def test_internal_times_land_on_outputs():
 def test_internal_times_leave_no_sliver_steps(times):
     # summed rounding in t used to leave a last step of 4.8e-14 (2.0e-15) before
     # an output time, each a full Newton solve; that step is now stretched
-    cfg = EvolveConfig(dt_max=2e-5)
-    steps, is_output = _internal_times(np.array(times), cfg)
+    steps, is_output = _internal_times(np.array(times), 2e-5)
     assert np.array_equal(steps[is_output], times[1:])
-    assert np.min(np.diff(np.concatenate(([0.0], steps)))) >= cfg.dt_init
+    assert np.min(np.diff(np.concatenate(([0.0], steps)))) >= evolution._DT_INIT
 
 
 def test_evolve_time_and_data_validation():
@@ -143,6 +152,24 @@ def test_evolve_time_and_data_validation():
     bad = GrowthFunction(gamma=lambda r: -1.0, beta=None, K=None)
     with pytest.raises(DomainError):
         evolve(LOG15, grid, InitialData.raw(bad), bc, [0.0, 0.1])
+
+
+@pytest.mark.parametrize("times", [[0.0, math.inf], [0.0, 0.25, math.inf], [0.0, math.nan]])
+def test_evolve_rejects_non_finite_times(times):
+    # [0, inf, inf] passed the ordering check, since inf - inf is NaN, and
+    # the step schedule then grew toward T = inf without end
+    with pytest.raises(PreconditionError, match="finite"):
+        evolve(LOG15, uniform_grid(1.0, 0.05, 1), InitialData.zero(),
+               BoundaryTrace.constant(0.0), times)
+
+
+@pytest.mark.parametrize("dt_max", [0.0, -1e-3, math.nan, math.inf])
+def test_evolve_rejects_step_caps_outside_zero_to_inf(dt_max):
+    # a zero or negative cap stops t from advancing, so the schedule never
+    # ended; a NaN cap left the step uncapped
+    with pytest.raises(PreconditionError, match="dt_max"):
+        evolve(LOG15, uniform_grid(1.0, 0.05, 1), InitialData.zero(),
+               BoundaryTrace.constant(0.0), [0.0, 0.1], dt_max)
 
 
 def test_initial_data_kinds_on_grid():
@@ -185,13 +212,12 @@ def test_flat_run_reproduces_scalar_recursion():
     # flat data with the matched scalar path on the boundary: the discrete
     # Laplacian vanishes and every node must follow the scalar recursion
     a = 2.0
-    cfg = EvolveConfig()
     times = np.array([0.0, 0.1, 0.3, 0.5])
-    step_times, _ = _internal_times(times, cfg)
+    step_times, _ = _internal_times(times, 1e-3)
     path = scalar_backward_euler_u(LOG15, a, step_times)
     grid = uniform_grid(2.0, 0.1, 1)
     fld = evolve(LOG15, grid, InitialData.raw(flat_growth(math.log1p(a))),
-                 path_trace(path), times, cfg)
+                 path_trace(path), times, 1e-3)
     want = np.array([path[round(float(t), 15)] for t in times])
     assert np.max(np.abs(fld.values - want[:, None])) < 1e-9
     assert fld.negative_clips == 0
@@ -219,8 +245,7 @@ def test_time_stepping_is_first_order():
     for dt in (1e-3, 5e-4):
         grid = uniform_grid(4.0, 0.1, 1)
         fld = evolve(LOG15, grid, InitialData.raw(flat_growth(math.log1p(a))),
-                     BoundaryTrace.flat_trace(LOG15, a), times,
-                     EvolveConfig(dt_max=dt))
+                     BoundaryTrace.flat_trace(LOG15, a), times, dt)
         errs.append(abs(float(fld.values[-1, 0]) - w_cont))
     ratio = errs[0] / errs[1]
     assert ratio == pytest.approx(2.0, rel=0.2)
@@ -254,13 +279,12 @@ def test_capped_data_stays_below_profile():
 def test_cliff_data_bounded_by_scalar_majorant():
     # truncated quartic data up to ln(1+u) = 512: the field must stay below
     # the flat implicit decay started from the data maximum (same steps)
-    cfg = EvolveConfig()
     times = np.array([0.0, 0.25, 0.5])
-    step_times, _ = _internal_times(times, cfg)
+    step_times, _ = _internal_times(times, 1e-3)
     majorant = scalar_backward_euler_log(LOG15, 2.0 * 4.0**4, step_times)
     grid = uniform_grid(9.0, 0.05, 1)
     fld = evolve(LOG15, grid, InitialData.truncated(QUARTIC, 4.0),
-                 BoundaryTrace.constant(0.0), times, cfg)
+                 BoundaryTrace.constant(0.0), times, 1e-3)
     for i, t in enumerate(times):
         assert float(np.max(fld.values[i])) <= majorant[round(float(t), 15)] + 1e-9
     assert fld.negative_clips == 0
@@ -270,13 +294,12 @@ def test_cliff_data_bounded_by_scalar_majorant():
 def test_giant_cliff_data_solves_cleanly():
     # data reaching ln(1+u) = 2592 over a cliff to zero: the warm start must
     # carry Newton across the free front without divergence
-    cfg = EvolveConfig()
     times = np.array([0.0, 0.5])
-    step_times, _ = _internal_times(times, cfg)
+    step_times, _ = _internal_times(times, 1e-3)
     majorant = scalar_backward_euler_log(LOG15, 2.0 * 6.0**4, step_times)
     grid = uniform_grid(9.0, 0.05, 1)
     fld = evolve(LOG15, grid, InitialData.truncated(QUARTIC, 6.0),
-                 BoundaryTrace.constant(0.0), times, cfg)
+                 BoundaryTrace.constant(0.0), times, 1e-3)
     assert float(np.max(fld.values[-1])) <= majorant[round(0.5, 15)] + 1e-9
     assert np.all(np.isfinite(fld.values))
     assert fld.negative_clips == 0
@@ -345,12 +368,12 @@ def _mixed_family():
     ]
 
 
-def _family(runs, times, cfg):
+def _family(runs, times, dt_max=1e-3):
     grids, inits, bcs, tags = zip(*runs)
-    return evolve(LOG15, grids, inits, bcs, times, cfg, tags)
+    return evolve(LOG15, grids, inits, bcs, times, dt_max, tags)
 
 
-def _h_evals(monkeypatch, run, times, cfg):
+def _h_evals(monkeypatch, run, times, dt_max=1e-3):
     calls = []
 
     def counted(spec, x):
@@ -358,19 +381,19 @@ def _h_evals(monkeypatch, run, times, cfg):
         return h_of_w(spec, x)
 
     monkeypatch.setattr(evolution, "h_of_w", counted)
-    field = evolve(LOG15, *run[:3], times, cfg, scheme_tag=run[3])
+    field = evolve(LOG15, *run[:3], times, dt_max, scheme_tag=run[3])
     monkeypatch.setattr(evolution, "h_of_w", h_of_w)
     return field, len(calls)
 
 
 def test_batched_family_matches_solo_runs_bitwise(monkeypatch):
-    times, cfg = [0.0, 0.01, 0.02], EvolveConfig()
+    times = [0.0, 0.01, 0.02]
     runs = _mixed_family()
-    solo, evals = zip(*(_h_evals(monkeypatch, run, times, cfg) for run in runs))
+    solo, evals = zip(*(_h_evals(monkeypatch, run, times) for run in runs))
     # the cliff needs several times the warm-start sweeps of the others, so
     # runs leave the sweep loop at different times within one step
     assert evals[1] > 3 * max(evals[0], evals[2], evals[3])
-    family = _family(runs, times, cfg)
+    family = _family(runs, times)
     assert isinstance(family, EvolutionFamily)
     assert [f.scheme_tag for f in family.fields] == [run[3] for run in runs]
     for one, many in zip(solo, family.fields):
@@ -388,18 +411,23 @@ def test_family_needs_one_entry_per_run():
     runs = _mixed_family()
     grids, inits, bcs, tags = zip(*runs)
     with pytest.raises(PreconditionError, match="per run"):
-        evolve(LOG15, grids, inits[:-1], bcs, [0.0, 0.01], EvolveConfig(), tags)
+        evolve(LOG15, grids, inits[:-1], bcs, [0.0, 0.01], scheme_tag=tags)
     with pytest.raises(PreconditionError, match="per run"):
-        evolve(LOG15, [], [], [], [0.0, 0.01], EvolveConfig(), [])
+        evolve(LOG15, [], [], [], [0.0, 0.01], scheme_tag=[])
 
 
-def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch):
-    # one step of dt = 1: the warm start contracts so slowly that every run
-    # stops at its own cap of 2J + 100 sweeps, and the cliff run halves one
-    # Newton step.  An h_of_w count is sweeps + Newton iterations + halvings.
-    # Pinned to the w path; its u-path twin is below.
-    monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
-    times, cfg = [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0)
+@pytest.mark.parametrize("u_steps", [0, 1], ids=["w_path", "u_path"])
+def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch, controls, u_steps):
+    # one step of dt = 1, on the w path (the switch at -inf) or on the u
+    # path: the warm start contracts so slowly that every run stops at its
+    # own cap of 2J + 100 sweeps, every run needs Newton, and the cliff run
+    # halves one Newton step.  An h_of_w count is sweeps + Newton iterations
+    # + halvings, and one more on the u path: the w-form residual at the w of
+    # its u, where Newton starts.
+    if not u_steps:
+        monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
+    controls(dt_init=1.0)
+    times = [0.0, 1.0]
     smooth = _mixed_family()[0][1]
     runs = [
         (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
@@ -407,14 +435,17 @@ def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch):
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
         (uniform_grid(3.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "long"),
     ]
-    solo, evals = zip(*(_h_evals(monkeypatch, run, times, cfg) for run in runs))
+    solo, evals = zip(*(_h_evals(monkeypatch, run, times, 1.0) for run in runs))
+    assert all(f.u_steps == u_steps and f.newton_solves > 0 for f in solo)
     caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
-    halvings = [n - cap - f.newton_iterations_max for n, cap, f in zip(evals, caps, solo)]
-    assert caps == [160, 180, 220] and halvings == [1, 0, 0]
+    halvings = [n - cap - f.newton_iterations_max - u_steps
+                for n, cap, f in zip(evals, caps, solo)]
+    assert [f.warm_start_sweeps for f in solo] == caps == [160, 180, 220]
+    assert halvings == [1, 0, 0]
     assert [f.damping_halvings for f in solo] == halvings
     # stepped last in the family, the damped run still gets its own count,
     # which is the family maximum
-    family = _family(runs[::-1], times, cfg)
+    family = _family(runs[::-1], times, 1.0)
     for one, many in zip(solo[::-1], family.fields):
         assert np.array_equal(one.values, many.values)
         assert one.newton_iterations_max == many.newton_iterations_max
@@ -425,11 +456,11 @@ def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch):
     )
 
 
-def test_batched_stall_names_the_failing_run():
+def test_batched_stall_names_the_failing_run(controls):
     # one undamped step of dt = 1: the cliff run's full Newton step overshoots
     # by a correction of order one, far above roundoff, so it stalls while the
     # smooth run converges without damping
-    cfg = EvolveConfig(dt_init=1.0, dt_max=1.0, damp_max=0)
+    controls(dt_init=1.0, damp_max=0)
     smooth = _mixed_family()[0][1]
     runs = [
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "smooth"),
@@ -437,37 +468,39 @@ def test_batched_stall_names_the_failing_run():
          BoundaryTrace.constant(0.0), "cliff"),
     ]
     with pytest.raises(NewtonDivergenceError, match="'cliff'") as batched:
-        _family(runs, [0.0, 1.0], cfg)
+        _family(runs, [0.0, 1.0], 1.0)
     assert "stalled" in str(batched.value)
     with pytest.raises(NewtonDivergenceError) as solo:
-        evolve(LOG15, *runs[1][:3], [0.0, 1.0], cfg, scheme_tag=runs[1][3])
+        evolve(LOG15, *runs[1][:3], [0.0, 1.0], 1.0, scheme_tag=runs[1][3])
     assert str(solo.value) == str(batched.value)
     assert batched.value.step_index == solo.value.step_index == 0
     assert batched.value.residual == solo.value.residual > 1.0
 
 
 @pytest.mark.parametrize("dt", [0.1, 1.0])
-def test_newton_stall_at_roundoff_is_accepted(dt):
+def test_newton_stall_at_roundoff_is_accepted(controls, dt):
     # one large step on data reaching w = 800: the damped search cannot push
     # the scaled residual below 1.8e-10 (dt = 0.1) or 2.2e-9 (dt = 1), above
-    # newton_tol, because the last Newton correction is a third of an ulp of w
+    # _NEWTON_TOL, because the last Newton correction is a third of an ulp of w
+    controls(dt_init=dt)
     g = GrowthFunction(gamma=lambda r: 50.0 * float(r) ** 4, beta=4.0, K=50.0)
     fld = evolve(LOG15, uniform_grid(3.0, 0.1, 1), InitialData.truncated(g, 2.0),
-                 BoundaryTrace.constant(0.0), [0.0, dt], EvolveConfig(dt_init=dt, dt_max=dt))
+                 BoundaryTrace.constant(0.0), [0.0, dt], dt)
     assert np.all(np.isfinite(fld.values))
     assert np.all(fld.values >= 0.0)
     assert np.all(fld.values <= 50.0 * 2.0**4)
 
 
-def test_zero_tolerance_settles_at_roundoff():
-    # newton_tol = 0 cannot be met; each run stops where its Newton
+def test_zero_tolerance_settles_at_roundoff(controls):
+    # a zero tolerance cannot be met; each run stops where its Newton
     # correction is within four ulps of w, within the default tolerance's own
     # error (a 1e-10 scaled residual) of the default result
     runs = _mixed_family()[:1] + [
         (uniform_grid(1.0, 0.05, 1), InitialData.zero(), BoundaryTrace.constant(0.0), "flat zero"),
     ]
-    exact = _family(runs, [0.0, 0.01], EvolveConfig(newton_tol=0.0, damp_max=2))
-    default = _family(runs, [0.0, 0.01], EvolveConfig())
+    default = _family(runs, [0.0, 0.01])
+    controls(newton_tol=0.0, damp_max=2)
+    exact = _family(runs, [0.0, 0.01])
     for one, ref in zip(exact.fields, default.fields):
         assert np.max(np.abs(one.values - ref.values)) < 1e-9
     assert np.max(exact.fields[1].values) < 1e-15
@@ -500,18 +533,18 @@ def _nested_logaddexp_warm_start(spec, grid, w0, w_bc, dt):
     return np.maximum(x, 0.0)
 
 
-def test_warm_start_matches_nested_logaddexp_oracle():
-    # an infinite newton_tol returns the warm start itself; one step of dt = 1
+def test_warm_start_matches_nested_logaddexp_oracle(controls):
+    # an infinite tolerance returns the warm start itself; one step of dt = 1
     # on a family of two runs of different lengths, one of them a cliff from
     # w = 2592 to zero data (nodes with h = 0) that exhausts its sweep cap
-    cfg = EvolveConfig(dt_init=1.0, dt_max=1.0, newton_tol=math.inf)
+    controls(dt_init=1.0, newton_tol=math.inf)
     smooth = _mixed_family()[0][1]
     runs = [
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "smooth"),
         (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
          BoundaryTrace.constant(0.0), "giant cliff"),
     ]
-    family = _family(runs, [0.0, 1.0], cfg)
+    family = _family(runs, [0.0, 1.0], 1.0)
     assert float(np.max(family.fields[1].values[0])) == 2.0 * 6.0**4
     for (grid, init, bc, _), fld in zip(runs, family.fields):
         w0 = init.w_on_grid(grid)
@@ -527,21 +560,21 @@ def test_extrapolated_start_agrees_with_start_from_previous_step():
     # in-test loop over the same schedule starts every step from w_m instead.
     # The schedule has ramp steps, full steps and, after the landing on
     # t = 0.0123, a step three times longer than its predecessor.
-    cfg, times = EvolveConfig(), [0.0, 0.0123, 0.02]
+    times = [0.0, 0.0123, 0.02]
     smooth = _mixed_family()[0][1]
     runs = [
         (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
          BoundaryTrace.constant(0.0), "giant cliff"),
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "smooth"),
     ]
-    family = _family(runs, times, cfg)
+    family = _family(runs, times)
 
     grids, inits, bcs, tags = zip(*runs)
-    stepper = evolution._Stepper(LOG15, grids, tags, cfg)
+    stepper = evolution._Stepper(LOG15, grids, tags)
     w_bc = np.array([0.0, 0.7])
     w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
     w[stepper.ends] = w_bc
-    step_times, is_output = _internal_times(np.array(times), cfg)
+    step_times, is_output = _internal_times(np.array(times), 1e-3)
     want, prev_t = [w], 0.0
     for k, t in enumerate(step_times):
         w = evolution._step(stepper, w, w, w_bc, t - prev_t, k)
@@ -561,18 +594,17 @@ def test_reused_stepper_gives_the_same_step_bitwise():
     # of a fresh stepper; its summed counters grow by exactly the fresh one's
     # and its maxima become the larger of the old and the fresh; and every
     # accepted w is a fresh array that later steps leave alone
-    cfg = EvolveConfig()
     grids, inits, bcs, tags = zip(*_mixed_family())
-    reused = evolution._Stepper(LOG15, grids, tags, cfg)
+    reused = evolution._Stepper(LOG15, grids, tags)
     w_bc = np.array([float(bc.w_of_times(np.array([0.0]))[0]) for bc in bcs])
     w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
     w[reused.ends] = w_bc
-    step_times, _ = _internal_times(np.array([0.0, 0.0123, 0.02]), cfg)
+    step_times, _ = _internal_times(np.array([0.0, 0.0123, 0.02]), 1e-3)
     summed, maxima = ("sweeps", "solves", "halvings", "clips"), ("iters_max", "worst_residual")
     prev_t, accepted, resweeps, solves = 0.0, [], 0, 0
     for k, t in enumerate(step_times[:40]):
         before = {name: getattr(reused, name).copy() for name in summed + maxima}
-        fresh = evolution._Stepper(LOG15, grids, tags, cfg)
+        fresh = evolution._Stepper(LOG15, grids, tags)
         got = evolution._step(reused, w, w, w_bc, t - prev_t, k)
         want = evolution._step(fresh, w, w, w_bc, t - prev_t, k)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -609,7 +641,7 @@ def _plain_scaled_residual(spec, rows, y, wm, ends, dt):
     return G, e_self, e_0, self_row, lo_row, up_row
 
 
-def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch):
+def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch, controls):
     # the stepper takes its residual's exponentials as one block in scratch
     # arrays, and accumulates the start's Lagrange terms in place; both must
     # be bitwise the plain expressions, at every residual and start of a
@@ -640,14 +672,15 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch):
     monkeypatch.setattr(evolution, "_extrapolate", checked_extrapolate)
     cliff = (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
              BoundaryTrace.constant(0.0), "giant cliff")
-    _family([cliff, *_mixed_family()], [0.0, 0.0123, 0.02], EvolveConfig())
+    _family([cliff, *_mixed_family()], [0.0, 0.0123, 0.02])
     smooth = _mixed_family()[0][1]
     damped = [
         (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
          BoundaryTrace.constant(0.0), "damped"),
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
     ]
-    family = _family(damped, [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0))
+    controls(dt_init=1.0)
+    family = _family(damped, [0.0, 1.0], 1.0)
     assert sum(f.damping_halvings for f in family.fields) == 1
     assert checked.count("residual") > checked.count("start") > 30
 
@@ -656,13 +689,13 @@ def test_evolving_a_family_twice_gives_bitwise_equal_fields():
     # the scratch arrays live for one evolve call: a second call on the same
     # family repeats the first bitwise, and no values array of either call
     # shares memory with another
-    cfg, times = EvolveConfig(), [0.0, 0.0123, 0.02]
-    first, second = (_family(_mixed_family(), times, cfg) for _ in range(2))
-    steps, _ = _internal_times(np.array(times), cfg)
+    times = [0.0, 0.0123, 0.02]
+    first, second = (_family(_mixed_family(), times) for _ in range(2))
+    steps, _ = _internal_times(np.array(times), 1e-3)
     dts = np.diff(np.concatenate(([0.0], steps)))
     for one, two in zip(first.fields, second.fields):
         assert one.values.tobytes() == two.values.tobytes()
-        assert one.worst_residual == two.worst_residual < cfg.newton_tol
+        assert one.worst_residual == two.worst_residual < evolution._NEWTON_TOL
         assert (one.min_dt, one.max_dt) == (dts.min(), dts.max())
     values = [f.values for fam in (first, second) for f in fam.fields]
     assert not any(
@@ -671,13 +704,13 @@ def test_evolving_a_family_twice_gives_bitwise_equal_fields():
 
 
 def test_start_falls_back_to_previous_step_after_short_steps(monkeypatch):
-    # the first step, and any step more than cfg.ramp times longer than the
-    # one before (here the step after the landing on t = 0.0123, three times
+    # the first step, and any step more than _RAMP times longer than the one
+    # before (here the step after the landing on t = 0.0123, three times
     # longer than the landing step), start from w_m: the extrapolation would
     # scale the last step's rounding and solve error by dt / dt_prev.  A
-    # regular ramp step, whose t - prev_t may round above cfg.ramp * dt_prev,
+    # regular ramp step, whose t - prev_t may round above _RAMP * dt_prev,
     # does not trip the guard.
-    cfg, times = EvolveConfig(), [0.0, 0.0123, 0.02]
+    times = [0.0, 0.0123, 0.02]
     from_wm = []
     step = evolution._step
 
@@ -687,16 +720,17 @@ def test_start_falls_back_to_previous_step_after_short_steps(monkeypatch):
 
     monkeypatch.setattr(evolution, "_step", recording)
     evolve(LOG15, uniform_grid(2.0, 0.05, 1), _mixed_family()[0][1],
-           BoundaryTrace.constant(0.7), times, cfg)
-    steps, is_output = _internal_times(np.array(times), cfg)
+           BoundaryTrace.constant(0.7), times)
+    steps, is_output = _internal_times(np.array(times), 1e-3)
     dts = np.diff(np.concatenate(([0.0], steps)))
     after_landing = int(np.argmax(is_output)) + 1
-    want = [k == 0 or dts[k] > cfg.ramp * dts[k - 1] * (1.0 + 1e-9) for k in range(len(dts))]
+    want = [k == 0 or dts[k] > evolution._RAMP * dts[k - 1] * (1.0 + 1e-9)
+            for k in range(len(dts))]
     assert want[after_landing] and want.count(False) > len(want) / 2
     assert from_wm == want
 
 
-def _recorded_steps(monkeypatch, run, times, cfg):
+def _recorded_steps(monkeypatch, run, times):
     """Every step of one run as (w_m, x0, accepted w); the step times from
     t = 0 on, and which steps land on an output time."""
     records = []
@@ -708,8 +742,8 @@ def _recorded_steps(monkeypatch, run, times, cfg):
         return w
 
     monkeypatch.setattr(evolution, "_step", recording)
-    evolve(LOG15, *run[:3], times, cfg, scheme_tag=run[3])
-    steps, is_output = _internal_times(np.array(times), cfg)
+    evolve(LOG15, *run[:3], times, scheme_tag=run[3])
+    steps, is_output = _internal_times(np.array(times), 1e-3)
     return records, np.concatenate(([0.0], steps)), is_output
 
 
@@ -719,8 +753,8 @@ def test_start_rebuilds_its_order_after_a_restart(monkeypatch):
     # that reproduces x0 to rounding.  A restart (the first step, and the
     # step after the landing on t = 0.0123) starts from w_m, and the order
     # then rises one point per step up to four.
-    cfg, times = EvolveConfig(), [0.0, 0.0123, 0.02]
-    records, ts, is_output = _recorded_steps(monkeypatch, _mixed_family()[0], times, cfg)
+    times = [0.0, 0.0123, 0.02]
+    records, ts, is_output = _recorded_steps(monkeypatch, _mixed_family()[0], times)
     ws = [records[0][0]] + [w for _, _, w in records]
 
     def through(k, m):
@@ -745,8 +779,8 @@ def test_four_point_start_is_closer_than_two_point_start(monkeypatch):
     # start to the accepted step against that of the two-point start
     # w_m + (dt/dt_prev)(w_m - w_prev).  The steps near the boundary jump at
     # r = 2 gain least; the median gains about 40-fold.
-    cfg, times = EvolveConfig(), [0.0, 0.01, 0.02]
-    records, ts, _ = _recorded_steps(monkeypatch, _mixed_family()[0], times, cfg)
+    times = [0.0, 0.01, 0.02]
+    records, ts, _ = _recorded_steps(monkeypatch, _mixed_family()[0], times)
     dts = np.diff(ts)
     restarts = [k for k, (wm, x0, _) in enumerate(records) if np.array_equal(x0, wm)]
     gains = []
@@ -771,7 +805,7 @@ def test_theorem_c_family_solver_work_budget():
     ns = [3.0, 4.0, 5.0, 6.0, 6.0]
     family = evolve(
         LOG15, [narrow] * 4 + [wide], [InitialData.truncated(QUARTIC, n) for n in ns],
-        [BoundaryTrace.constant(0.0)] * 5, [0.0, 0.1], EvolveConfig(dt_max=dt_max),
+        [BoundaryTrace.constant(0.0)] * 5, [0.0, 0.1], dt_max,
         [f"n={n:g}" for n in ns[:4]] + ["n=6 on r_out=13.5"],
     )
     assert all(fld.steps == 5009 for fld in family.fields)
@@ -803,12 +837,12 @@ def _w_path_only(monkeypatch):
 
 def _theorem_c_fields():
     seq = run_scheme_A4(LOG15, QUARTIC, [3.0, 4.0, 5.0, 6.0], 9.0, [0.0, 0.1],
-                        h=0.025, cfg=EvolveConfig(dt_max=2e-5))
+                        h=0.025, dt_max=2e-5)
     return seq.fields, seq.diagnostics
 
 
 def _mixed_fields():
-    return _family(_mixed_family(), [0.0, 0.01, 0.02], EvolveConfig()).fields, None
+    return _family(_mixed_family(), [0.0, 0.01, 0.02]).fields, None
 
 
 @pytest.mark.parametrize("family, u_steps", [(_mixed_fields, 44), (_theorem_c_fields, 2021)],
@@ -821,7 +855,7 @@ def test_u_path_agrees_with_w_path(monkeypatch, family, u_steps):
     # Against the w path alone the fields agree within 1e-9 in w, and every
     # run's sweeps and Newton solves are equal.  A count may move by a
     # rounding edge (a sweep's |dw| within rounding of 1e-3, or a residual
-    # within rounding of newton_tol, falling on the other side); each such
+    # within rounding of _NEWTON_TOL, falling on the other side); each such
     # edge moves a count by one or two, and none occurred when this was
     # written, so at most two edges per count are allowed.
     fields, notes = family()
@@ -833,13 +867,13 @@ def test_u_path_agrees_with_w_path(monkeypatch, family, u_steps):
         assert abs(u_fld.warm_start_sweeps - w_fld.warm_start_sweeps) <= 2
         assert abs(u_fld.newton_solves - w_fld.newton_solves) <= 4
         assert (u_fld.u_steps, w_fld.u_steps) == (u_steps, 0)
-        assert u_fld.worst_residual < EvolveConfig().newton_tol
+        assert u_fld.worst_residual < evolution._NEWTON_TOL
     if notes is not None:
         assert notes["solver_work"]["u_steps"] == u_steps
         assert w_notes["solver_work"]["u_steps"] == 0
 
 
-def test_overflow_guard_keeps_power_law_steps_in_w():
+def test_overflow_guard_keeps_power_law_steps_in_w(controls):
     # h(s) = s^2 near w = 300, below the switch: one step of dt = 1e-82 from
     # zero data to a boundary at w = 300 makes u·dt·h(u) at the cap e^711,
     # beyond double range, so the step stays in w, bitwise as with the
@@ -847,54 +881,23 @@ def test_overflow_guard_keeps_power_law_steps_in_w():
     # taken in u.  The coarse grid (h = 10^4) keeps the step next to the
     # boundary mild enough for the w path.
     spec = Nonlinearity.power(3.0)
-    cfg = EvolveConfig(dt_init=1e-82, dt_max=1e-82)
+    controls(dt_init=1e-82)
 
     def run(w_bc, switch):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evolution, "_U_SWITCH", switch)
             return evolve(spec, uniform_grid(170000.0, 10000.0, 1), InitialData.zero(),
-                          BoundaryTrace.constant(w_bc), [0.0, 1e-82], cfg)
+                          BoundaryTrace.constant(w_bc), [0.0, 1e-82], 1e-82)
 
     guarded, w_only = run(300.0, evolution._U_SWITCH), run(300.0, -math.inf)
     assert guarded.u_steps == w_only.u_steps == 0
     assert guarded.values.tobytes() == w_only.values.tobytes()
     assert guarded.newton_solves == w_only.newton_solves > 0
-    stepper = evolution._Stepper(spec, [uniform_grid(170000.0, 10000.0, 1)], ["g"], cfg)
+    stepper = evolution._Stepper(spec, [uniform_grid(170000.0, 10000.0, 1)], ["g"])
     assert not evolution._u_path_fits(stepper, 300.0, 1e-82)
     taken, w_only = run(240.0, evolution._U_SWITCH), run(240.0, -math.inf)
     assert (taken.u_steps, w_only.u_steps) == (1, 0)
     assert np.max(np.abs(taken.values - w_only.values)) < 1e-12
-
-
-def test_batched_large_step_on_the_u_path_keeps_caps_and_damping_per_run(monkeypatch):
-    # the u-path twin of test_batched_large_step_keeps_caps_and_damping_per_run:
-    # the same per-run sweep caps, Newton iterations and halvings, solo and in
-    # the family.  A run that needs Newton evaluates h once more than on the
-    # w path: the w-form residual at the w of its u, where Newton starts.
-    times, cfg = [0.0, 1.0], EvolveConfig(dt_init=1.0, dt_max=1.0)
-    smooth = _mixed_family()[0][1]
-    runs = [
-        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
-         BoundaryTrace.constant(0.0), "damped"),
-        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
-        (uniform_grid(3.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "long"),
-    ]
-    solo, evals = zip(*(_h_evals(monkeypatch, run, times, cfg) for run in runs))
-    assert all(f.u_steps == 1 and f.newton_solves > 0 for f in solo)
-    caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
-    halvings = [n - cap - f.newton_iterations_max - 1 for n, cap, f in zip(evals, caps, solo)]
-    assert [f.warm_start_sweeps for f in solo] == caps == [160, 180, 220]
-    assert halvings == [1, 0, 0]
-    assert [f.damping_halvings for f in solo] == halvings
-    family = _family(runs[::-1], times, cfg)
-    for one, many in zip(solo[::-1], family.fields):
-        assert np.array_equal(one.values, many.values)
-        assert one.newton_iterations_max == many.newton_iterations_max
-        assert one.damping_halvings == many.damping_halvings
-    assert sum(f.damping_halvings for f in family.fields) == 1
-    assert family.newton_iterations_max == solo[0].newton_iterations_max > max(
-        f.newton_iterations_max for f in solo[1:]
-    )
 
 
 def test_u_path_step_carries_only_its_u(monkeypatch):
@@ -904,7 +907,7 @@ def test_u_path_step_carries_only_its_u(monkeypatch):
     # every step of a two-run family over [0, 0.01] at dt_max = 2e-5, a fresh
     # stepper handed only that u_m takes bitwise the reused stepper's step,
     # with the same work; and the u_m is within rounding of expm1(w_m).
-    cfg, times = EvolveConfig(dt_max=2e-5), [0.0, 0.005, 0.01]
+    dt_max, times = 2e-5, [0.0, 0.005, 0.01]
     runs = [
         (uniform_grid(2.0, 0.05, 1), InitialData.truncated(QUARTIC, 1.0),
          BoundaryTrace.constant(0.0), "truncated"),
@@ -914,7 +917,7 @@ def test_u_path_step_carries_only_its_u(monkeypatch):
     step, kept_runs = evolution._step, []
 
     def checked(stepper, wm, x0, w_bc, dt, k):
-        fresh = evolution._Stepper(LOG15, grids, tags, cfg)
+        fresh = evolution._Stepper(LOG15, grids, tags)
         if wm is stepper.um_of:
             kept_runs.append(int((~stepper.um_stale).sum()))
             fresh.u_arrays[0][:] = stepper.u_arrays[0]
@@ -931,7 +934,7 @@ def test_u_path_step_carries_only_its_u(monkeypatch):
         return got
 
     monkeypatch.setattr(evolution, "_step", checked)
-    family = evolve(LOG15, grids, inits, bcs, times, cfg, tags)
+    family = evolve(LOG15, grids, inits, bcs, times, dt_max, tags)
     assert family.fields[0].u_steps == len(kept_runs) + 1 == family.fields[0].steps
     # most steps reuse the u of both runs, some that of the smooth run only
     assert kept_runs.count(2) > len(kept_runs) / 2 and kept_runs.count(1) > 0
