@@ -103,12 +103,13 @@ sequences.
 Drivers cover the three ball-exhaustion sequences used by the collapse
 experiments: truncated data on a fixed large ball (A4), profile-capped
 data on growing balls (A8), and the two-sided profile-boundary variant
-(A8.1).  A4 and A8.1 step each family with one :func:`evolve` call; A8
-calls :func:`evolve` once per ball with the same times and ``dt_max``,
-which gives the same step sequence.  The profile balls of A8 and A8.1 (grid,
-stationary profile, constant boundary trace) all come from
-``_profile_ball``, and every driver checks and packs its ordering through
-``_ordered_sequence``.
+(A8.1).  A4 and A8.1 step each family with one :func:`evolve` call.  A8
+takes every center height at once and calls :func:`evolve` once per ball,
+its family being the heights' runs on that ball's grid; the same times and
+``dt_max`` give every call the same step sequence.  The profile balls of
+A8 and A8.1 (grid, stationary profile, constant boundary trace) all come
+from ``_profile_ball``, and every driver checks and packs its ordering
+through ``_ordered_sequence``.
 """
 
 from __future__ import annotations
@@ -1006,60 +1007,77 @@ def run_scheme_A4(
 def run_scheme_A8(
     spec: Nonlinearity,
     g: GrowthFunction,
-    a: float,
+    a_list: Sequence[float],
     n_list: Sequence[float],
     times: Sequence[float],
     h: float = 0.025,
     dt_max: float = 1e-3,
     tol: float | None = None,
     domination: str = "warn",
-) -> SchemeSequence:
-    """Profile-capped exhaustion: run on [0, n] with boundary height V_a(n).
+) -> tuple[SchemeSequence, ...]:
+    """Profile-capped exhaustion: for each center height a, runs on [0, n]
+    with boundary height V_a(n) and initial data min{V_a, g}.
 
-    Initial data is min{V_a, g}; the family must decrease with n on the
-    common ball.  ``domination`` controls the check that g eventually
-    dominates V_a (the scheme's hypothesis): "require" raises when the
+    Returns one sequence per height, in ``a_list`` order; each must
+    decrease with n on the common ball.  ``domination`` controls the check
+    that g eventually dominates V_a (the scheme's hypothesis), made for
+    every height before any stepping: "require" raises when a height's
     domination radius exceeds min(n_list) or cannot be found, "warn"
-    records it in diagnostics, "skip" omits the check.
+    records it in that height's diagnostics, "skip" omits the check.
+
+    Each ball is one :func:`evolve` call whose family is the heights' runs
+    on that ball's grid.  A run is bitwise its solo self as long as the
+    family takes the run's own u/w path at every step.  The path goes by
+    the family's cap, so heights that straddle ``_U_SWITCH`` on one ball
+    agree with their solo runs only to the solve tolerance.
     """
+    a_list = [float(a) for a in a_list]
     n_list = sorted(float(n) for n in n_list)
+    if not a_list or not n_list:
+        raise PreconditionError("the capped scheme needs a center height and a ball radius")
     if tol is None:
         tol = discretization_tolerance(h, dt_max)
     if domination not in ("warn", "require", "skip"):
         raise DomainError("domination policy must be warn, require or skip")
 
-    diagnostics: dict = {}
-    if domination != "skip":
-        try:
-            r_a = domination_radius(g, spec, a, 1, max(n_list))
-            diagnostics["domination_radius"] = r_a
-            if r_a > n_list[0] and domination == "require":
-                raise DominationError(
-                    f"smallest ball radius {n_list[0]:g} is below the domination radius {r_a:g}"
-                )
-            if r_a > n_list[0]:
+    notes = []
+    for a in a_list:
+        diagnostics: dict = {}
+        if domination != "skip":
+            try:
+                r_a = domination_radius(g, spec, a, 1, n_list[-1])
+                diagnostics["domination_radius"] = r_a
+                if r_a > n_list[0] and domination == "require":
+                    raise DominationError(
+                        f"smallest ball radius {n_list[0]:g} is below the domination radius {r_a:g}"
+                    )
+                if r_a > n_list[0]:
+                    diagnostics["domination_warning"] = (
+                        f"ball radii start below the domination radius {r_a:g}; "
+                        "the capped data is not yet the profile at the boundary"
+                    )
+            except DominationError:
+                if domination == "require":
+                    raise
                 diagnostics["domination_warning"] = (
-                    f"ball radii start below the domination radius {r_a:g}; "
-                    "the capped data is not yet the profile at the boundary"
+                    f"data does not dominate the height-{a:g} profile up to {n_list[-1]:g}"
                 )
-        except DominationError:
-            if domination == "require":
-                raise
-            diagnostics["domination_warning"] = (
-                f"data does not dominate the height-{a:g} profile up to {max(n_list):g}"
-            )
+        notes.append(diagnostics)
 
-    # one evolve call per ball; the shared times and dt_max give every run
-    # the same step sequence, as the ordering check needs
-    fields = []
+    # one evolve call per ball, on every height's run; the shared times and
+    # dt_max give every run the same step sequence, as the ordering check needs
+    balls = []
     for n in n_list:
-        grid, prof, bc = _profile_ball(spec, a, n, h)
-        fields.append(evolve(
-            spec, grid, InitialData.capped(g, prof), bc, times, dt_max,
-            scheme_tag=f"capped a={a:g} n={n:g}",
-        ))
-    diagnostics["solver_work"] = _solver_work(fields)
-    return _ordered_sequence(fields, False, tol, "capped", diagnostics=diagnostics)
+        grids, profs, bcs = zip(*(_profile_ball(spec, a, n, h) for a in a_list))
+        inits = [InitialData.capped(g, prof) for prof in profs]
+        tags = [f"capped a={a:g} n={n:g}" for a in a_list]
+        balls.append(evolve(spec, grids, inits, bcs, times, dt_max, tags).fields)
+    # balls[k][i] is height i on ball k; a height's sequence is column i
+    return tuple(
+        _ordered_sequence(fields, False, tol, "capped",
+                          diagnostics={**diagnostics, "solver_work": _solver_work(fields)})
+        for fields, diagnostics in zip(zip(*balls), notes)
+    )
 
 
 def run_scheme_A8_1(

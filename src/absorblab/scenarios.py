@@ -177,17 +177,15 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
     man = RunManifest(config=config, tolerance_scale=scale)
     rows = []
     centers = {}
-    seqs = []
     t_checks = config["t_checks"]
     lam = dict(zip(t_checks, solve_phi_infinity_log(spec, t_checks).tolist()))
-    for a in config["a_list"]:
-        # tol here is only the runaway-scheme guard; the pass/fail threshold
-        # for the ordering check is h^2 and lives in the manifest.
-        seq = run_scheme_A8(
-            spec, g, a, config["n_list"], times, h=h, dt_max=config["dt_max"], tol=1.0,
-            domination=config["domination"],
-        )
-        seqs.append(seq)
+    # tol here is only the runaway-scheme guard; the pass/fail threshold
+    # for the ordering check is h^2 and lives in the manifest.
+    seqs = run_scheme_A8(
+        spec, g, config["a_list"], config["n_list"], times, h=h, dt_max=config["dt_max"],
+        tol=1.0, domination=config["domination"],
+    )
+    for a, seq in zip(config["a_list"], seqs):
         man.notes[f"domination_a={a:g}"] = {
             k: v for k, v in seq.diagnostics.items() if k.startswith("domination")
         }

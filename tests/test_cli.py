@@ -163,14 +163,16 @@ def test_unknown_scenario_exits_2(capsys):
 
 
 def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch):
-    # theorem-b steps one capped family per center height, three sequences
-    # on one step sequence.  Its solver_work note sums their counts, but
-    # takes the largest worst residual and longest step and the shortest step
+    # theorem-b steps one capped family per ball, holding every center
+    # height's run on that ball, and gets back one sequence per height: three
+    # sequences on one step sequence.  Its solver_work note sums their counts,
+    # but takes the largest worst residual and longest step and the shortest step
     seqs = []
 
     def recording(*args, **kwargs):
-        seqs.append(evolution.run_scheme_A8(*args, **kwargs))
-        return seqs[-1]
+        result = evolution.run_scheme_A8(*args, **kwargs)
+        seqs.extend(result)
+        return result
 
     monkeypatch.setattr(scenarios, "run_scheme_A8", recording)
     out = tmp_path / "run"

@@ -269,7 +269,7 @@ def test_space_discretization_is_second_order():
 
 
 def test_capped_data_stays_below_profile():
-    seq = run_scheme_A8(LOG15, QUARTIC, 2.0, [4.0], [0.0, 0.25, 0.5], h=0.05)
+    (seq,) = run_scheme_A8(LOG15, QUARTIC, [2.0], [4.0], [0.0, 0.25, 0.5], h=0.05)
     prof = shoot_profile(LOG15, 2.0, 1, 4.0, grid=seq.limit.grid.radii)
     excess = float(np.max(seq.limit.values - prof.w_values[None, :]))
     # the corner where the data meets the profile carries an O(h^2) shift
@@ -967,14 +967,73 @@ def test_truncation_radii_must_fit_domain():
 def test_capped_family_policies():
     low = GrowthFunction(gamma=lambda r: 0.05, beta=None, K=None)
     with pytest.raises(DominationError):
-        run_scheme_A8(LOG15, low, 2.0, [4.0], [0.0, 0.01], h=0.05,
+        run_scheme_A8(LOG15, low, [2.0], [4.0], [0.0, 0.01], h=0.05,
                       domination="require")
-    seq = run_scheme_A8(LOG15, low, 2.0, [4.0], [0.0, 0.01], h=0.05,
-                        domination="warn")
+    (seq,) = run_scheme_A8(LOG15, low, [2.0], [4.0], [0.0, 0.01], h=0.05,
+                           domination="warn")
     assert "domination_warning" in seq.diagnostics
-    seq2 = run_scheme_A8(LOG15, QUARTIC, 2.0, [4.0], [0.0, 0.01], h=0.05,
-                         domination="require")
+    (seq2,) = run_scheme_A8(LOG15, QUARTIC, [2.0], [4.0], [0.0, 0.01], h=0.05,
+                            domination="require")
     assert seq2.diagnostics["domination_radius"] == pytest.approx(0.918, abs=1e-3)
+
+
+def _counted_evolve(monkeypatch, fail=False):
+    """Wraps ``evolution.evolve`` for one test; returns its list of calls.
+    With ``fail`` set, a call raises instead of stepping."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if fail:
+            raise AssertionError("evolve called")
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evolve", counted)
+    return calls
+
+
+def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
+    # both heights stay far below the u/w switch, so each run takes the u
+    # path on every step, batched or alone
+    a_list, n_list, times, h = [4.0, 2.0], [2.0, 3.0], [0.0, 0.01, 0.02], 0.05
+    solo = []
+    for a in a_list:
+        runs = []
+        for n in n_list:
+            grid, prof, bc = evolution._profile_ball(LOG15, a, n, h)
+            runs.append(evolve(LOG15, grid, InitialData.capped(QUARTIC, prof), bc, times,
+                               scheme_tag=f"capped a={a:g} n={n:g}"))
+        solo.append(runs)
+    calls = _counted_evolve(monkeypatch)
+    seqs = run_scheme_A8(LOG15, QUARTIC, a_list, n_list, times, h=h)
+    assert len(calls) == 2  # one per ball, not one per run
+    assert len(seqs) == len(a_list)
+    for runs, seq in zip(solo, seqs):
+        assert [f.scheme_tag for f in seq.fields] == [f.scheme_tag for f in runs]
+        for one, many in zip(runs, seq.fields):
+            assert np.array_equal(one.values, many.values)
+            assert one.u_steps == many.u_steps == many.steps
+            for key in ("warm_start_sweeps", "newton_solves", "damping_halvings",
+                        "newton_iterations_max", "worst_residual"):
+                assert getattr(one, key) == getattr(many, key), key
+        assert seq.diagnostics["solver_work"] == evolution._solver_work(runs)
+
+
+def test_capped_scheme_checks_every_height_before_stepping(monkeypatch):
+    # height 2 dominates from r = 0.918, height 8 only from r = 1.174, past
+    # the smallest ball
+    times = [0.0, 0.01]
+    with monkeypatch.context() as patch:
+        _counted_evolve(patch, fail=True)
+        with pytest.raises(DominationError, match="1.17"):
+            run_scheme_A8(LOG15, QUARTIC, [2.0, 8.0], [1.0, 2.0], times, h=0.05,
+                          domination="require")
+        for a_list, n_list in (([], [1.0, 2.0]), ([2.0], [])):
+            with pytest.raises(PreconditionError):
+                run_scheme_A8(LOG15, QUARTIC, a_list, n_list, times, h=0.05)
+    low, high = run_scheme_A8(LOG15, QUARTIC, [2.0, 8.0], [1.0, 2.0], times, h=0.05)
+    assert "domination_warning" not in low.diagnostics
+    assert "1.17" in high.diagnostics["domination_warning"]
 
 
 def test_sandwich_scheme_orders_families():
