@@ -8,15 +8,13 @@ Three building blocks used across the package:
   extrapolation of the remainder;
 * classification of improper integrals by the log-log slope of the
   integrand measured over geometric panels, with an explicit dead band
-  around the critical slope -1.
+  around the critical slope -1, returning the verdict with that slope.
 
 Everything here is plain numerics with no knowledge of the application
 domain; the public modules wrap these with domain-specific contracts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -107,26 +105,16 @@ def tail_integral(
     return total
 
 
-@dataclass(frozen=True)
-class TailDiagnostics:
-    """Measured behavior of an improper integrand over geometric panels."""
-
-    slope: float            # fitted log-log slope of the integrand
-    n_panels: int
-    panel_ratio: float      # last ratio of consecutive panel sums
-    partial_sum: float
-    extrapolated_total: float | None  # None when the tail looks divergent
-
-
-def classify_tail(f) -> tuple[bool | None, TailDiagnostics]:
+def classify_tail(f) -> tuple[bool | None, float]:
     """Decide convergence of ``integral of f over [1, infinity)``.
 
     The integrand is summed over the geometric panels ``[2^k, 2^(k+1)]``, k
     below ``_CLASSIFY_PANELS``, and the mean integrand level of the last
-    ``_FIT_PANELS`` is regressed against the log of the panel midpoint.  A
-    fitted slope below ``-1 - _DEAD_BAND`` reports convergence (True), above
-    ``-1 + _DEAD_BAND`` divergence (False), and inside the dead band ``None``
-    -- the caller decides whether an inconclusive verdict is an error.
+    ``_FIT_PANELS`` is regressed against the log of the panel midpoint.
+    Returns the verdict and the fitted log-log slope.  A slope below
+    ``-1 - _DEAD_BAND`` reports convergence (True), above ``-1 + _DEAD_BAND``
+    divergence (False), and inside the dead band ``None`` -- the caller
+    decides whether an inconclusive verdict is an error.
     """
     k_max = _CLASSIFY_PANELS
     ks = np.arange(k_max)
@@ -143,23 +131,12 @@ def classify_tail(f) -> tuple[bool | None, TailDiagnostics]:
     x = np.log(mids[sel])
     y = log_mean[sel]
     slope, _ = np.polyfit(x, y, 1)
-    ratio = panel_sums[-1] / panel_sums[-2] if panel_sums[-2] != 0.0 else np.inf
-    partial = float(panel_sums.sum())
-    extrapolated = None
-    if 0.0 < ratio < 1.0:
-        extrapolated = partial + float(panel_sums[-1]) * ratio / (1.0 - ratio)
-    diags = TailDiagnostics(
-        slope=float(slope),
-        n_panels=k_max,
-        panel_ratio=float(ratio),
-        partial_sum=partial,
-        extrapolated_total=extrapolated,
-    )
+    slope = float(slope)
     if slope < -1.0 - _DEAD_BAND:
-        return True, diags
+        return True, slope
     if slope > -1.0 + _DEAD_BAND:
-        return False, diags
-    return None, diags
+        return False, slope
+    return None, slope
 
 
 def log_simpson(log_f, a: float, b: float, n: int = 2001) -> float:

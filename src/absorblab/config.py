@@ -177,6 +177,10 @@ def _scenario_checks(scenario: str, params: dict):
         raise ConfigError("n_list must stay below r_out")
     if scenario == "stationary" and max(params["bound_radii"]) > params["r_max"]:
         raise ConfigError("bound_radii must not exceed r_max")
+    if scenario == "stationary" and params["grid_points"] < 2:
+        raise ConfigError(
+            f"grid_points must be at least 2 to span [0, r_max], got {params['grid_points']}"
+        )
     if scenario == "alpha2" and params["x_radius"] < 0.0:
         raise ConfigError(f"x_radius is the distance |x|, must be >= 0, got {params['x_radius']}")
 

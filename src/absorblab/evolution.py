@@ -109,7 +109,9 @@ its family being the heights' runs on that ball's grid; the same times and
 ``dt_max`` give every call the same step sequence.  The profile balls of
 A8 and A8.1 (grid, stationary profile, constant boundary trace) all come
 from ``_profile_ball``, and every driver checks and packs its ordering
-through ``_ordered_sequence``.
+through ``_ordered_sequence``.  A sequence's diagnostics hold only A8's
+domination notes; the solver counters stay on the runs, and a scenario
+reduces those of all its runs once with ``_solver_work``.
 """
 
 from __future__ import annotations
@@ -246,14 +248,12 @@ class BoundaryTrace:
     """Dirichlet trace at r = R_out, in log form; vector-evaluated in time."""
 
     w_of_times: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     @staticmethod
-    def constant(w_value: float, label: str = "") -> "BoundaryTrace":
+    def constant(w_value: float) -> "BoundaryTrace":
         w_value = float(w_value)
         return BoundaryTrace(
-            w_of_times=lambda ts, w=w_value: np.full(len(np.atleast_1d(ts)), w),
-            label=label or f"constant w={w_value:.6g}",
+            w_of_times=lambda ts, w=w_value: np.full(len(np.atleast_1d(ts)), w)
         )
 
     @staticmethod
@@ -269,7 +269,7 @@ class BoundaryTrace:
             out[~pos] = math.log1p(a)
             return out
 
-        return BoundaryTrace(w_of_times=trace, label=f"flat decay from a={a:g}")
+        return BoundaryTrace(w_of_times=trace)
 
 
 @dataclass(frozen=True)
@@ -279,9 +279,7 @@ class EvolutionField:
     times: np.ndarray
     grid: RadialGrid
     values: np.ndarray
-    boundary: BoundaryTrace
     scheme_tag: str
-    spec: Nonlinearity
     newton_iterations_max: int = 0
     negative_clips: int = 0
     steps: int = 0                  # backward-Euler steps taken
@@ -316,7 +314,7 @@ class SchemeSequence:
 
     fields: tuple
     monotone_violation: float     # worst wrong-direction log difference
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # A8's domination notes
 
     @property
     def limit(self) -> EvolutionField:
@@ -885,8 +883,8 @@ def evolve(
         values = out[:, starts[i]: ends[i] + 1].copy()
         values[:, -1] = trace.w_of_times(times)  # exact by declaration
         fields.append(EvolutionField(
-            times=times, grid=gr, values=values, boundary=trace, scheme_tag=tag,
-            spec=spec, newton_iterations_max=int(stepper.iters_max[i]),
+            times=times, grid=gr, values=values, scheme_tag=tag,
+            newton_iterations_max=int(stepper.iters_max[i]),
             negative_clips=int(stepper.clips[i]), steps=len(step_times),
             warm_start_sweeps=int(stepper.sweeps[i]), newton_solves=int(stepper.solves[i]),
             damping_halvings=int(stepper.halvings[i]),
@@ -912,32 +910,24 @@ def _profile_ball(spec: Nonlinearity, a: float, n: float, h: float):
     that grid, and the profile's edge value as a constant boundary trace."""
     grid = uniform_grid(n, h, 1)
     prof = shoot_profile(spec, a, 1, n, grid=grid.radii)
-    bc = BoundaryTrace.constant(float(prof.w_values[-1]), label=f"profile a={a:g} at r={n:g}")
+    bc = BoundaryTrace.constant(float(prof.w_values[-1]))
     return grid, prof, bc
 
 
-# how the solver counters of runs, or of sequences, on one step sequence
-# combine; every counter not named here is summed
-_WORK_REDUCE = {
-    "steps": max, "u_steps": max, "worst_residual": max, "min_dt": min, "max_dt": max,
-}
-
-
-def _reduce_work(parts: Sequence[dict]) -> dict:
-    """One solver-work dict from several, key by key by ``_WORK_REDUCE``."""
-    return {k: _WORK_REDUCE.get(k, sum)(p[k] for p in parts) for k in parts[0]}
-
-
 def _solver_work(fields: Sequence[EvolutionField]) -> dict:
-    """Step count, step-size range, summed solver work and worst accepted
-    residual of runs on one step sequence."""
-    return _reduce_work([
-        {"steps": f.steps, "runs": 1, "warm_start_sweeps": f.warm_start_sweeps,
-         "newton_solves": f.newton_solves, "damping_halvings": f.damping_halvings,
-         "negative_clips": f.negative_clips, "worst_residual": f.worst_residual,
-         "min_dt": f.min_dt, "max_dt": f.max_dt, "u_steps": f.u_steps}
-        for f in fields
-    ])
+    """Solver work of runs on one step schedule: the step count and the
+    steps taken in u, the step-size range, the worst accepted residual, and
+    the sweeps, Newton solves, halvings and clips summed over the runs."""
+    return {
+        "steps": max(f.steps for f in fields), "runs": len(fields),
+        "warm_start_sweeps": sum(f.warm_start_sweeps for f in fields),
+        "newton_solves": sum(f.newton_solves for f in fields),
+        "damping_halvings": sum(f.damping_halvings for f in fields),
+        "negative_clips": sum(f.negative_clips for f in fields),
+        "worst_residual": max(f.worst_residual for f in fields),
+        "min_dt": min(f.min_dt for f in fields), "max_dt": max(f.max_dt for f in fields),
+        "u_steps": max(f.u_steps for f in fields),
+    }
 
 
 def _ordered_sequence(
@@ -967,7 +957,7 @@ def _ordered_sequence(
     return SchemeSequence(
         fields=tuple(fields),
         monotone_violation=worst,
-        diagnostics={"tolerance": tol, **(diagnostics or {})},
+        diagnostics=diagnostics or {},
     )
 
 
@@ -979,7 +969,6 @@ def run_scheme_A4(
     times: Sequence[float],
     h: float = 0.025,
     dt_max: float = 1e-3,
-    tol: float | None = None,
     dimension: int = 1,
 ) -> SchemeSequence:
     """Truncated-data exhaustion: data g cut at radius n, zero boundary.
@@ -987,21 +976,20 @@ def run_scheme_A4(
     All runs share the grid on [0, r_out] with homogeneous Dirichlet at
     r_out (stand-in for the whole-space problem; it under-estimates, which
     suits a minimal-limit construction) and are stepped as one family.
-    The family must increase with n; a violation above 10x the
-    discretization tolerance aborts.
+    The family must increase with n; a violation above 10x
+    :func:`discretization_tolerance` aborts.
     """
     n_list = sorted(float(n) for n in n_list)
+    if not n_list:
+        raise PreconditionError("the truncated scheme needs a truncation radius")
     if n_list[-1] >= r_out:
         raise PreconditionError("truncation radii must stay below r_out")
-    if tol is None:
-        tol = discretization_tolerance(h, dt_max)
     grid = uniform_grid(r_out, h, dimension)
     inits = [InitialData.truncated(g, n) for n in n_list]
     tags = [f"truncated n={n:g}" for n in n_list]
-    bcs = [BoundaryTrace.constant(0.0, label="zero")] * len(n_list)
+    bcs = [BoundaryTrace.constant(0.0)] * len(n_list)
     fields = evolve(spec, [grid] * len(n_list), inits, bcs, times, dt_max, tags).fields
-    return _ordered_sequence(fields, True, tol, "truncation",
-                             diagnostics={"solver_work": _solver_work(fields)})
+    return _ordered_sequence(fields, True, discretization_tolerance(h, dt_max), "truncation")
 
 
 def run_scheme_A8(
@@ -1074,8 +1062,7 @@ def run_scheme_A8(
         balls.append(evolve(spec, grids, inits, bcs, times, dt_max, tags).fields)
     # balls[k][i] is height i on ball k; a height's sequence is column i
     return tuple(
-        _ordered_sequence(fields, False, tol, "capped",
-                          diagnostics={**diagnostics, "solver_work": _solver_work(fields)})
+        _ordered_sequence(fields, False, tol, "capped", diagnostics)
         for fields, diagnostics in zip(zip(*balls), notes)
     )
 
@@ -1101,6 +1088,8 @@ def run_scheme_A8_1(
     if not 0.0 < c < b:
         raise PreconditionError("need 0 < c < b")
     n_list = sorted(float(n) for n in n_list)
+    if not n_list:
+        raise PreconditionError("the sandwich scheme needs a ball radius")
     if tol is None:
         tol = discretization_tolerance(h, dt_max)
 
@@ -1122,10 +1111,8 @@ def run_scheme_A8_1(
     fields = evolve(spec, grids, inits, bcs, times, dt_max, tags).fields
     lower, upper = fields[: len(n_list)], fields[len(n_list):]
     return (
-        _ordered_sequence(lower, True, tol, "lower sandwich",
-                          diagnostics={"solver_work": _solver_work(lower)}),
-        _ordered_sequence(upper, False, tol, "upper sandwich",
-                          diagnostics={"solver_work": _solver_work(upper)}),
+        _ordered_sequence(lower, True, tol, "lower sandwich"),
+        _ordered_sequence(upper, False, tol, "upper sandwich"),
     )
 
 

@@ -52,14 +52,11 @@ _MAX_TABLE_PANELS = 1000
 class FlatTrajectory:
     """A sampled flat solution.
 
-    ``initial_datum`` is ``math.inf`` for the infinite-height solution.
     Values are strictly decreasing and positive for t > 0.
     """
 
     times: np.ndarray
     values: np.ndarray
-    initial_datum: float
-    spec: Nonlinearity
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -236,8 +233,6 @@ def solve_phi(spec: Nonlinearity, a: float, times) -> FlatTrajectory:
     return FlatTrajectory(
         times=np.asarray(times, dtype=float),
         values=np.exp(xs),
-        initial_datum=float(a),
-        spec=spec,
     )
 
 

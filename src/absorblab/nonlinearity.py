@@ -8,9 +8,8 @@ experiments:
   integral conditions switch at alpha = 1 and alpha = 2;
 * ``power``: h(s) = s^(p-1), p > 1, for which everything is closed form.
 
-A ``custom`` family accepts an arbitrary monotone callable together with a
-declared large-s log-log slope, which downstream solvers use for step-size
-heuristics.
+A ``custom`` family accepts an arbitrary monotone callable; its
+growth conditions are decided by the numerical tail classification alone.
 
 Three integral conditions on h decide the qualitative theory:
 
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import TailDiagnostics, classify_tail, cumulative_gl
+from ._quad import classify_tail, cumulative_gl
 from .errors import (
     DomainError,
     InconclusiveClassificationError,
@@ -50,62 +49,35 @@ _W_OVERFLOW = 700.0  # ln(1+s) above which s itself is not a double
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Immutable description of an absorption law h.
+    """Immutable absorption law h: a family name and its parameter.
 
     Use the constructors :meth:`log_power`, :meth:`power`, :meth:`custom`
-    rather than instantiating directly.
+    rather than instantiating directly.  ``alpha`` is set for log_power,
+    ``p`` for power, and ``h_callable`` for custom laws.
     """
 
     family: str
     alpha: float | None = None
     p: float | None = None
     h_callable: Callable[[float], float] | None = None
-    declared_slope: float | None = None
-    description: str = ""
 
     @staticmethod
-    def log_power(alpha: float, description: str = "") -> "Nonlinearity":
+    def log_power(alpha: float) -> "Nonlinearity":
         if alpha <= 0:
             raise DomainError(f"log_power exponent must be positive, got {alpha}")
-        return Nonlinearity(
-            family="log_power",
-            alpha=float(alpha),
-            description=description or f"h(s)=ln^{alpha:g}(1+s)",
-        )
+        return Nonlinearity(family="log_power", alpha=float(alpha))
 
     @staticmethod
-    def power(p: float, description: str = "") -> "Nonlinearity":
+    def power(p: float) -> "Nonlinearity":
         if p <= 1:
             raise DomainError(f"power exponent must exceed 1, got {p}")
-        return Nonlinearity(
-            family="power", p=float(p), description=description or f"h(s)=s^{p - 1:g}"
-        )
+        return Nonlinearity(family="power", p=float(p))
 
     @staticmethod
-    def custom(
-        h: Callable[[float], float],
-        declared_slope: float,
-        description: str = "custom",
-    ) -> "Nonlinearity":
-        spec = Nonlinearity(
-            family="custom",
-            h_callable=h,
-            declared_slope=float(declared_slope),
-            description=description,
-        )
+    def custom(h: Callable[[float], float]) -> "Nonlinearity":
+        spec = Nonlinearity(family="custom", h_callable=h)
         _spot_check_monotone(spec)
         return spec
-
-    def params(self) -> dict:
-        """Serializable parameter dictionary for manifests."""
-        out: dict = {"family": self.family, "description": self.description}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.p is not None:
-            out["p"] = self.p
-        if self.declared_slope is not None:
-            out["declared_slope"] = self.declared_slope
-        return out
 
 
 def _spot_check_monotone(spec: Nonlinearity, n: int = 40) -> None:
@@ -251,9 +223,9 @@ class ConditionReport:
     ``all_tails_divergent`` -- the same integral diverges for every lower
     limit (the globally-defined-profile regime).
 
-    ``confidence`` carries the numerical cross-check (fitted tail slopes and
-    panel diagnostics); for built-in families the verdicts themselves are
-    analytic.
+    ``confidence`` carries the numerical cross-check (each condition's
+    numerical verdict and fitted tail slope); for built-in families the
+    verdicts themselves are analytic.
     """
 
     osgood: bool
@@ -277,7 +249,8 @@ def _numeric_H_interpolant(spec: Nonlinearity, x_max: float) -> Callable:
 
 @functools.lru_cache(maxsize=64)
 def _numeric_classification(spec: Nonlinearity) -> dict:
-    """Tail-slope diagnostics for both conditions; verdicts may be None.
+    """Numerical verdict and fitted tail slope of both conditions; a
+    verdict is None inside the dead band.
 
     Cached per law (a ``Nonlinearity`` is frozen and hashable): custom laws
     are asked for their verdicts on every flat-envelope and profile call.
@@ -287,7 +260,7 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
         s = np.asarray(s, dtype=float)
         return 1.0 / (s * _h_vec(spec, s))
 
-    verdict_o, diag_o = classify_tail(osgood_integrand)
+    verdict_o, slope_o = classify_tail(osgood_integrand)
 
     lnH = _numeric_H_interpolant(spec, x_max=math.log(2.0) * 42.0)
 
@@ -295,14 +268,12 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
         s = np.asarray(s, dtype=float)
         return np.exp(-0.5 * lnH(np.log(s)))
 
-    verdict_k, diag_k = classify_tail(ko_integrand)
+    verdict_k, slope_k = classify_tail(ko_integrand)
     return {
         "osgood_numeric": verdict_o,
-        "osgood_slope": diag_o.slope,
-        "osgood_diagnostics": diag_o,
+        "osgood_slope": slope_o,
         "keller_osserman_numeric": verdict_k,
-        "keller_osserman_slope": diag_k.slope,
-        "keller_osserman_diagnostics": diag_k,
+        "keller_osserman_slope": slope_k,
     }
 
 
@@ -326,7 +297,7 @@ def classify_conditions(spec: Nonlinearity) -> ConditionReport:
 
     Built-in families return the analytic verdicts of
     :func:`_condition_holds` with the numerical tail classification
-    attached as confidence diagnostics.  For custom families the numerical
+    attached as ``confidence``.  For custom families the numerical
     classification is the verdict, and a fitted slope inside the +-0.05
     dead band around -1 raises :class:`InconclusiveClassificationError`
     rather than guessing.

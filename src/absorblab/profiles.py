@@ -49,6 +49,7 @@ from .errors import (
 from .nonlinearity import Nonlinearity, _condition_holds, eval_H, eval_h, h_of_w
 
 _V_CLIP = 1e300
+_SHOOT_RTOL = 1e-9  # relative tolerance of shoot_profile's RK45 integration
 
 
 def c_alpha(alpha: float) -> float:
@@ -70,10 +71,7 @@ class RadialProfile:
     radii: np.ndarray
     w_values: np.ndarray
     dw_values: np.ndarray
-    dimension: int
-    center_value: float
     kind: str  # "shooting" | "apriori_bound" | "boundary_blowup"
-    spec: Nonlinearity
     dense: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,15 +114,14 @@ def shoot_profile(
     N: int,
     r_max: float,
     grid: np.ndarray | None = None,
-    rtol: float = 1e-9,
 ) -> RadialProfile:
     """Integrate the stationary profile with center height ``a`` out to r_max.
 
     Shooting starts at ``r0 = 1e-6 * max(1, r_max)`` with the Taylor seed
     ``V(r0) = a + a h(a) r0^2 / (2N)``, ``V'(r0) = a h(a) r0 / N``, which is
     the exact curvature of the profile at the origin and steps over the
-    (N-1)/r singularity.  Adaptive Runge-Kutta (order 5(4)) in the W
-    variable; the solution is resampled onto ``grid`` (default: 513 uniform
+    (N-1)/r singularity.  Adaptive Runge-Kutta (order 5(4), relative
+    tolerance ``_SHOOT_RTOL``) in the W variable; the solution is resampled onto ``grid`` (default: 513 uniform
     nodes).
 
     Overflow guard.  For the log-power family with alpha <= 2 the right-hand
@@ -169,7 +166,7 @@ def shoot_profile(
         (r0, r_max),
         y0,
         method="RK45",
-        rtol=rtol,
+        rtol=_SHOOT_RTOL,
         atol=1e-12,
         dense_output=True,
         events=overflow_event,
@@ -195,10 +192,7 @@ def shoot_profile(
         radii=grid,
         w_values=w,
         dw_values=dw,
-        dimension=N,
-        center_value=float(a),
         kind="shooting",
-        spec=spec,
         dense=sol.sol,
     )
 
@@ -344,7 +338,6 @@ def ko_tail(spec: Nonlinearity, v: float) -> float:
 class BlowupReport:
     """Convergence record of the finite-boundary approximations."""
 
-    k_values: np.ndarray
     center_values: np.ndarray  # fitted center heights v(0) per k
     cauchy_sup_w: np.ndarray   # sup over [0, 0.9 m] of consecutive W-differences
 
@@ -417,14 +410,10 @@ def boundary_blowup_profile(
         radii=final.radii,
         w_values=final.w_values,
         dw_values=final.dw_values,
-        dimension=N,
-        center_value=centers[-1],
         kind="boundary_blowup",
-        spec=spec,
         dense=final.dense,
     )
     report = BlowupReport(
-        k_values=k_list,
         center_values=np.array(centers),
         cauchy_sup_w=cauchy,
     )
@@ -438,7 +427,6 @@ class FitReport:
     exponent_hat: float
     constant_hat: float
     window: tuple[float, float]
-    n_points: int
     target_exponent: float
     target_constant: float | None
     kind: str  # "power_of_r" for alpha < 2, "exponential_in_r" for alpha = 2
@@ -499,7 +487,6 @@ def fit_asymptotics(profile: RadialProfile, alpha: float) -> FitReport:
         exponent_hat=float(exponent),
         constant_hat=float(constant),
         window=(float(r_lo), float(r_hi)),
-        n_points=int(np.count_nonzero(sel)),
         target_exponent=target_exp,
         target_constant=target_const,
         kind=kind,

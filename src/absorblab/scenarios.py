@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import AbsorbLabError, ConfigError
-from .evolution import _reduce_work, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
+from .evolution import _solver_work, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
 from .flat_ode import solve_phi, solve_phi_infinity_log
 from .io import RunManifest, emit_csv, emit_manifest
 from .nonlinearity import Nonlinearity, classify_conditions, log_u_from_w
@@ -36,15 +36,7 @@ def _spec_from(config: ExperimentConfig) -> Nonlinearity:
 
 
 def _power_growth(K: float, beta: float) -> GrowthFunction:
-    return GrowthFunction(
-        gamma=lambda r: K * r**beta, beta=beta, K=K, description=f"{K:g} r^{beta:g}"
-    )
-
-
-def _solver_notes(seqs) -> dict:
-    """The drivers' solver work over all their runs, by the drivers' own
-    rule: summed, except the step count and the step and residual extremes."""
-    return _reduce_work([seq.diagnostics["solver_work"] for seq in seqs])
+    return GrowthFunction(gamma=lambda r: K * r**beta, beta=beta, K=K)
 
 
 def _field_rows(prefix: tuple, fld, times) -> list:
@@ -208,7 +200,7 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
         for a1, a2 in zip(a_sorted[:-1], a_sorted[1:])
     )
     man.record_check("center_nondecreasing_in_a", inc, 1e-9 * scale)
-    man.notes["solver_work"] = _solver_notes(seqs)
+    man.notes["solver_work"] = _solver_work([f for seq in seqs for f in seq.fields])
     man.record_file(emit_csv(out_dir / "theorem_b.csv", ["a", "n", "t", "r", "w"], rows))
     return man
 
@@ -253,7 +245,7 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     frac = config["gap_fraction"] * scale
     man.record_check("final_gap_small", rel_gaps[-1] <= frac, frac)
     man.notes["relative_gaps"] = rel_gaps
-    man.notes["solver_work"] = _solver_notes([seq])
+    man.notes["solver_work"] = _solver_work(seq.fields)
     man.record_file(emit_csv(out_dir / "theorem_c.csv", ["n", "t", "r", "w"], rows))
     gap_rows = [[n, rel] for n, rel in zip(config["n_list"], rel_gaps)]
     man.record_file(emit_csv(out_dir / "gaps.csv", ["n", "relative_gap"], gap_rows))
@@ -272,7 +264,6 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
         gamma=lambda r: float(prof_mid.w_at(min(r, r_big))),
         beta=2.0 / (2.0 - spec.alpha),
         K=0.0,
-        description=f"stationary profile of height {config['mid']:g}",
     )
     lam1 = solve_phi_infinity_log(spec, tf)
     phi_inf = math.exp(lam1)
@@ -295,7 +286,7 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     )
     man.notes["lower_family_violation"] = lower.monotone_violation
     man.notes["upper_family_violation"] = upper.monotone_violation
-    man.notes["solver_work"] = _solver_notes([a4, lower, upper])
+    man.notes["solver_work"] = _solver_work([*a4.fields, *lower.fields, *upper.fields])
 
     a4_sup = math.expm1(min(float(np.max(a4.limit.values[-1])), 690.0))
     j_star = int(round(r_star / h))

@@ -63,10 +63,12 @@ __all__ = [
 ]
 
 # nodes of domination_radius's profile scan, the largest height that
-# critical_flat_height brackets, and heat_core_log_integral's Simpson nodes
+# critical_flat_height brackets, heat_core_log_integral's Simpson nodes, and
+# the fewest Gauss panels of exact_absorption_integral
 _DOMINATION_GRID = 2049
 _BRACKET_MAX = 1e12
 _HEAT_CORE_NODES = 4001
+_ABSORPTION_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class GrowthFunction:
     gamma: Callable[[float], float]
     beta: float
     K: float
-    description: str = ""
 
     def gamma_vec(self, r) -> np.ndarray:
         return np.vectorize(self.gamma, otypes=[float])(np.asarray(r, dtype=float))
@@ -199,9 +200,7 @@ def absorption_integral_bound(
     return AbsorptionBound(refined=float(refined), crude=float(crude), tau_integral=float(tau_integral))
 
 
-def exact_absorption_integral(
-    spec: Nonlinearity, gamma_rn: float, t: float, n_panels: int = 8
-) -> float:
+def exact_absorption_integral(spec: Nonlinearity, gamma_rn: float, t: float) -> float:
     """Quadrature of the absorption integral along the actual flat decay.
 
     Integrates ln^alpha(omega(s)+1) over [0, t] where omega is the flat
@@ -217,11 +216,11 @@ def exact_absorption_integral(
     # the height collapses on the timescale gamma^(1-alpha); uniform panels
     # cannot resolve that layer for large data, so grade them geometrically
     # from a first panel of a quarter of the timescale
-    first = min(t / n_panels, 0.25 * gamma_rn ** (1.0 - spec.alpha))
+    first = min(t / _ABSORPTION_PANELS, 0.25 * gamma_rn ** (1.0 - spec.alpha))
     edge_list = [0.0, first]
     while edge_list[-1] < t:
         edge_list.append(min(t, edge_list[-1] + (edge_list[-1] - edge_list[-2]) * 2.0))
-    while len(edge_list) - 1 < n_panels:  # keep at least the requested count
+    while len(edge_list) - 1 < _ABSORPTION_PANELS:  # keep at least that many panels
         widths = np.diff(edge_list)
         j = int(np.argmax(widths))
         edge_list.insert(j + 1, edge_list[j] + widths[j] / 2.0)

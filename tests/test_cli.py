@@ -165,8 +165,9 @@ def test_unknown_scenario_exits_2(capsys):
 def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch):
     # theorem-b steps one capped family per ball, holding every center
     # height's run on that ball, and gets back one sequence per height: three
-    # sequences on one step sequence.  Its solver_work note sums their counts,
-    # but takes the largest worst residual and longest step and the shortest step
+    # sequences, nine runs on one step sequence.  Its solver_work note is
+    # _solver_work over all nine: it sums their counts, but takes the largest
+    # worst residual and longest step and the shortest step
     seqs = []
 
     def recording(*args, **kwargs):
@@ -178,23 +179,25 @@ def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch
     out = tmp_path / "run"
     assert main(["theorem-b", "--out", str(out)]) == EXIT_NUMERICAL  # acceptance 7
     note = _manifest(out)["notes"]["solver_work"]
-    work = [seq.diagnostics["solver_work"] for seq in seqs]
-    assert len(work) == 3 and note["steps"] == work[0]["steps"] == 524
-    for key in ("runs", "warm_start_sweeps", "newton_solves", "damping_halvings",
-                "negative_clips"):
-        assert note[key] == sum(w[key] for w in work)
-    residuals = [w["worst_residual"] for w in work]
-    assert len(set(residuals)) == 3 and note["worst_residual"] == max(residuals)
+    runs = [f for seq in seqs for f in seq.fields]
+    assert len(seqs) == 3 and len(runs) == 9
+    assert note == evolution._solver_work(runs)
+    assert note["steps"] == 524 and note["runs"] == 9
+    assert all(f.steps == 524 for f in runs)
+    for key in ("warm_start_sweeps", "newton_solves", "damping_halvings", "negative_clips"):
+        assert note[key] == sum(getattr(f, key) for f in runs)
+    residuals = [f.worst_residual for f in runs]
+    assert len(set(residuals)) > 1 and note["worst_residual"] == max(residuals)
     assert 0.0 < note["worst_residual"] < 1e-10  # newton_tol: no run stalled
     assert note["min_dt"] == 1e-6 and note["max_dt"] == pytest.approx(1e-3)
-    for seq, w in zip(seqs, work):
-        assert w["worst_residual"] == max(f.worst_residual for f in seq.fields)
-        assert (w["min_dt"], w["max_dt"]) == (note["min_dt"], note["max_dt"])
-    # sequences on different step ranges
-    fake = [SimpleNamespace(diagnostics={"solver_work": {**work[0], "min_dt": lo, "max_dt": hi}})
+    assert all((f.min_dt, f.max_dt) == (note["min_dt"], note["max_dt"]) for f in runs)
+    # runs on different step ranges
+    counts = ("steps", "warm_start_sweeps", "newton_solves", "damping_halvings",
+              "negative_clips", "worst_residual", "u_steps")
+    fake = [SimpleNamespace(**{k: getattr(runs[0], k) for k in counts}, min_dt=lo, max_dt=hi)
             for lo, hi in ((1e-6, 2e-3), (3e-7, 1e-3))]
-    assert scenarios._solver_notes(fake)["min_dt"] == 3e-7
-    assert scenarios._solver_notes(fake)["max_dt"] == 2e-3
+    work = evolution._solver_work(fake)
+    assert (work["min_dt"], work["max_dt"]) == (3e-7, 2e-3)
 
 
 def test_failed_check_exits_3_and_writes_artifacts(tmp_path, capsys):

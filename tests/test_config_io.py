@@ -177,6 +177,17 @@ def test_bound_radii_must_fit_profile_range(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_stationary_grid_needs_two_points(tmp_path):
+    # used to fail in shoot_profile's grid check with exit code 3
+    with pytest.raises(ConfigError, match="grid_points"):
+        parse_config("stationary", "grid_points = 1\n")
+    assert parse_config("stationary", "grid_points = 2\n")["grid_points"] == 2
+    cfg = tmp_path / "st.cfg"
+    cfg.write_text("grid_points = 1\n")
+    assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
 def test_alpha2_x_radius_must_be_nonnegative(tmp_path):
     # -10 used to exit 3 with a math domain error, -2 silently used R = r_n - 2
     for x in ("-10", "-2"):

@@ -94,7 +94,7 @@ def scalar_backward_euler_log(spec, w0, step_times):
 def path_trace(path):
     def w_of_times(ts):
         return np.array([path[round(float(t), 15)] for t in np.atleast_1d(np.asarray(ts, dtype=float))])
-    return BoundaryTrace(w_of_times=w_of_times, label="scalar recursion")
+    return BoundaryTrace(w_of_times=w_of_times)
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +343,7 @@ def test_heights_saturate_beyond_double_range():
     grid = uniform_grid(1.0, 0.05, 1)
     vals = np.zeros((1, 21))
     vals[0, :3] = (800.0, 690.5, 1.0)
-    fld = EvolutionField(times=np.array([0.0]), grid=grid, values=vals,
-                         boundary=BoundaryTrace.constant(0.0), scheme_tag="t",
-                         spec=LOG15)
+    fld = EvolutionField(times=np.array([0.0]), grid=grid, values=vals, scheme_tag="t")
     hts = fld.heights()
     assert hts[0, 0] == 1e300 and hts[0, 1] == 1e300
     assert hts[0, 2] == pytest.approx(math.expm1(1.0))
@@ -836,13 +834,12 @@ def _w_path_only(monkeypatch):
 
 
 def _theorem_c_fields():
-    seq = run_scheme_A4(LOG15, QUARTIC, [3.0, 4.0, 5.0, 6.0], 9.0, [0.0, 0.1],
-                        h=0.025, dt_max=2e-5)
-    return seq.fields, seq.diagnostics
+    return run_scheme_A4(LOG15, QUARTIC, [3.0, 4.0, 5.0, 6.0], 9.0, [0.0, 0.1],
+                         h=0.025, dt_max=2e-5).fields
 
 
 def _mixed_fields():
-    return _family(_mixed_family(), [0.0, 0.01, 0.02]).fields, None
+    return _family(_mixed_family(), [0.0, 0.01, 0.02]).fields
 
 
 @pytest.mark.parametrize("family, u_steps", [(_mixed_fields, 44), (_theorem_c_fields, 2021)],
@@ -858,19 +855,18 @@ def test_u_path_agrees_with_w_path(monkeypatch, family, u_steps):
     # within rounding of _NEWTON_TOL, falling on the other side); each such
     # edge moves a count by one or two, and none occurred when this was
     # written, so at most two edges per count are allowed.
-    fields, notes = family()
+    fields = family()
     with monkeypatch.context() as patch:
         _w_path_only(patch)
-        w_fields, w_notes = family()
+        w_fields = family()
     for u_fld, w_fld in zip(fields, w_fields):
         assert np.max(np.abs(u_fld.values - w_fld.values)) < 1e-9
         assert abs(u_fld.warm_start_sweeps - w_fld.warm_start_sweeps) <= 2
         assert abs(u_fld.newton_solves - w_fld.newton_solves) <= 4
         assert (u_fld.u_steps, w_fld.u_steps) == (u_steps, 0)
         assert u_fld.worst_residual < evolution._NEWTON_TOL
-    if notes is not None:
-        assert notes["solver_work"]["u_steps"] == u_steps
-        assert w_notes["solver_work"]["u_steps"] == 0
+    assert evolution._solver_work(fields)["u_steps"] == u_steps
+    assert evolution._solver_work(w_fields)["u_steps"] == 0
 
 
 def test_overflow_guard_keeps_power_law_steps_in_w(controls):
@@ -1016,7 +1012,7 @@ def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
             for key in ("warm_start_sweeps", "newton_solves", "damping_halvings",
                         "newton_iterations_max", "worst_residual"):
                 assert getattr(one, key) == getattr(many, key), key
-        assert seq.diagnostics["solver_work"] == evolution._solver_work(runs)
+        assert evolution._solver_work(seq.fields) == evolution._solver_work(runs)
 
 
 def test_capped_scheme_checks_every_height_before_stepping(monkeypatch):
@@ -1034,6 +1030,19 @@ def test_capped_scheme_checks_every_height_before_stepping(monkeypatch):
     low, high = run_scheme_A8(LOG15, QUARTIC, [2.0, 8.0], [1.0, 2.0], times, h=0.05)
     assert "domination_warning" not in low.diagnostics
     assert "1.17" in high.diagnostics["domination_warning"]
+
+
+@pytest.mark.parametrize("run", [
+    lambda times: run_scheme_A4(LOG15, QUARTIC, [], 9.0, times),
+    lambda times: run_scheme_A8(LOG15, QUARTIC, [2.0], [], times),
+    lambda times: run_scheme_A8_1(LOG15, QUARTIC, 1.0, 2.0, [], times),
+], ids=["A4", "A8", "A8_1"])
+def test_drivers_reject_empty_ball_lists(monkeypatch, run):
+    # A4 and A8.1 used to reach n_list[-1] and raise a bare IndexError; every
+    # driver refuses an empty ball list before it shoots or steps anything
+    _counted_evolve(monkeypatch, fail=True)
+    with pytest.raises(PreconditionError, match="needs"):
+        run([0.0, 0.01])
 
 
 def test_sandwich_scheme_orders_families():
@@ -1064,8 +1073,7 @@ def _ramp_fields(heights, n_nodes=(20, 24)):
     for w, nodes in zip(heights, n_nodes):
         grid = uniform_grid(0.05 * (nodes - 1), 0.05, 1)
         out.append(EvolutionField(
-            times=times, grid=grid, values=np.full((2, nodes), w),
-            boundary=BoundaryTrace.constant(w), scheme_tag=f"w={w:g}", spec=LOG15,
+            times=times, grid=grid, values=np.full((2, nodes), w), scheme_tag=f"w={w:g}",
         ))
     return out
 
@@ -1083,7 +1091,7 @@ def test_ordering_guard_threshold(increasing):
     seq = _ordered_sequence(fields, increasing, tol, "test")
     assert seq.monotone_violation == 10.0 * tol
     assert seq.limit is fields[-1]
-    assert seq.diagnostics == {"tolerance": tol}
+    assert seq.diagnostics == {}
     with pytest.raises(MonotonicityError) as info:
         _ordered_sequence(pair(10.0 * tol + 0.125), increasing, tol, "test")
     assert info.value.violation == 10.0 * tol + 0.125

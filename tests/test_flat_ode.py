@@ -68,11 +68,9 @@ def test_trajectories_positive_and_nonincreasing(a, alpha):
 
 def test_trajectory_validation():
     with pytest.raises(DomainError):
-        FlatTrajectory(times=np.array([0.0, 1.0]), values=np.array([1.0, -0.5]),
-                       initial_datum=1.0, spec=LOG15)
+        FlatTrajectory(times=np.array([0.0, 1.0]), values=np.array([1.0, -0.5]))
     with pytest.raises(DomainError):
-        FlatTrajectory(times=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]),
-                       initial_datum=1.0, spec=LOG15)
+        FlatTrajectory(times=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
 
 
 def test_osgood_tail_against_mpmath():
@@ -354,7 +352,7 @@ def test_custom_law_is_classified_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nonlinearity, "_numeric_H_interpolant", counted)
-    spec = Nonlinearity.custom(lambda s: s, 1.0)
+    spec = Nonlinearity.custom(lambda s: s)
     first = solve_phi_infinity_log(spec, 0.5)
     assert solve_phi_infinity_log(spec, 0.5) == first
     assert len(built) == 1

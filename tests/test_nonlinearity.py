@@ -118,7 +118,7 @@ def test_classification_power_family():
 
 def test_classification_custom_numeric_route():
     # h(s) = s behaves like the power family with p = 2
-    spec = Nonlinearity.custom(lambda s: s, declared_slope=1.0)
+    spec = Nonlinearity.custom(lambda s: s)
     report = classify_conditions(spec)
     assert report.osgood is True
     assert report.keller_osserman is True
@@ -127,7 +127,7 @@ def test_classification_custom_numeric_route():
 
 def test_classification_custom_borderline_is_inconclusive():
     # h(s) = ln(1+s) sits exactly on the slow-tail borderline
-    spec = Nonlinearity.custom(lambda s: math.log1p(s), declared_slope=1.0)
+    spec = Nonlinearity.custom(lambda s: math.log1p(s))
     with pytest.raises(InconclusiveClassificationError) as err:
         classify_conditions(spec)
     assert abs(err.value.slope + 1.0) < 0.05
@@ -135,13 +135,7 @@ def test_classification_custom_borderline_is_inconclusive():
 
 def test_custom_constructor_rejects_decreasing_laws():
     with pytest.raises(DomainError):
-        Nonlinearity.custom(lambda s: 1.0 / (1.0 + s), declared_slope=-1.0)
-
-
-def test_params_round_trip_fields():
-    assert LOG15.params()["alpha"] == 1.5
-    assert POW2.params()["p"] == 2.0
-    assert LOG15.params()["family"] == "log_power"
+        Nonlinearity.custom(lambda s: 1.0 / (1.0 + s))
 
 
 def test_log_converters_against_mpmath():

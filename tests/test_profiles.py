@@ -132,7 +132,7 @@ def test_ko_tail_power_closed_form():
 
 def test_ko_tail_diverges_without_barrier():
     # the same law as a custom callable takes the numerical verdict
-    custom = Nonlinearity.custom(lambda s: math.log1p(s) ** 1.5, 0.0)
+    custom = Nonlinearity.custom(lambda s: math.log1p(s) ** 1.5)
     for spec in (LOG15, custom):
         with pytest.raises(PreconditionError):
             ko_tail(spec, 5.0)
@@ -164,9 +164,7 @@ def test_fit_is_exact_on_shifted_power_law(alpha, c, shift):
     r = np.linspace(0.0, 10.0, 513)
     x = np.maximum(r - shift, 0.0)
     prof = RadialProfile(
-        radii=r, w_values=c * x**k, dw_values=c * k * x ** (k - 1.0),
-        dimension=3, center_value=float(c * x[0] ** k), kind="synthetic",
-        spec=Nonlinearity.log_power(alpha),
+        radii=r, w_values=c * x**k, dw_values=c * k * x ** (k - 1.0), kind="synthetic",
     )
     fit = fit_asymptotics(prof, alpha)
     assert fit.target_exponent == k

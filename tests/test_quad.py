@@ -92,9 +92,9 @@ def test_classify_tail_known_cases():
     assert convergent is True
     divergent, _ = classify_tail(lambda x: x**-0.8)
     assert divergent is False
-    borderline, diags = classify_tail(lambda x: x**-1.0)
+    borderline, slope = classify_tail(lambda x: x**-1.0)
     assert borderline is None
-    assert abs(diags.slope + 1.0) < 0.05
+    assert abs(slope + 1.0) < 0.05
 
 
 def test_log_simpson_matches_linear_scale_quadrature():

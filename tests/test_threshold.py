@@ -35,8 +35,7 @@ from absorblab.threshold import (
 )
 
 LOG15 = Nonlinearity.log_power(1.5)
-QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * float(r) ** 4, beta=4.0, K=2.0,
-                         description="2 r^4")
+QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * float(r) ** 4, beta=4.0, K=2.0)
 
 
 # ----------------------------------------------------------------------
