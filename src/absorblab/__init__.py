@@ -7,7 +7,7 @@ Modules:
 * :mod:`absorblab.flat_ode` -- space-independent decay solutions by level
   inversion, including the infinite-data envelope;
 * :mod:`absorblab.profiles` -- stationary radial profiles, growth
-  asymptotics, a-priori bounds, boundary blow-up;
+  asymptotics, a-priori bounds;
 * :mod:`absorblab.evolution` -- monotone implicit radial solver and the
   ball-exhaustion scheme drivers;
 * :mod:`absorblab.threshold` -- heat-kernel threshold analytics for

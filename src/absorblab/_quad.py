@@ -113,8 +113,7 @@ def classify_tail(f) -> tuple[bool | None, float]:
     ``_FIT_PANELS`` is regressed against the log of the panel midpoint.
     Returns the verdict and the fitted log-log slope.  A slope below
     ``-1 - _DEAD_BAND`` reports convergence (True), above ``-1 + _DEAD_BAND``
-    divergence (False), and inside the dead band ``None`` -- the caller
-    decides whether an inconclusive verdict is an error.
+    divergence (False), and inside the dead band ``None`` (inconclusive).
     """
     k_max = _CLASSIFY_PANELS
     ks = np.arange(k_max)

@@ -15,6 +15,7 @@ failures or failed checks.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -48,9 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not args.tolerance_scale > 0.0:
+        if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0.0):
             raise ConfigError(
-                f"--tolerance-scale must be positive, got {args.tolerance_scale:g}"
+                f"--tolerance-scale must be positive and finite, got {args.tolerance_scale:g}"
             )
         config = load_config(args.scenario, args.config)
         manifest = run_scenario(config, args.out, args.tolerance_scale)

@@ -42,20 +42,6 @@ class BracketError(AbsorbLabError):
     """A root or shooting parameter could not be bracketed."""
 
 
-class InconclusiveClassificationError(AbsorbLabError):
-    """Numerical tail classification landed inside the declared dead band.
-
-    Raised when the measured log-log slope of an improper integrand sits
-    within ``band`` of the critical slope -1, so neither convergence nor
-    divergence can be asserted honestly.
-    """
-
-    def __init__(self, message: str, slope: float, band: float = 0.05):
-        super().__init__(message)
-        self.slope = slope
-        self.band = band
-
-
 class PreconditionError(AbsorbLabError):
     """A documented mathematical precondition of an operation is violated."""
 

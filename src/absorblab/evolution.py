@@ -180,10 +180,6 @@ class RadialGrid:
     def spacing(self) -> float:
         return float(self.radii[1] - self.radii[0])
 
-    @property
-    def r_out(self) -> float:
-        return float(self.radii[-1])
-
 
 def uniform_grid(r_out: float, h: float, dimension: int) -> RadialGrid:
     """Grid with exact spacing h; r_out must be a multiple of h."""
@@ -290,12 +286,6 @@ class EvolutionField:
     min_dt: float = 0.0             # shortest and longest step of the sequence
     max_dt: float = 0.0
     u_steps: int = 0                # steps whose warm start was taken in u
-
-    def heights(self) -> np.ndarray:
-        """u = exp(w) - 1, saturating at 1e300 where w exceeds double range."""
-        w = self.values
-        with np.errstate(over="ignore"):
-            return np.where(w > 690.0, 1e300, np.expm1(np.minimum(w, 690.0)))
 
 
 @dataclass(frozen=True)

@@ -254,13 +254,6 @@ def osgood_tail_from_log(spec: Nonlinearity, x0: float) -> float:
     )
 
 
-def osgood_tail(spec: Nonlinearity, v: float) -> float:
-    """Same as :func:`osgood_tail_from_log` with the level given linearly."""
-    if not (v > 0.0):
-        raise DomainError("tail integral needs a positive lower limit")
-    return osgood_tail_from_log(spec, math.log(v))
-
-
 def _require_osgood(spec: Nonlinearity) -> None:
     if not _condition_holds(spec, "osgood"):
         raise PreconditionError(

@@ -8,9 +8,6 @@ experiments:
   integral conditions switch at alpha = 1 and alpha = 2;
 * ``power``: h(s) = s^(p-1), p > 1, for which everything is closed form.
 
-A ``custom`` family accepts an arbitrary monotone callable; its
-growth conditions are decided by the numerical tail classification alone.
-
 Three integral conditions on h decide the qualitative theory:
 
 * ``osgood``: finiteness of the tail integral of 1/(s h(s)) -- equivalent
@@ -21,8 +18,8 @@ Three integral conditions on h decide the qualitative theory:
 * the complement of ``keller_osserman`` (divergence for every lower limit),
   under which stationary profiles exist globally in radius.
 
-Built-in families report analytic verdicts cross-checked by a numerical
-tail classification; custom families rely on the numerical route alone.
+Both families report analytic verdicts cross-checked by a numerical
+tail classification.
 """
 
 from __future__ import annotations
@@ -37,12 +34,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from ._quad import classify_tail, cumulative_gl
-from .errors import (
-    DomainError,
-    InconclusiveClassificationError,
-    OverflowGuardError,
-    QuadratureError,
-)
+from .errors import DomainError, OverflowGuardError, QuadratureError
 
 _W_OVERFLOW = 700.0  # ln(1+s) above which s itself is not a double
 
@@ -51,15 +43,13 @@ _W_OVERFLOW = 700.0  # ln(1+s) above which s itself is not a double
 class Nonlinearity:
     """Immutable absorption law h: a family name and its parameter.
 
-    Use the constructors :meth:`log_power`, :meth:`power`, :meth:`custom`
-    rather than instantiating directly.  ``alpha`` is set for log_power,
-    ``p`` for power, and ``h_callable`` for custom laws.
+    Use the constructors :meth:`log_power` and :meth:`power` rather than
+    instantiating directly.  ``alpha`` is set for log_power, ``p`` for power.
     """
 
     family: str
     alpha: float | None = None
     p: float | None = None
-    h_callable: Callable[[float], float] | None = None
 
     @staticmethod
     def log_power(alpha: float) -> "Nonlinearity":
@@ -73,35 +63,17 @@ class Nonlinearity:
             raise DomainError(f"power exponent must exceed 1, got {p}")
         return Nonlinearity(family="power", p=float(p))
 
-    @staticmethod
-    def custom(h: Callable[[float], float]) -> "Nonlinearity":
-        spec = Nonlinearity(family="custom", h_callable=h)
-        _spot_check_monotone(spec)
-        return spec
-
-
-def _spot_check_monotone(spec: Nonlinearity, n: int = 40) -> None:
-    """Verify h(0)=0 and monotonicity on a geometric sample grid."""
-    s = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, n)])
-    vals = _h_vec(spec, s)
-    if abs(vals[0]) > 1e-12:
-        raise DomainError(f"h(0) must vanish, got {vals[0]!r}")
-    if np.any(np.diff(vals) < -1e-12 * np.maximum(1.0, vals[1:])):
-        raise DomainError("h must be nondecreasing on [0, infinity)")
-
 
 def _h_vec(spec: Nonlinearity, s: np.ndarray) -> np.ndarray:
     """Vectorized h(s) for s >= 0 (no domain checks)."""
     s = np.asarray(s, dtype=float)
     if spec.family == "log_power":
         return np.log1p(s) ** spec.alpha
-    if spec.family == "power":
-        return s ** (spec.p - 1.0)
-    return np.vectorize(spec.h_callable, otypes=[float])(s)
+    return s ** (spec.p - 1.0)
 
 
 def eval_h(spec: Nonlinearity, s: float) -> float:
-    """h(s) for a single s >= 0; exact closed form for built-in families."""
+    """h(s) for a single s >= 0, in closed form."""
     if s < 0:
         raise DomainError(f"h is only defined for s >= 0, got {s}")
     return float(_h_vec(spec, np.asarray([s]))[0])
@@ -154,15 +126,10 @@ def dh_dw(spec: Nonlinearity, w) -> np.ndarray:
         return a * np.where(w > 0.0, w, 1.0) ** (a - 1.0) * (w > 0.0)
     if np.any(w > _W_OVERFLOW):
         raise OverflowGuardError("log variable too large for dh_dw")
-    if spec.family == "power":
-        s = np.expm1(w)
-        return (spec.p - 1.0) * np.where(s > 0.0, s, 1.0) ** (spec.p - 2.0) * (
-            s > 0.0
-        ) * (s + 1.0)
-    delta = 1e-6 * np.maximum(1.0, np.abs(w))
-    return (h_of_w(spec, w + delta) - h_of_w(spec, np.maximum(w - delta, 0.0))) / (
-        delta + np.minimum(w, delta)
-    )
+    s = np.expm1(w)
+    return (spec.p - 1.0) * np.where(s > 0.0, s, 1.0) ** (spec.p - 2.0) * (
+        s > 0.0
+    ) * (s + 1.0)
 
 
 def log_h_at_log(spec: Nonlinearity, x) -> np.ndarray:
@@ -178,12 +145,7 @@ def log_h_at_log(spec: Nonlinearity, x) -> np.ndarray:
         ell = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
         with np.errstate(divide="ignore"):
             return spec.alpha * np.log(ell)
-    if spec.family == "power":
-        return (spec.p - 1.0) * x
-    if np.any(x > _W_OVERFLOW):
-        raise OverflowGuardError("ln s too large to evaluate custom h")
-    with np.errstate(divide="ignore"):
-        return np.log(_h_vec(spec, np.exp(x)))
+    return (spec.p - 1.0) * x
 
 
 def eval_H(spec: Nonlinearity, s: float) -> float:
@@ -224,8 +186,8 @@ class ConditionReport:
     limit (the globally-defined-profile regime).
 
     ``confidence`` carries the numerical cross-check (each condition's
-    numerical verdict and fitted tail slope); for built-in families the
-    verdicts themselves are analytic.
+    numerical verdict and fitted tail slope); the verdicts themselves are
+    analytic.
     """
 
     osgood: bool
@@ -252,9 +214,10 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
     """Numerical verdict and fitted tail slope of both conditions; a
     verdict is None inside the dead band.
 
-    Cached per law (a ``Nonlinearity`` is frozen and hashable): custom laws
-    are asked for their verdicts on every flat-envelope and profile call.
-    The dict is shared between callers, who must not mutate it.
+    Cached per law (a ``Nonlinearity`` is frozen and hashable): one process
+    may classify the same law many times, as a repeated ``conditions`` run
+    does, and each fresh classification costs about 0.1 s.  The dict is
+    shared between callers, who must not mutate it.
     """
     def osgood_integrand(s):
         s = np.asarray(s, dtype=float)
@@ -277,51 +240,27 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
     }
 
 
-def _condition_holds(spec: Nonlinearity, condition: str) -> bool | None:
+def _condition_holds(spec: Nonlinearity, condition: str) -> bool:
     """Whether ``condition`` ("osgood" or "keller_osserman") holds for h.
 
-    The analytic rule for the built-in families: log_power is osgood iff
-    alpha > 1 and keller_osserman iff alpha > 2; power laws are both.
-    Custom laws get the numerical verdict of :func:`classify_conditions`
-    for that condition alone, None when it lands in the dead band.
+    The analytic rule: log_power is osgood iff alpha > 1 and
+    keller_osserman iff alpha > 2; power laws are both.
     """
     if spec.family == "log_power":
         return spec.alpha > (1.0 if condition == "osgood" else 2.0)
-    if spec.family == "power":
-        return True
-    return _numeric_classification(spec)[f"{condition}_numeric"]
+    return True
 
 
 def classify_conditions(spec: Nonlinearity) -> ConditionReport:
     """Classify the growth conditions of ``spec``.
 
-    Built-in families return the analytic verdicts of
-    :func:`_condition_holds` with the numerical tail classification
-    attached as ``confidence``.  For custom families the numerical
-    classification is the verdict, and a fitted slope inside the +-0.05
-    dead band around -1 raises :class:`InconclusiveClassificationError`
-    rather than guessing.
+    Returns the analytic verdicts of :func:`_condition_holds` with the
+    numerical tail classification attached as ``confidence``.
     """
-    confidence = dict(_numeric_classification(spec))
-    if spec.family != "custom":
-        osgood = _condition_holds(spec, "osgood")
-        ko = _condition_holds(spec, "keller_osserman")
-    else:
-        osgood = confidence["osgood_numeric"]
-        ko = confidence["keller_osserman_numeric"]
-        if osgood is None:
-            raise InconclusiveClassificationError(
-                "tail slope of 1/(s h(s)) is inside the dead band around -1",
-                slope=confidence["osgood_slope"],
-            )
-        if ko is None:
-            raise InconclusiveClassificationError(
-                "tail slope of 1/sqrt(H) is inside the dead band around -1",
-                slope=confidence["keller_osserman_slope"],
-            )
+    ko = _condition_holds(spec, "keller_osserman")
     return ConditionReport(
-        osgood=bool(osgood),
-        keller_osserman=bool(ko),
-        all_tails_divergent=not bool(ko),
-        confidence=confidence,
+        osgood=_condition_holds(spec, "osgood"),
+        keller_osserman=ko,
+        all_tails_divergent=not ko,
+        confidence=dict(_numeric_classification(spec)),
     )

@@ -20,8 +20,6 @@ The module provides:
   Taylor seed that steps over the coordinate singularity at r = 0;
 * :func:`apriori_bound` -- the universal pointwise bound on any profile,
   obtained by inverting an energy integral;
-* :func:`boundary_blowup_profile` -- profiles with prescribed (eventually
-  infinite) boundary values, built by bisection on the center height;
 * :func:`fit_asymptotics` -- least-squares measurement of the super-Gaussian
   growth exponent and constant against their predicted values.
 """
@@ -30,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import _GL_NODES, _GL_WEIGHTS, tail_integral
+from ._quad import _GL_NODES, _GL_WEIGHTS
 from .errors import (
     BracketError,
     DomainError,
@@ -46,7 +43,7 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .nonlinearity import Nonlinearity, _condition_holds, eval_H, eval_h, h_of_w
+from .nonlinearity import Nonlinearity, eval_H, eval_h, h_of_w
 
 _V_CLIP = 1e300
 _SHOOT_RTOL = 1e-9  # relative tolerance of shoot_profile's RK45 integration
@@ -71,7 +68,6 @@ class RadialProfile:
     radii: np.ndarray
     w_values: np.ndarray
     dw_values: np.ndarray
-    kind: str  # "shooting" | "apriori_bound" | "boundary_blowup"
     dense: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,21 +78,22 @@ class RadialProfile:
             raise DomainError("profile must be nondecreasing in r")
 
     def sample(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """(W, W_r) at arbitrary radii inside the computed range."""
+        """(W, W_r) at arbitrary radii inside the computed range: two arrays
+        for a 1-D ``radii``, two scalars for a scalar radius."""
         radii = np.asarray(radii, dtype=float)
         if np.any(radii < 0.0) or np.any(radii > self.radii[-1] * (1 + 1e-12)):
             raise DomainError("sample radii outside the computed range")
         if self.dense is not None:
-            out = np.atleast_2d(self.dense(np.clip(radii, self.dense.t_min, None)))
+            out = self.dense(np.clip(radii, self.dense.t_min, None))
             w = np.where(radii < self.dense.t_min, self.w_values[0], out[0])
             dw = np.where(radii < self.dense.t_min, 0.0, out[1])
-            return w, dw
-        w_i = PchipInterpolator(self.radii, self.w_values)
-        dw_i = PchipInterpolator(self.radii, self.dw_values)
-        return w_i(radii), dw_i(radii)
+        else:
+            w = PchipInterpolator(self.radii, self.w_values)(radii)
+            dw = PchipInterpolator(self.radii, self.dw_values)(radii)
+        return w[()], dw[()]
 
     def w_at(self, r: float) -> float:
-        return float(self.sample(np.asarray([r]))[0][0])
+        return float(self.sample(r)[0])
 
 
 def _w_rhs(spec: Nonlinearity, N: int):
@@ -192,7 +189,6 @@ def shoot_profile(
         radii=grid,
         w_values=w,
         dw_values=dw,
-        kind="shooting",
         dense=sol.sol,
     )
 
@@ -309,127 +305,14 @@ def apriori_bound(spec: Nonlinearity, b: float, R: float) -> float:
     return math.exp(x_root)
 
 
-def ko_tail(spec: Nonlinearity, v: float) -> float:
-    """Tail integral of 1/sqrt(H) over [v, infinity) for blow-up bounds."""
-    if not (v > 0.0):
-        raise DomainError("tail integral needs a positive lower limit")
-    if not _condition_holds(spec, "keller_osserman"):
-        raise PreconditionError(
-            "the barrier tail integral diverges without the keller_osserman condition"
-        )
-
-    if spec.family == "power":
-        p = spec.p
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(x) * math.sqrt(p + 1.0) * np.exp(-0.5 * (p + 1.0) * x)
-
-    else:
-        H_vec = np.vectorize(lambda x: eval_H(spec, math.exp(x)), otypes=[float])
-
-        def f(x):
-            return np.exp(np.asarray(x, dtype=float)) / np.sqrt(H_vec(x))
-
-    return tail_integral(f, math.log(v), first_len=1.0, rel_tol=1e-12)
-
-
-@dataclass(frozen=True)
-class BlowupReport:
-    """Convergence record of the finite-boundary approximations."""
-
-    center_values: np.ndarray  # fitted center heights v(0) per k
-    cauchy_sup_w: np.ndarray   # sup over [0, 0.9 m] of consecutive W-differences
-
-
-def boundary_blowup_profile(
-    spec: Nonlinearity,
-    m: float,
-    N: int,
-    k_list: Sequence[float],
-    grid: np.ndarray | None = None,
-) -> tuple[RadialProfile, BlowupReport]:
-    """Profile on the ball of radius m with boundary heights k from ``k_list``.
-
-    Requires the keller_osserman condition (otherwise no boundary blow-up
-    limit exists).  Each finite-boundary problem ``V(m) = k`` is solved by
-    bisection on the center height using :func:`shoot_profile`; a shoot that
-    overflows before reaching m counts as overshooting the target.  Returns
-    the largest-k profile together with the Cauchy differences (sup over
-    [0, 0.9 m], measured in W) between consecutive profiles.
-    """
-    if not _condition_holds(spec, "keller_osserman"):
-        raise PreconditionError(
-            "boundary blow-up profiles require the keller_osserman condition"
-        )
-    k_list = np.asarray(sorted(k_list), dtype=float)
-    if len(k_list) < 2 or np.any(k_list <= 0.0):
-        raise DomainError("need at least two positive boundary heights")
-
-    if grid is None:
-        grid = np.linspace(0.0, m, 513)
-
-    def boundary_gap(a: float, k: float) -> float:
-        try:
-            prof = shoot_profile(spec, a, N, m, grid=grid)
-        except (OverflowGuardError, ToleranceError):
-            return math.inf
-        return prof.w_values[-1] - math.log1p(k)
-
-    profiles = []
-    centers = []
-    for k in k_list:
-        lo, hi = 1e-12, float(k)
-        if boundary_gap(hi, k) < 0.0:
-            raise BracketError(
-                "shooting bracket failed: center height k undershoots boundary k"
-            )
-        for _ in range(60):
-            midpoint = 0.5 * (lo + hi)
-            if boundary_gap(midpoint, k) < 0.0:
-                lo = midpoint
-            else:
-                hi = midpoint
-        a_star = 0.5 * (lo + hi)
-        profiles.append(shoot_profile(spec, a_star, N, m, grid=grid))
-        centers.append(a_star)
-
-    interior = grid <= 0.9 * m
-    cauchy = np.array(
-        [
-            float(
-                np.max(
-                    np.abs(p2.w_values[interior] - p1.w_values[interior])
-                )
-            )
-            for p1, p2 in zip(profiles[:-1], profiles[1:])
-        ]
-    )
-    final = profiles[-1]
-    final = RadialProfile(
-        radii=final.radii,
-        w_values=final.w_values,
-        dw_values=final.dw_values,
-        kind="boundary_blowup",
-        dense=final.dense,
-    )
-    report = BlowupReport(
-        center_values=np.array(centers),
-        cauchy_sup_w=cauchy,
-    )
-    return final, report
-
-
 @dataclass(frozen=True)
 class FitReport:
     """Measured growth law of a computed profile."""
 
     exponent_hat: float
     constant_hat: float
-    window: tuple[float, float]
     target_exponent: float
-    target_constant: float | None
-    kind: str  # "power_of_r" for alpha < 2, "exponential_in_r" for alpha = 2
+    target_constant: float | None  # None for the alpha = 2 fit of ln W against r
 
 
 def fit_asymptotics(profile: RadialProfile, alpha: float) -> FitReport:
@@ -466,19 +349,15 @@ def fit_asymptotics(profile: RadialProfile, alpha: float) -> FitReport:
         raise InsufficientRangeError(
             f"profile reaches only W(r_max) = {w[-1]:.3g} < 10"
         )
-    r_hi = r[-1]
-    r_lo = 0.8 * r_hi
-    sel = (r >= r_lo) & (w > 0.0) & (dw > 0.0)
+    sel = (r >= 0.8 * r[-1]) & (w > 0.0) & (dw > 0.0)
     if int(np.count_nonzero(sel)) < 8:
         raise InsufficientRangeError("fewer than 8 grid points in the fit window")
     if alpha < 2.0:
-        kind = "power_of_r"
         target_exp = 2.0 / (2.0 - alpha)
         target_const = c_alpha(alpha)
         exponent = 1.0 / np.polyfit(r[sel], w[sel] / dw[sel], 1)[0]
         constant = np.polyfit(r[sel], w[sel] ** (1.0 / target_exp), 1)[0] ** target_exp
     else:
-        kind = "exponential_in_r"
         target_exp = 1.0
         target_const = None
         exponent, intercept = np.polyfit(r[sel], np.log(w[sel]), 1)
@@ -486,8 +365,6 @@ def fit_asymptotics(profile: RadialProfile, alpha: float) -> FitReport:
     return FitReport(
         exponent_hat=float(exponent),
         constant_hat=float(constant),
-        window=(float(r_lo), float(r_hi)),
         target_exponent=target_exp,
         target_constant=target_const,
-        kind=kind,
     )

@@ -150,10 +150,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 def test_bad_tolerance_scale_exits_2(tmp_path, capsys):
-    code = main(["conditions", "--tolerance-scale", "-1",
-                 "--out", str(tmp_path / "run")])
-    assert code == EXIT_CONFIG
-    assert "tolerance-scale" in capsys.readouterr().err
+    # an infinite scale would pass every scaled check and write Infinity,
+    # which is not JSON, into the manifest
+    for scale in ("-1", "inf", "nan"):
+        code = main(["conditions", "--tolerance-scale", scale,
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert "tolerance-scale" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 def test_unknown_scenario_exits_2(capsys):

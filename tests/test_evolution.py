@@ -339,16 +339,6 @@ def test_comparison_requires_matching_layout():
         check_comparison(f1, f2)
 
 
-def test_heights_saturate_beyond_double_range():
-    grid = uniform_grid(1.0, 0.05, 1)
-    vals = np.zeros((1, 21))
-    vals[0, :3] = (800.0, 690.5, 1.0)
-    fld = EvolutionField(times=np.array([0.0]), grid=grid, values=vals, scheme_tag="t")
-    hts = fld.heights()
-    assert hts[0, 0] == 1e300 and hts[0, 1] == 1e300
-    assert hts[0, 2] == pytest.approx(math.expm1(1.0))
-
-
 # ----------------------------------------------------------------------
 # batched stepping
 # ----------------------------------------------------------------------
@@ -792,20 +782,27 @@ def test_four_point_start_is_closer_than_two_point_start(monkeypatch):
     assert np.median(gains) >= 10.0
 
 
-def test_theorem_c_family_solver_work_budget():
-    # the theorem-c family (n = 3..6 on r_out = 9) and n = 6 again on 1.5x
-    # the domain, 1,985 nodes, over [0, 0.1]: 5,009 steps.  Started from
-    # w_m, its costliest run took 5.24 sweeps and 1.86 Newton solves per
-    # step; from the linear extrapolation of the last two steps, 2.13 and
-    # 1.35; from the cubic one, 1.94 and 0.78.
-    dt_max = 2e-5
-    narrow, wide = uniform_grid(9.0, 0.025, 1), uniform_grid(13.5, 0.025, 1)
+@pytest.fixture(scope="module")
+def theorem_c_family():
+    """The theorem-c family (n = 3..6 on r_out = 9) and n = 6 again on 1.5x
+    the domain over [0, 0.1], stepped once for the tests that read it.  Its
+    first four runs are bitwise A4's runs of the theorem-c scenario there."""
     ns = [3.0, 4.0, 5.0, 6.0, 6.0]
-    family = evolve(
-        LOG15, [narrow] * 4 + [wide], [InitialData.truncated(QUARTIC, n) for n in ns],
-        [BoundaryTrace.constant(0.0)] * 5, [0.0, 0.1], dt_max,
+    return evolve(
+        LOG15, [uniform_grid(9.0, 0.025, 1)] * 4 + [uniform_grid(13.5, 0.025, 1)],
+        [InitialData.truncated(QUARTIC, n) for n in ns],
+        [BoundaryTrace.constant(0.0)] * 5, [0.0, 0.1], 2e-5,
         [f"n={n:g}" for n in ns[:4]] + ["n=6 on r_out=13.5"],
     )
+
+
+def test_theorem_c_family_solver_work_budget(theorem_c_family):
+    # the theorem-c family, 1,985 nodes, over [0, 0.1]: 5,009 steps.
+    # Started from w_m, its costliest run took 5.24 sweeps and 1.86 Newton
+    # solves per step; from the linear extrapolation of the last two steps,
+    # 2.13 and 1.35; from the cubic one, 1.94 and 0.78.
+    family = theorem_c_family
+    narrow = family.fields[0].grid
     assert all(fld.steps == 5009 for fld in family.fields)
     assert max(fld.warm_start_sweeps for fld in family.fields) / 5009 < 3.0
     assert max(fld.newton_solves for fld in family.fields) / 5009 < 1.0
@@ -814,7 +811,7 @@ def test_theorem_c_family_solver_work_budget():
     six, six_wide = family.fields[3:]
     inner = narrow.radii <= 4.5 + 1e-12
     diff = six_wide.values[:, : len(narrow.radii)][:, inner] - six.values[:, inner]
-    assert np.max(np.abs(diff)) < discretization_tolerance(0.025, dt_max)
+    assert np.max(np.abs(diff)) < discretization_tolerance(0.025, 2e-5)
 
 
 # ----------------------------------------------------------------------
@@ -844,7 +841,7 @@ def _mixed_fields():
 
 @pytest.mark.parametrize("family, u_steps", [(_mixed_fields, 44), (_theorem_c_fields, 2021)],
                          ids=["mixed", "theorem-c"])
-def test_u_path_agrees_with_w_path(monkeypatch, family, u_steps):
+def test_u_path_agrees_with_w_path(monkeypatch, request, family, u_steps):
     # below the switch a step sweeps and checks its residual in u: the same
     # Jacobi fixed point and the same scaled residual as in w, rounded
     # otherwise.  The mixed family (w <= 78) is below it at every one of its
@@ -854,8 +851,12 @@ def test_u_path_agrees_with_w_path(monkeypatch, family, u_steps):
     # rounding edge (a sweep's |dw| within rounding of 1e-3, or a residual
     # within rounding of _NEWTON_TOL, falling on the other side); each such
     # edge moves a count by one or two, and none occurred when this was
-    # written, so at most two edges per count are allowed.
-    fields = family()
+    # written, so at most two edges per count are allowed.  The theorem-c
+    # family's u-path runs are the module's, not a second A4 run.
+    if family is _theorem_c_fields:
+        fields = request.getfixturevalue("theorem_c_family").fields[:4]
+    else:
+        fields = family()
     with monkeypatch.context() as patch:
         _w_path_only(patch)
         w_fields = family()

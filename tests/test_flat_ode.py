@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorblab import flat_ode, nonlinearity
+from absorblab import flat_ode
 from absorblab._quad import gl_panel_refined
 from absorblab.errors import (
     BracketError,
@@ -21,7 +21,6 @@ from absorblab.errors import (
 )
 from absorblab.flat_ode import (
     FlatTrajectory,
-    osgood_tail,
     osgood_tail_from_log,
     solve_phi,
     solve_phi_infinity,
@@ -80,12 +79,12 @@ def test_osgood_tail_against_mpmath():
             lambda x: 1 / mp.log(1 + mp.e**x) ** mp.mpf("1.5"),
             [mp.log(v), 10, 100, mp.inf],
         )
-        assert osgood_tail(LOG15, v) == pytest.approx(float(ref), rel=1e-12)
+        assert osgood_tail_from_log(LOG15, math.log(v)) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_osgood_tail_requires_convergent_tail():
     with pytest.raises(PreconditionError):
-        osgood_tail(Nonlinearity.log_power(0.9), 10.0)
+        osgood_tail_from_log(Nonlinearity.log_power(0.9), math.log(10.0))
 
 
 @given(a=st.floats(0.5, 50.0), t=st.floats(0.05, 1.0))
@@ -93,8 +92,10 @@ def test_osgood_tail_requires_convergent_tail():
 def test_time_adds_along_trajectories(a, t):
     # the residual lifetime integral drops by exactly the elapsed time
     traj = solve_phi(LOG15, a, [0.0, t])
-    lhs = osgood_tail(LOG15, float(traj.values[-1]))
-    assert lhs == pytest.approx(osgood_tail(LOG15, a) + t, rel=1e-9, abs=1e-11)
+    lhs = osgood_tail_from_log(LOG15, math.log(traj.values[-1]))
+    assert lhs == pytest.approx(
+        osgood_tail_from_log(LOG15, math.log(a)) + t, rel=1e-9, abs=1e-11
+    )
 
 
 def test_full_collapse_level_frozen_values():
@@ -339,20 +340,3 @@ def test_finite_data_routes_reject_nonfinite_inputs(ln_a, times, err):
         solve_phi_log(LOG15, ln_a, times)
     with pytest.raises(err):
         solve_phi(LOG15, math.exp(ln_a), times)
-
-
-def test_custom_law_is_classified_once(monkeypatch):
-    # the osgood verdict of a custom law is computed numerically; a second
-    # envelope call must reuse it (it used to cost 0.38 s a call)
-    built = []
-    real = nonlinearity._numeric_H_interpolant
-
-    def counted(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nonlinearity, "_numeric_H_interpolant", counted)
-    spec = Nonlinearity.custom(lambda s: s)
-    first = solve_phi_infinity_log(spec, 0.5)
-    assert solve_phi_infinity_log(spec, 0.5) == first
-    assert len(built) == 1

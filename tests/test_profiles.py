@@ -1,4 +1,4 @@
-"""Stationary radial profiles: shooting, bounds, blow-up, asymptotic fits."""
+"""Stationary radial profiles: shooting, a-priori bounds, asymptotic fits."""
 
 import math
 
@@ -6,20 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from absorblab.errors import (
-    BracketError,
-    DomainError,
-    InsufficientRangeError,
-    PreconditionError,
-)
+from absorblab.errors import BracketError, DomainError, InsufficientRangeError
 from absorblab.nonlinearity import Nonlinearity, h_of_w
 from absorblab.profiles import (
     RadialProfile,
     apriori_bound,
-    boundary_blowup_profile,
     c_alpha,
     fit_asymptotics,
-    ko_tail,
     shoot_profile,
 )
 
@@ -47,8 +40,11 @@ def test_profile_center_height_table():
     radii = np.array([2.0, 4.0, 6.0, 8.0])
     for a, expected in FROZEN_W_N1.items():
         prof = shoot_profile(LOG15, a, 1, 8.0)
-        got = prof.sample(radii)[0]
+        got, slope = prof.sample(radii)
         np.testing.assert_allclose(got, expected, rtol=2e-6)
+        # a scalar radius gives the same pair, as scalars
+        for r, w, dw in zip(radii, got, slope):
+            assert prof.sample(r) == (w, dw) and np.ndim(prof.sample(r)[0]) == 0
 
 
 def test_profile_matches_independent_collocation():
@@ -124,37 +120,6 @@ def test_apriori_bound_increases_in_radius_and_height():
     assert apriori_bound(LOG15, 1.0, 2.0) < apriori_bound(LOG15, 2.0, 2.0)
 
 
-def test_ko_tail_power_closed_form():
-    # H = s^4/4 gives 1/sqrt(H) = 2/s^2, so the tail from v is exactly 2/v
-    assert ko_tail(POW3, 2.0) == pytest.approx(1.0, rel=1e-9)
-    assert ko_tail(POW3, 8.0) == pytest.approx(0.25, rel=1e-9)
-
-
-def test_ko_tail_diverges_without_barrier():
-    # the same law as a custom callable takes the numerical verdict
-    custom = Nonlinearity.custom(lambda s: math.log1p(s) ** 1.5)
-    for spec in (LOG15, custom):
-        with pytest.raises(PreconditionError):
-            ko_tail(spec, 5.0)
-
-
-def test_boundary_blowup_power_family_converges():
-    prof, rep = boundary_blowup_profile(
-        POW3, 1.0, 1, (10.0, 100.0, 1000.0), np.linspace(0.0, 1.0, 201)
-    )
-    # interior Cauchy differences contract as the boundary height grows
-    assert rep.cauchy_sup_w[1] < 0.25 * rep.cauchy_sup_w[0]
-    assert np.all(np.diff(rep.center_values) > 0.0)
-    # the returned profile hits the largest boundary height
-    assert prof.w_values[-1] == pytest.approx(math.log1p(1000.0), abs=1e-9)
-    assert prof.kind == "boundary_blowup"
-
-
-def test_boundary_blowup_requires_barrier_condition():
-    with pytest.raises(PreconditionError):
-        boundary_blowup_profile(LOG15, 1.0, 1, (10.0, 100.0))
-
-
 @pytest.mark.parametrize("alpha, c", [(1.5, c_alpha(1.5)), (1.5, 0.02), (1.2, 0.05)])
 @pytest.mark.parametrize("shift", [-0.7, 0.0, 1.3])
 def test_fit_is_exact_on_shifted_power_law(alpha, c, shift):
@@ -164,7 +129,7 @@ def test_fit_is_exact_on_shifted_power_law(alpha, c, shift):
     r = np.linspace(0.0, 10.0, 513)
     x = np.maximum(r - shift, 0.0)
     prof = RadialProfile(
-        radii=r, w_values=c * x**k, dw_values=c * k * x ** (k - 1.0), kind="synthetic",
+        radii=r, w_values=c * x**k, dw_values=c * k * x ** (k - 1.0),
     )
     fit = fit_asymptotics(prof, alpha)
     assert fit.target_exponent == k
@@ -175,7 +140,6 @@ def test_fit_is_exact_on_shifted_power_law(alpha, c, shift):
 def test_fit_recovers_quartic_log_growth():
     prof = shoot_profile(LOG15, 1.0, 3, 10.0)
     fit = fit_asymptotics(prof, 1.5)
-    assert fit.window == (8.0, 10.0)
     assert fit.target_exponent == 4.0
     assert fit.target_constant == c_alpha(1.5)
     # measured pre-asymptotic values at this radius (W(10) = 43.6); frozen
@@ -187,7 +151,7 @@ def test_fit_recovers_quartic_log_growth():
 def test_fit_borderline_exponential_rate():
     prof = shoot_profile(LOG20, 1.0, 3, 10.0)
     fit = fit_asymptotics(prof, 2.0)
-    assert fit.kind == "exponential_in_r"
+    assert fit.target_exponent == 1.0 and fit.target_constant is None
     assert fit.exponent_hat == pytest.approx(0.9967253727278454, rel=1e-6)
     # within the headline 5 percent band around slope 1
     assert abs(fit.exponent_hat - 1.0) < 0.05
