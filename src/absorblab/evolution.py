@@ -17,8 +17,8 @@ Discretization notes:
   so the implicit step is an M-matrix solve: the scheme is monotone and
   the discrete comparison principle holds exactly, which is what all the
   sequence-scheme drivers below rely on;
-* the per-step nonlinear system is solved in w with residual rows scaled
-  by ``exp(-max(w_j, w_prev_j))``, a warm start that iterates the log-space
+* above the switch the per-step nonlinear system is solved in w with
+  residual rows scaled by ``exp(-max(w_j, w_prev_j))``, a warm start that iterates the log-space
   Jacobi form of the step equation (this floods height plateaus one cell a
   sweep and lands within O(1) of the solution), then damped Newton.  The
   warm start begins from the polynomial through the last four accepted
@@ -43,29 +43,33 @@ Discretization notes:
   ``max(1, |w|)``: at large w and dt that roundoff floor of the scaled
   residual lies above ``_NEWTON_TOL``.
 * u path: a step whose family cap ``max(max w_m, w_bc)`` lies below
-  ``_U_SWITCH`` sweeps and checks its residual in ``u = e^w - 1``.  The
-  Jacobi form ``u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c +
-  dt h)`` has the log-sum-exp's fixed point, and ``R(u) / (1 + max(u,
-  u_m))``, R the step equation in u, is the same scaled residual, since
-  ``e^w = 1 + u`` and rows sum to c.  Each iterate's ``w = log1p(u)`` is
-  taken once; it feeds h, the unchanged ``|dw| < 1e-3`` stop rule and the
-  accepted w.  The sweep caps, the clipped start and the boundary rows are
-  the w path's.  Runs that miss ``_NEWTON_TOL`` go on with the w-form
-  residual and damped Newton from that w.  A guard keeps the step in w
-  when ``u_cap (1 + dt (max c + h(u_cap)))`` is not finite, as a power law
-  can make it below the switch.  The start's history stays in w, and the
-  step's accepted u is the next step's u_m on the runs Newton left alone,
-  so a step needs one ``expm1``, that of its start.
+  ``_U_SWITCH`` sweeps, checks its residual and runs Newton in
+  ``u = e^w - 1``, and never forms the w-form residual.  The Jacobi form
+  ``u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c + dt h)`` has the
+  log-sum-exp's fixed point, and ``R(u) / (1 + max(u, u_m))``, R the step
+  equation in u, is the same scaled residual, since ``e^w = 1 + u`` and
+  rows sum to c.  Each iterate's ``w = log1p(u)`` is taken once; it feeds
+  h, the unchanged ``|dw| < 1e-3`` stop rule and the accepted w.  The sweep
+  caps, the clipped start and the boundary rows are the w path's.  Runs
+  that miss ``_NEWTON_TOL`` go on with undamped Newton in u, each iterate
+  clipped to ``[0, u_cap]``: every law here makes ``u h(u)`` convex, so
+  from the first iterate on the iterates decrease to the step's solution
+  and no line search is needed (see ``_u_newton``).  It stops at
+  ``_NEWTON_TOL``, or once its correction is within four ulps of ``1 + u``.
+  A guard keeps the step in w when ``u_cap (1 + dt (max c + h(u_cap)))`` is
+  not finite, as a power law can make it below the switch.  The start's
+  history stays in w, and a step takes the ``expm1`` of w_m and of its
+  start.
 * per-step cost: on ``theorem-c`` at defaults (one 1,444-node family
   vector, 25,009 steps) the first 100 steps take 4,196 family sweeps,
-  flooding across the data cliffs; 3,634 steps take a Newton solve (3,931
+  flooding across the data cliffs; 3,634 steps take a Newton solve (3,930
   family iterations, the last at step 6,261); the other 21,375 steps take
   one sweep and one residual check and nothing else.  So the step's fixed
   cost is what counts.  From step 2,988 (t ≈ 0.06) the family's cap is
   below the switch, and the 22,021 steps from there on take the u path,
   which replaces the w path's nine exponentials and three logs a node by
-  one expm1 and one log1p: a one-sweep step at step 15,000 took 86 µs in
-  u against 138 µs in w (2-core Xeon VM, best of 7 x 300 calls).
+  two expm1 and one log1p: a one-sweep step at step 15,000 took 120 µs in
+  u against 194 µs in w (2-core Xeon VM, best of 7 x 300 calls).
 
 Stepper: :func:`evolve` builds one ``_Stepper`` per call and hands it to
 every ``_step``.  It holds the family's block layout, the scratch arrays
@@ -77,9 +81,9 @@ block, clamped below at -746 where exp is 0, and the Newton loop is
 skipped when every run meets ``_NEWTON_TOL`` after the sweep.  Every
 operation and its order are those of the plain expressions, so the results
 are bitwise the same; each accepted w is still a fresh array, as the
-start's history keeps the last four.  The only state a step hands the next
-besides the counters is the u path's u_m, which is valid while the next
-step's w_m is the array this step returned.
+start's history keeps the last four.  A step hands the next nothing but
+the counters, the dt products and the last cap that fitted the u path, so
+a reused stepper takes bitwise the step of a fresh one.
 
 Batching: :func:`evolve` steps either one run or a family of runs given
 as sequences.  A family's grid vectors are laid end to end in one vector
@@ -108,8 +112,9 @@ takes every center height at once and calls :func:`evolve` once per ball,
 its family being the heights' runs on that ball's grid; the same times and
 ``dt_max`` give every call the same step sequence.  The profile balls of
 A8 and A8.1 (grid, stationary profile, constant boundary trace) all come
-from ``_profile_ball``, and every driver checks and packs its ordering
-through ``_ordered_sequence``.  A sequence's diagnostics hold only A8's
+from ``_profile_balls``, which shoots each center height once, on the
+largest ball, and every driver checks and packs its ordering through
+``_ordered_sequence``.  A sequence's diagnostics hold only A8's
 domination notes; the solver counters stay on the runs, and a scenario
 reduces those of all its runs once with ``_solver_work``.
 """
@@ -444,14 +449,13 @@ class _Stepper:
         self.halvings = np.zeros(runs, dtype=int)
         self.clips = np.zeros(runs, dtype=int)
         self.worst_residual = np.zeros(runs)
-        # the u path: its two iterates and the step's u_m, which is the last
-        # accepted u when w_m is the array ``um_of`` that step returned, on
-        # the runs not ``um_stale``
+        # the u path: the step's u_m and two iterates, and the residual R
+        # and its row factor 1 + dt c + dt h at the current iterate
         self.c_max = float(self.rows[2].max())
         self.fit_dt, self.fit_cap = None, -math.inf  # the last cap that fitted, and its dt
         self.u_arrays = [np.empty(n) for _ in range(3)]
         self.den = np.empty(n)
-        self.um_of, self.um_stale = None, None
+        self.R = np.empty(n)
         self.u_steps = 0
 
     def constants(self, dt):
@@ -523,36 +527,54 @@ def _u_path_fits(stepper, cap, dt):
     return fits
 
 
+def _u_residual(stepper, u, um, x, dt):
+    """Each run's scaled-residual norm at the u-path iterate ``u``, whose w
+    is ``x``; leaves the residual R in ``stepper.R`` and its row factor
+    ``1 + dt c + dt h`` in ``stepper.den``.  ``stepper`` must hold this
+    step's dt products.
+
+    R(u) = (1 + dt c + dt h(u)) u - dt a u_{j-1} - dt b u_{j+1} - u_m, zero at
+    the boundary nodes, is checked as R / (1 + max(u, u_m)): the w path's G,
+    since e^w = 1 + u and rows sum to c."""
+    dta, dtb, one_dtc = stepper.products[:3]
+    tmp, den, R = stepper.tmp, stepper.den, stepper.R
+    hx = h_of_w(stepper.spec, x)
+    np.multiply(np.add(one_dtc, np.multiply(hx, dt, out=den), out=den), u, out=R)
+    # a is 0 at each block start and b at each block end, so the neighbour
+    # terms never cross from one run into the next
+    R[1:] -= np.multiply(dta[1:], u[:-1], out=tmp[1:])
+    R[:-1] -= np.multiply(dtb[:-1], u[1:], out=tmp[:-1])
+    R -= um
+    R[stepper.ends] = 0.0
+    G = np.divide(R, np.add(np.maximum(u, um, out=tmp), 1.0, out=tmp), out=tmp)
+    return np.maximum.reduceat(np.abs(G, out=tmp), stepper.starts)
+
+
 def _u_warm_start(stepper, wm, w_bc, dt):
     """The warm start and residual check in u from the start in
-    ``stepper.iterates[0].x``; returns the iterates ``(cur, trial)`` with
-    the last sweep's w in ``cur.x``, and each run's scaled-residual norm.
+    ``stepper.iterates[0].x``; returns the last sweep's w and u, the step's
+    u_m, and each run's scaled-residual norm.
 
     The Jacobi fixed point of the step equation in u,
       u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c + dt h),
     is that of the w path's log-sum-exp.  Each iterate's w = log1p(u) is
     taken once and serves the stop rule, h and the accepted w.  Every u
-    stays in [0, u_cap], where ``_u_path_fits`` has bounded the terms."""
-    spec, starts, ends, owner = stepper.spec, stepper.starts, stepper.ends, stepper.owner
+    stays in [0, u_cap], where ``_u_path_fits`` has bounded the terms.  The
+    sweeps alternate between the iterates' two w buffers."""
+    starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
     dta, dtb, one_dtc = stepper.constants(dt)[:3]
     tmp, den = stepper.tmp, stepper.den
-    cur, trial = stepper.iterates
     um, u, est = stepper.u_arrays
-    if wm is not stepper.um_of:
-        np.expm1(wm, out=um)
-    elif stepper.um_stale.any():
-        np.copyto(um, np.expm1(wm, out=tmp), where=stepper.um_stale[owner])
-    x, w_est = cur.x, trial.x
+    np.expm1(wm, out=um)
+    x, w_est = stepper.iterates[0].x, stepper.iterates[1].x
     np.expm1(x, out=u)
     u_bc = u[ends]
     sweeping = np.ones(len(starts), dtype=bool)
     sweep_caps = stepper.sweep_caps
     for sweep in range(1, int(sweep_caps.max()) + 1):
         stepper.sweeps += sweeping
-        hx = h_of_w(spec, x)
+        hx = h_of_w(stepper.spec, x)
         np.add(one_dtc, np.multiply(hx, dt, out=den), out=den)
-        # a is 0 at each block start and b at each block end, so the
-        # neighbour terms never cross from one run into the next
         np.add(um[:-1], np.multiply(dtb[:-1], u[1:], out=tmp[:-1]), out=est[:-1])
         est[-1] = um[-1]
         est[1:] += np.multiply(dta[1:], u[:-1], out=tmp[1:])
@@ -573,20 +595,92 @@ def _u_warm_start(stepper, wm, w_bc, dt):
         sweeping &= ~settled & (sweep < sweep_caps)
         if not sweeping.any():
             break
-    if x is trial.x:
-        cur, trial = trial, cur
-    # the scaled residual R(u) / (1 + max(u, u_m)), R the step equation in
-    # u: the w path's G, since e^w = 1 + u and rows sum to c
-    hx = h_of_w(spec, x)
-    G = np.multiply(np.add(one_dtc, np.multiply(hx, dt, out=den), out=den), u, out=cur.G)
-    G[1:] -= np.multiply(dta[1:], u[:-1], out=tmp[1:])
-    G[:-1] -= np.multiply(dtb[:-1], u[1:], out=tmp[:-1])
-    G -= um
-    G /= np.add(np.maximum(u, um, out=tmp), 1.0, out=tmp)
-    G[ends] = 0.0
-    # this step's u is the next step's u_m
-    stepper.u_arrays = [u, um, est]
-    return cur, trial, np.maximum.reduceat(np.abs(G, out=tmp), starts)
+    return x, u, um, _u_residual(stepper, u, um, x, dt)
+
+
+def _newton_error(stepper, run, message, step_index, norm):
+    return NewtonDivergenceError(
+        f"{message} at time step {step_index} in run {stepper.tags[run]!r} "
+        f"(residual {norm[run]:.3g})", step_index, float(norm[run]),
+    )
+
+
+def _newton_solve(stepper, lower, diag, upper, rhs, norm, active, step_index):
+    """The Newton correction of the ``active`` runs: one LAPACK ``dgtsv``
+    solve of the block tridiagonal system (``diag`` gets identity rows at the
+    boundary nodes).  Block couplings are exact zeros, so elimination and
+    pivoting never cross from one run into the next.  A non-finite or
+    singular system raises, naming the run."""
+    starts = stepper.starts
+    diag[stepper.ends] = 1.0
+    if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(diag))):
+        bad = np.maximum.reduceat(~np.isfinite(diag), starts) | ~np.isfinite(norm)
+        raise _newton_error(stepper, int(np.argmax(bad)), "non-finite Newton system",
+                            step_index, norm)
+    stepper.solves += active
+    _, _, _, delta, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise _newton_error(stepper, int(stepper.owner[info - 1]), "singular Newton matrix",
+                            step_index, norm)
+    return delta
+
+
+def _u_newton(stepper, x, u, um, norm, cap, w_bc, dt, step_index):
+    """Newton in u for the runs whose warm start missed ``_NEWTON_TOL``; moves
+    their ``u``, ``x`` and ``norm`` in place, and leaves the others alone.
+
+    The Jacobian of R(u) is tridiagonal, with the operator's off-diagonals
+    and the diagonal 1 + dt c + dt (h + u h'(u)), where u h'(u) = dh_dw(w)
+    u/(1+u); its boundary rows are identity rows.  Every law here makes
+    u h(u) convex on u >= 0, so the step map is a convex M-function: by the
+    Newton-Baluev theorem (Ortega & Rheinboldt, *Iterative Solution of
+    Nonlinear Equations in Several Variables*, 1970, §13.3) every iterate
+    after the first is a supersolution, and the iterates decrease to the
+    step's solution from any start.  Clipping each iterate to [0, u_cap]
+    keeps that, since the flat cap is a supersolution and so is the minimum
+    of two, so the loop needs no line search.  Its exits are the tolerance,
+    a correction within four ulps of 1 + u (the run has converged as far
+    as u can resolve), and ``_NEWTON_MAX`` iterations, which raises."""
+    starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
+    dta, dtb = stepper.products[:2]
+    tmp, den, R = stepper.tmp, stepper.den, stepper.R
+    iters_max = stepper.iters_max
+    active = ~(norm < _NEWTON_TOL)
+    if not active.any():
+        return
+    u_cap = np.expm1(cap)[owner]
+    for it in range(1, _NEWTON_MAX + 1):
+        done = active & (norm < _NEWTON_TOL)
+        np.maximum(iters_max, it, out=iters_max, where=done)
+        active &= ~done
+        if not active.any():
+            return
+        diag = np.multiply(dh_dw(stepper.spec, x), dt, out=stepper.diag)
+        diag *= np.divide(u, np.add(u, 1.0, out=tmp), out=tmp)
+        diag += den
+        delta = _newton_solve(
+            stepper, np.negative(dta[1:], out=stepper.lower), diag,
+            np.negative(dtb[:-1], out=stepper.upper), np.negative(R, out=stepper.rhs),
+            norm, active, step_index,
+        )
+        resolved = active & np.logical_and.reduceat(
+            np.abs(delta) <= np.multiply(np.add(u, 1.0, out=tmp), _ROUNDOFF, out=tmp), starts
+        )
+        np.maximum(iters_max, it, out=iters_max, where=resolved)
+        active &= ~resolved
+        if not active.any():
+            return
+        nodes = active[owner]
+        np.add(u, delta, out=u, where=nodes)
+        np.minimum(np.maximum(u, 0.0, out=u, where=nodes), u_cap, out=u, where=nodes)
+        np.log1p(u, out=x, where=nodes)
+        x[ends] = w_bc
+        np.copyto(norm, _u_residual(stepper, u, um, x, dt), where=active)
+    raise _newton_error(
+        stepper, int(np.argmax(active)),
+        f"Newton did not reach {_NEWTON_TOL:g} within {_NEWTON_MAX} iterations",
+        step_index, norm,
+    )
 
 
 def _w_warm_start(stepper, wm, w_bc, dt):
@@ -645,128 +739,108 @@ def _w_warm_start(stepper, wm, w_bc, dt):
     return cur, trial
 
 
+def _w_newton(stepper, cur, trial, wm, dt, step_index):
+    """Damped Newton in w from the warm start's iterate ``cur``, each run on
+    its own; returns the accepted iterate's w and each run's residual norm."""
+    spec, starts, owner = stepper.spec, stepper.starts, stepper.owner
+    tmp = stepper.tmp
+    stepper.source[3] = wm
+    norm = np.maximum.reduceat(np.abs(_scaled_residual(stepper, cur, dt), out=tmp), starts)
+    iters_max = stepper.iters_max
+    active = ~(norm < _NEWTON_TOL)
+    for it in range(1, _NEWTON_MAX + 1):
+        done = active & (norm < _NEWTON_TOL)
+        np.maximum(iters_max, it, out=iters_max, where=done)
+        active &= ~done
+        if not active.any():
+            return cur.x, norm
+        x, G, e = cur.x, cur.G, cur.e
+        hp = dh_dw(spec, x)
+        diag = np.multiply(hp, dt, out=stepper.diag)
+        diag *= np.subtract(e[0], e[4], out=tmp)
+        diag += cur.self_row
+        diag -= np.multiply(G, x > wm, out=tmp)  # d/dw of the row scaling
+        # d G_j / d w_{j-1} and d G_j / d w_{j+1} are -lo_row and -up_row
+        delta = _newton_solve(
+            stepper, np.negative(cur.lo_row[1:], out=stepper.lower), diag,
+            np.negative(cur.up_row[:-1], out=stepper.upper), np.negative(G, out=stepper.rhs),
+            norm, active, step_index,
+        )
+        # runs still searching share one step length: all start at 1 together
+        step = 1.0
+        pending = active.copy()
+        for tries in range(_DAMP_MAX + 1):
+            if tries:
+                stepper.halvings += pending
+            x_try = np.multiply(delta, step, out=trial.x)
+            x_try += x
+            if not pending.all():
+                np.copyto(x_try, x, where=~pending[owner])
+            n_try = np.maximum.reduceat(
+                np.abs(_scaled_residual(stepper, trial, dt), out=tmp), starts
+            )
+            accept = pending & ((n_try < norm) | (n_try < _NEWTON_TOL))
+            if np.array_equal(accept, pending):
+                # runs outside `pending` kept their x, so their rows are unchanged
+                cur, trial = trial, cur
+                x = cur.x
+            else:
+                cur.take(trial, accept[owner])
+            norm = np.where(accept, n_try, norm)
+            pending &= ~accept
+            if not pending.any():
+                break
+            step *= 0.5
+        if pending.any():
+            # a correction within a few ulps of w cannot lower the residual
+            # any further: the run has converged as far as w can resolve
+            stalled = pending & ~np.logical_and.reduceat(
+                np.abs(delta) <= _ROUNDOFF * np.maximum(1.0, np.abs(x)), starts
+            )
+            if stalled.any():
+                raise _newton_error(stepper, int(np.argmax(stalled)), "damped Newton stalled",
+                                    step_index, norm)
+            np.maximum(iters_max, it, out=iters_max, where=pending)
+            active &= ~pending
+    if active.any():
+        raise _newton_error(
+            stepper, int(np.argmax(active)),
+            f"Newton did not reach {_NEWTON_TOL:g} within {_NEWTON_MAX} iterations",
+            step_index, norm,
+        )
+    return cur.x, norm
+
+
 def _step(stepper, wm, x0, w_bc, dt, step_index):
     """One backward-Euler step of every run from the starting iterate ``x0``;
     returns the accepted w, always a fresh array, and adds the step's solver
     work to the stepper's per-run counters.
 
-    Each run keeps its own convergence state, so it does exactly the
-    arithmetic it would do if stepped alone on the same path (the family's
-    cap picks u or w, see ``_u_path_fits``); runs that have finished a phase
-    keep their values while the others go on.
+    The family's cap picks the path (see ``_u_path_fits``): a u-path step
+    sweeps, checks and runs Newton in u, a w-path step sweeps in w and runs
+    damped Newton in w.  Each run keeps its own convergence state, so it
+    does exactly the arithmetic it would do if stepped alone on the same
+    path; runs that have finished a phase keep their values while the
+    others go on.
     """
-    spec, tags = stepper.spec, stepper.tags
     starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
-    tmp = stepper.tmp
-    cur = stepper.iterates[0]
     # the step solution lies in [0, max(max w_m, w_bc)] per run (discrete
     # maximum principle: rows sum to c and h >= 0), so the start does too
     cap = np.maximum(np.maximum.reduceat(wm, starts), w_bc)
+    cur = stepper.iterates[0]
     x = np.minimum(np.maximum(x0, 0.0, out=cur.x), cap[owner], out=cur.x)
     x[ends] = w_bc
-    u_path = _u_path_fits(stepper, float(cap.max()), dt)
-    if u_path:
+    # a step counts as one iteration at least
+    np.maximum(stepper.iters_max, 1, out=stepper.iters_max)
+    if _u_path_fits(stepper, float(cap.max()), dt):
         stepper.u_steps += 1
-        cur, trial, norm = _u_warm_start(stepper, wm, w_bc, dt)
+        x, u, um, norm = _u_warm_start(stepper, wm, w_bc, dt)
+        _u_newton(stepper, x, u, um, norm, cap, w_bc, dt, step_index)
     else:
-        cur, trial = _w_warm_start(stepper, wm, w_bc, dt)
-        norm = np.full(len(starts), math.inf)  # the w sweep checks no residual
-    # the w-form residual, where Newton starts, of the runs that the sweep's
-    # check did not settle: every run on the w path, on the u path the runs
-    # whose u residual missed the tolerance
-    unsettled = ~(norm < _NEWTON_TOL)
-    if unsettled.any():
-        stepper.source[3] = wm
-        G = _scaled_residual(stepper, cur, dt)
-        np.copyto(norm, np.maximum.reduceat(np.abs(G, out=tmp), starts), where=unsettled)
-
-    def fail(run, message):
-        return NewtonDivergenceError(
-            f"{message} at time step {step_index} in run {tags[run]!r} "
-            f"(residual {norm[run]:.3g})", step_index, float(norm[run]),
-        )
-
-    iters_max = stepper.iters_max
-    np.maximum(iters_max, 1, out=iters_max)  # a step counts as one iteration at least
-    active = ~(norm < _NEWTON_TOL)
-    # the Newton loop, skipped when every run meets the tolerance at the
-    # warm start already, as most steps' runs do
-    if active.any():
-        for it in range(1, _NEWTON_MAX + 1):
-            done = active & (norm < _NEWTON_TOL)
-            np.maximum(iters_max, it, out=iters_max, where=done)
-            active &= ~done
-            if not active.any():
-                break
-            x, G, e = cur.x, cur.G, cur.e
-            hp = dh_dw(spec, x)
-            diag = np.multiply(hp, dt, out=stepper.diag)
-            diag *= np.subtract(e[0], e[4], out=tmp)
-            diag += cur.self_row
-            diag -= np.multiply(G, x > wm, out=tmp)  # d/dw of the row scaling
-            diag[ends] = 1.0                          # identity rows at the boundary nodes
-            if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(diag))):
-                bad = np.maximum.reduceat(~np.isfinite(diag), starts) | ~np.isfinite(norm)
-                raise fail(int(np.argmax(bad)), "non-finite Newton system")
-            # d G_j / d w_{j-1} and d G_j / d w_{j+1} are -lo_row and -up_row; block
-            # couplings are exact zeros, so elimination and pivoting never cross
-            # from one run into the next
-            stepper.solves += active
-            _, _, _, delta, info = dgtsv(
-                np.negative(cur.lo_row[1:], out=stepper.lower), diag,
-                np.negative(cur.up_row[:-1], out=stepper.upper),
-                np.negative(G, out=stepper.rhs), 1, 1, 1, 1,
-            )
-            if info > 0:
-                raise fail(int(owner[info - 1]), "singular Newton matrix")
-            # runs still searching share one step length: all start at 1 together
-            step = 1.0
-            pending = active.copy()
-            for tries in range(_DAMP_MAX + 1):
-                if tries:
-                    stepper.halvings += pending
-                x_try = np.multiply(delta, step, out=trial.x)
-                x_try += x
-                if not pending.all():
-                    np.copyto(x_try, x, where=~pending[owner])
-                n_try = np.maximum.reduceat(
-                    np.abs(_scaled_residual(stepper, trial, dt), out=tmp), starts
-                )
-                accept = pending & ((n_try < norm) | (n_try < _NEWTON_TOL))
-                if np.array_equal(accept, pending):
-                    # runs outside `pending` kept their x, so their rows are unchanged
-                    cur, trial = trial, cur
-                    x = cur.x
-                else:
-                    cur.take(trial, accept[owner])
-                norm = np.where(accept, n_try, norm)
-                pending &= ~accept
-                if not pending.any():
-                    break
-                step *= 0.5
-            if pending.any():
-                # a correction within a few ulps of w cannot lower the residual
-                # any further: the run has converged as far as w can resolve
-                stalled = pending & ~np.logical_and.reduceat(
-                    np.abs(delta) <= _ROUNDOFF * np.maximum(1.0, np.abs(x)), starts
-                )
-                if stalled.any():
-                    raise fail(int(np.argmax(stalled)), "damped Newton stalled")
-                np.maximum(iters_max, it, out=iters_max, where=pending)
-                active &= ~pending
-        if active.any():
-            raise fail(
-                int(np.argmax(active)),
-                f"Newton did not reach {_NEWTON_TOL:g} within {_NEWTON_MAX} iterations",
-            )
-
-    x = cur.x
+        x, norm = _w_newton(stepper, *_w_warm_start(stepper, wm, w_bc, dt), wm, dt, step_index)
     stepper.clips += np.add.reduceat(x < -1e-10, starts, dtype=int)
     np.maximum(stepper.worst_residual, norm, out=stepper.worst_residual)
-    w = np.maximum(x, 0.0)
-    # the next step's u_m is this step's u, except on the runs that went on in w
-    stepper.um_of, stepper.um_stale = (w, unsettled) if u_path else (None, None)
-    return w
+    return np.maximum(x, 0.0)
 
 
 # each step starts from the polynomial through this many accepted steps
@@ -895,13 +969,25 @@ def evolve(
 # ----------------------------------------------------------------------
 
 
-def _profile_ball(spec: Nonlinearity, a: float, n: float, h: float):
-    """The ball of radius n: its grid, the height-a stationary profile on
-    that grid, and the profile's edge value as a constant boundary trace."""
-    grid = uniform_grid(n, h, 1)
-    prof = shoot_profile(spec, a, 1, n, grid=grid.radii)
-    bc = BoundaryTrace.constant(float(prof.w_values[-1]))
-    return grid, prof, bc
+def _profile_balls(spec: Nonlinearity, a: float, n_list: Sequence[float], h: float):
+    """The balls of the ascending radii ``n_list`` for center height a: each
+    ball's grid, the height-a stationary profile on that grid, and the
+    profile's edge value as a constant boundary trace.
+
+    The profile is shot once, on the largest ball.  The balls are nested and
+    node j of each lies at ``j h``, so a smaller ball's profile is the shot's
+    first nodes; only its edge node, which ``uniform_grid`` sets to the
+    radius itself, may lie a rounding away from the shot's node."""
+    big = uniform_grid(n_list[-1], h, 1)
+    shot = shoot_profile(spec, a, 1, n_list[-1], grid=big.radii)
+    balls = []
+    for n in n_list:
+        grid = uniform_grid(n, h, 1)
+        m = len(grid.radii)
+        prof = RadialProfile(radii=grid.radii, w_values=shot.w_values[:m],
+                             dw_values=shot.dw_values[:m], dense=shot.dense)
+        balls.append((grid, prof, BoundaryTrace.constant(float(prof.w_values[-1]))))
+    return balls
 
 
 def _solver_work(fields: Sequence[EvolutionField]) -> dict:
@@ -1001,7 +1087,9 @@ def run_scheme_A8(
     that g eventually dominates V_a (the scheme's hypothesis), made for
     every height before any stepping: "require" raises when a height's
     domination radius exceeds min(n_list) or cannot be found, "warn"
-    records it in that height's diagnostics, "skip" omits the check.
+    records it in that height's diagnostics, "skip" omits the check.  Each
+    height's profile is shot once, on the largest ball, and serves the
+    check and every ball (see ``_profile_balls``).
 
     Each ball is one :func:`evolve` call whose family is the heights' runs
     on that ball's grid.  A run is bitwise its solo self as long as the
@@ -1018,12 +1106,16 @@ def run_scheme_A8(
     if domination not in ("warn", "require", "skip"):
         raise DomainError("domination policy must be warn, require or skip")
 
+    # one shoot per height, on the largest ball, which the domination check
+    # samples too
+    profile_balls = [_profile_balls(spec, a, n_list, h) for a in a_list]
     notes = []
-    for a in a_list:
+    for a, height_balls in zip(a_list, profile_balls):
         diagnostics: dict = {}
         if domination != "skip":
             try:
-                r_a = domination_radius(g, spec, a, 1, n_list[-1])
+                shot = height_balls[-1][1]  # the profile on the largest ball
+                r_a = domination_radius(g, spec, a, 1, n_list[-1], shot)
                 diagnostics["domination_radius"] = r_a
                 if r_a > n_list[0] and domination == "require":
                     raise DominationError(
@@ -1045,8 +1137,8 @@ def run_scheme_A8(
     # one evolve call per ball, on every height's run; the shared times and
     # dt_max give every run the same step sequence, as the ordering check needs
     balls = []
-    for n in n_list:
-        grids, profs, bcs = zip(*(_profile_ball(spec, a, n, h) for a in a_list))
+    for k, n in enumerate(n_list):
+        grids, profs, bcs = zip(*(height[k] for height in profile_balls))
         inits = [InitialData.capped(g, prof) for prof in profs]
         tags = [f"capped a={a:g} n={n:g}" for a in a_list]
         balls.append(evolve(spec, grids, inits, bcs, times, dt_max, tags).fields)
@@ -1083,8 +1175,8 @@ def run_scheme_A8_1(
     if tol is None:
         tol = discretization_tolerance(h, dt_max)
 
-    lower_balls = [_profile_ball(spec, c, n, h) for n in n_list]
-    upper_balls = [_profile_ball(spec, b, n, h) for n in n_list]
+    lower_balls = _profile_balls(spec, c, n_list, h)
+    upper_balls = _profile_balls(spec, b, n_list, h)
     (big, prof_c, _), (_, prof_b, _) = lower_balls[-1], upper_balls[-1]
     gam = g.gamma_vec(big.radii)
     slack = 1e-9

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from ._quad import _GL_NODES, _GL_WEIGHTS
 from .errors import (
@@ -78,18 +77,17 @@ class RadialProfile:
             raise DomainError("profile must be nondecreasing in r")
 
     def sample(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """(W, W_r) at arbitrary radii inside the computed range: two arrays
-        for a 1-D ``radii``, two scalars for a scalar radius."""
+        """(W, W_r) at arbitrary radii inside the computed range, from the
+        shoot's dense output: two arrays for a 1-D ``radii``, two scalars for
+        a scalar radius.  A profile without dense output cannot be sampled."""
+        if self.dense is None:
+            raise PreconditionError("profile has no dense output to sample")
         radii = np.asarray(radii, dtype=float)
         if np.any(radii < 0.0) or np.any(radii > self.radii[-1] * (1 + 1e-12)):
             raise DomainError("sample radii outside the computed range")
-        if self.dense is not None:
-            out = self.dense(np.clip(radii, self.dense.t_min, None))
-            w = np.where(radii < self.dense.t_min, self.w_values[0], out[0])
-            dw = np.where(radii < self.dense.t_min, 0.0, out[1])
-        else:
-            w = PchipInterpolator(self.radii, self.w_values)(radii)
-            dw = PchipInterpolator(self.radii, self.dw_values)(radii)
+        out = self.dense(np.clip(radii, self.dense.t_min, None))
+        w = np.where(radii < self.dense.t_min, self.w_values[0], out[0])
+        dw = np.where(radii < self.dense.t_min, 0.0, out[1])
         return w[()], dw[()]
 
     def w_at(self, r: float) -> float:

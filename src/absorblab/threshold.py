@@ -37,7 +37,7 @@ from .errors import (
 )
 from .flat_ode import solve_phi, solve_phi_log
 from .nonlinearity import Nonlinearity, log_u_from_w, w_from_log_u
-from .profiles import c_alpha, shoot_profile
+from .profiles import RadialProfile, c_alpha, shoot_profile
 
 __all__ = [
     "GrowthFunction",
@@ -100,17 +100,21 @@ def domination_radius(
     n: float,
     N: int,
     search_max: float,
+    profile: RadialProfile | None = None,
 ) -> float:
     """Last radius after which the data dominates the height-n profile.
 
     Scans ``gamma`` against the log profile W_n on [0, search_max] and
     bisects the last sign change to 1e-8 relative; returns 0.0 when the
     data dominates everywhere.  Raises :class:`DominationError` when the
-    data is still below the profile at ``search_max``.
+    data is still below the profile at ``search_max``.  ``profile`` is W_n
+    already shot on [0, search_max] in dimension N, if the caller has it;
+    the scan samples its dense output instead of shooting again.
     """
     grid = np.linspace(0.0, search_max, _DOMINATION_GRID)
-    prof = shoot_profile(spec, n, N, search_max, grid=grid)
-    diff = g.gamma_vec(prof.radii) - prof.w_values
+    if profile is None:
+        profile = shoot_profile(spec, n, N, search_max)
+    diff = g.gamma_vec(grid) - profile.sample(grid)[0]
     if diff[-1] < 0.0:
         raise DominationError(
             f"data stays below the height-{n:g} profile at radius {search_max:g} "
@@ -120,10 +124,10 @@ def domination_radius(
     if len(below) == 0:
         return 0.0
     j = below[-1]  # last grid node strictly below; crossing in (r_j, r_{j+1})
-    lo, hi = prof.radii[j], prof.radii[j + 1]
+    lo, hi = grid[j], grid[j + 1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if float(g.gamma(mid)) - prof.w_at(mid) < 0.0:
+        if float(g.gamma(mid)) - profile.w_at(mid) < 0.0:
             lo = mid
         else:
             hi = mid

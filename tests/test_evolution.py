@@ -31,10 +31,11 @@ from absorblab.evolution import (
     _ordered_sequence,
 )
 import absorblab.evolution as evolution
+import absorblab.threshold as threshold
 from absorblab.flat_ode import solve_phi
 from absorblab.nonlinearity import Nonlinearity, eval_h, h_of_w
 from absorblab.profiles import shoot_profile
-from absorblab.threshold import GrowthFunction
+from absorblab.threshold import GrowthFunction, domination_radius
 
 LOG15 = Nonlinearity.log_power(1.5)
 QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * float(r) ** 4, beta=4.0, K=2.0)
@@ -404,14 +405,14 @@ def test_family_needs_one_entry_per_run():
         evolve(LOG15, [], [], [], [0.0, 0.01], scheme_tag=[])
 
 
-@pytest.mark.parametrize("u_steps", [0, 1], ids=["w_path", "u_path"])
-def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch, controls, u_steps):
+@pytest.mark.parametrize("u_steps, damped", [(0, 1), (1, 0)], ids=["w_path", "u_path"])
+def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch, controls, u_steps, damped):
     # one step of dt = 1, on the w path (the switch at -inf) or on the u
     # path: the warm start contracts so slowly that every run stops at its
-    # own cap of 2J + 100 sweeps, every run needs Newton, and the cliff run
-    # halves one Newton step.  An h_of_w count is sweeps + Newton iterations
-    # + halvings, and one more on the u path: the w-form residual at the w of
-    # its u, where Newton starts.
+    # own cap of 2J + 100 sweeps, and every run needs Newton.  An h_of_w
+    # count is sweeps + Newton iterations + halvings.  In w the cliff run
+    # halves one Newton step and takes the most iterations; Newton in u
+    # takes full steps, so no run halves one there.
     if not u_steps:
         monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
     controls(dt_init=1.0)
@@ -426,29 +427,30 @@ def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch, controls
     solo, evals = zip(*(_h_evals(monkeypatch, run, times, 1.0) for run in runs))
     assert all(f.u_steps == u_steps and f.newton_solves > 0 for f in solo)
     caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
-    halvings = [n - cap - f.newton_iterations_max - u_steps
+    halvings = [n - cap - f.newton_iterations_max
                 for n, cap, f in zip(evals, caps, solo)]
     assert [f.warm_start_sweeps for f in solo] == caps == [160, 180, 220]
-    assert halvings == [1, 0, 0]
+    assert halvings == [damped, 0, 0]
     assert [f.damping_halvings for f in solo] == halvings
-    # stepped last in the family, the damped run still gets its own count,
-    # which is the family maximum
+    # stepped last in the family, the cliff run still gets its own counts,
+    # and the family's iteration count is the largest of its runs'
     family = _family(runs[::-1], times, 1.0)
     for one, many in zip(solo[::-1], family.fields):
         assert np.array_equal(one.values, many.values)
         assert one.newton_iterations_max == many.newton_iterations_max
         assert one.damping_halvings == many.damping_halvings
-    assert sum(f.damping_halvings for f in family.fields) == 1
-    assert family.newton_iterations_max == solo[0].newton_iterations_max > max(
-        f.newton_iterations_max for f in solo[1:]
-    )
+    assert sum(f.damping_halvings for f in family.fields) == damped
+    assert family.newton_iterations_max == max(f.newton_iterations_max for f in solo)
+    if damped:
+        assert solo[0].newton_iterations_max > max(f.newton_iterations_max for f in solo[1:])
 
 
 def test_batched_stall_names_the_failing_run(controls):
-    # one undamped step of dt = 1: the cliff run's full Newton step overshoots
-    # by a correction of order one, far above roundoff, so it stalls while the
+    # one undamped step of dt = 1 in w (the switch at -inf; the u path has no
+    # line search): the cliff run's full Newton step overshoots by a
+    # correction of order one, far above roundoff, so it stalls while the
     # smooth run converges without damping
-    controls(dt_init=1.0, damp_max=0)
+    controls(dt_init=1.0, damp_max=0, u_switch=-math.inf)
     smooth = _mixed_family()[0][1]
     runs = [
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "smooth"),
@@ -634,7 +636,8 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch, contr
     # arrays, and accumulates the start's Lagrange terms in place; both must
     # be bitwise the plain expressions, at every residual and start of a
     # family with w up to 2592 (exponentials that underflow) over default
-    # steps, and of the damped dt = 1 family (partly accepted line searches)
+    # steps, and of the damped dt = 1 family in w (the switch at -inf; partly
+    # accepted line searches)
     residual, extrapolate, checked = evolution._scaled_residual, evolution._extrapolate, []
 
     def checked_residual(stepper, it, dt):
@@ -667,7 +670,7 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch, contr
          BoundaryTrace.constant(0.0), "damped"),
         (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
     ]
-    controls(dt_init=1.0)
+    controls(dt_init=1.0, u_switch=-math.inf)
     family = _family(damped, [0.0, 1.0], 1.0)
     assert sum(f.damping_halvings for f in family.fields) == 1
     assert checked.count("residual") > checked.count("start") > 30
@@ -842,17 +845,18 @@ def _mixed_fields():
 @pytest.mark.parametrize("family, u_steps", [(_mixed_fields, 44), (_theorem_c_fields, 2021)],
                          ids=["mixed", "theorem-c"])
 def test_u_path_agrees_with_w_path(monkeypatch, request, family, u_steps):
-    # below the switch a step sweeps and checks its residual in u: the same
-    # Jacobi fixed point and the same scaled residual as in w, rounded
-    # otherwise.  The mixed family (w <= 78) is below it at every one of its
-    # 44 steps, the theorem-c family over [0, 0.1] from step 2,988 on.
-    # Against the w path alone the fields agree within 1e-9 in w, and every
-    # run's sweeps and Newton solves are equal.  A count may move by a
-    # rounding edge (a sweep's |dw| within rounding of 1e-3, or a residual
-    # within rounding of _NEWTON_TOL, falling on the other side); each such
-    # edge moves a count by one or two, and none occurred when this was
-    # written, so at most two edges per count are allowed.  The theorem-c
-    # family's u-path runs are the module's, not a second A4 run.
+    # below the switch a step sweeps, checks its residual and runs Newton in
+    # u: the same Jacobi fixed point and the same scaled residual as in w,
+    # rounded otherwise, and undamped Newton in u, which needs no more solves
+    # than damped Newton in w.  The mixed family (w <= 78) is below the
+    # switch at every one of its 44 steps, the theorem-c family over
+    # [0, 0.1] from step 2,988 on.  Against the w path alone the fields
+    # agree within 1e-9 in w, and every run's sweeps are equal.  A sweep
+    # count may move by a rounding edge (a sweep's |dw| within rounding of
+    # 1e-3 falling on the other side); each such edge moves it by one or
+    # two, and none occurred when this was written, so at most two are
+    # allowed.  The theorem-c family's u-path runs are the module's, not a
+    # second A4 run.
     if family is _theorem_c_fields:
         fields = request.getfixturevalue("theorem_c_family").fields[:4]
     else:
@@ -863,7 +867,7 @@ def test_u_path_agrees_with_w_path(monkeypatch, request, family, u_steps):
     for u_fld, w_fld in zip(fields, w_fields):
         assert np.max(np.abs(u_fld.values - w_fld.values)) < 1e-9
         assert abs(u_fld.warm_start_sweeps - w_fld.warm_start_sweeps) <= 2
-        assert abs(u_fld.newton_solves - w_fld.newton_solves) <= 4
+        assert u_fld.newton_solves <= w_fld.newton_solves
         assert (u_fld.u_steps, w_fld.u_steps) == (u_steps, 0)
         assert u_fld.worst_residual < evolution._NEWTON_TOL
     assert evolution._solver_work(fields)["u_steps"] == u_steps
@@ -897,13 +901,101 @@ def test_overflow_guard_keeps_power_law_steps_in_w(controls):
     assert np.max(np.abs(taken.values - w_only.values)) < 1e-12
 
 
-def test_u_path_step_carries_only_its_u(monkeypatch):
-    # the u-path twin of test_reused_stepper_gives_the_same_step_bitwise.  A
-    # u-path step leaves its accepted u as the next step's u_m, for the runs
-    # that Newton did not move, so evolve's steps need no expm1 of w_m.  At
-    # every step of a two-run family over [0, 0.01] at dt_max = 2e-5, a fresh
-    # stepper handed only that u_m takes bitwise the reused stepper's step,
-    # with the same work; and the u_m is within rounding of expm1(w_m).
+def test_u_path_steps_take_no_w_form_residual(monkeypatch):
+    # the mixed family is below the switch at every step, and its steps need
+    # Newton: none of them evaluates the w-form residual
+    calls = []
+    monkeypatch.setattr(evolution, "_scaled_residual", lambda *args: calls.append(args))
+    fields = _mixed_fields()
+    assert calls == []
+    assert all(f.u_steps == f.steps == 44 and f.newton_solves > 0 for f in fields)
+
+
+def _u_newton_steps(monkeypatch, spec, runs, dt):
+    """Each u-path step of one step of ``dt`` and one after it, as the
+    iterates u_0, u_1, ... that Newton in u checks (u_0 the warm start's)
+    and the corrections solved for at each, in order."""
+    steps = []
+    warm_start, residual, solve = evolution._u_warm_start, evolution._u_residual, evolution.dgtsv
+
+    def recorded_warm_start(*args):
+        steps.append(([], []))
+        return warm_start(*args)
+
+    def recorded_residual(stepper, u, *rest):
+        steps[-1][0].append(u.copy())
+        return residual(stepper, u, *rest)
+
+    def recorded_solve(*args):
+        out = solve(*args)
+        steps[-1][1].append(out[3].copy())
+        return out
+
+    monkeypatch.setattr(evolution, "_DT_INIT", dt)
+    monkeypatch.setattr(evolution, "_u_warm_start", recorded_warm_start)
+    monkeypatch.setattr(evolution, "_u_residual", recorded_residual)
+    monkeypatch.setattr(evolution, "dgtsv", recorded_solve)
+    grids, inits, bcs, tags = zip(*runs)
+    evolve(spec, grids, inits, bcs, [0.0, dt, 2.0 * dt], dt, tags)
+    return steps
+
+
+@pytest.mark.parametrize("spec, dt, solves", [(LOG15, 1.0, 3), (Nonlinearity.power(3.0), 10.0, 7)],
+                         ids=["log_power", "power"])
+def test_u_newton_iterates_decrease_after_the_first(monkeypatch, spec, dt, solves):
+    # u h(u) is convex for both laws, so from the first iterate on every
+    # Newton iterate in u is a supersolution and the iterates decrease
+    # (Newton-Baluev).  On families of large steps over data cliffs: no
+    # correction after the first moves a node up by more than 1e-12 (1+u),
+    # and no iterate goes negative before its clip to [0, u_cap]
+    if spec.family == "log_power":
+        runs = [
+            (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 4.0),
+             BoundaryTrace.constant(0.0), "cliff to w = 512"),
+            (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
+             BoundaryTrace.constant(0.0), "cliff to w = 2"),
+        ]
+    else:
+        g = GrowthFunction(gamma=lambda r: 0.5 * float(r) ** 2, beta=None, K=None)
+        runs = [
+            (uniform_grid(4.0, 0.05, 1), InitialData.truncated(g, 3.0),
+             BoundaryTrace.constant(0.0), "cliff to w = 4.5"),
+            (uniform_grid(2.0, 0.05, 1), InitialData.truncated(g, 1.0),
+             BoundaryTrace.constant(0.5), "raised boundary"),
+        ]
+    steps = _u_newton_steps(monkeypatch, spec, runs, dt)
+    assert len(steps) == 2
+    assert max(len(corrections) for _, corrections in steps) >= solves
+    checked = 0
+    for iterates, corrections in steps:
+        for u, next_u, delta in zip(iterates[1:], iterates[2:], corrections[1:]):
+            moved = next_u != u  # the nodes of the runs still iterating
+            assert np.all(delta[moved] <= 1e-12 * (1.0 + u[moved]))
+            assert np.all(u[moved] + delta[moved] >= 0.0)
+            checked += 1
+    assert checked >= solves - 1
+
+
+def test_power_law_newton_failure_names_its_step_and_run():
+    # zero data under a boundary at w = 230 with h(u) = u^2: the family's cap
+    # fits the u path.  From the flooded warm start Newton in u removes only
+    # part of the excess per iterate, so it misses _NEWTON_TOL within
+    # _NEWTON_MAX iterations and raises a typed error naming the step and
+    # the run (the w path raised OverflowGuardError with no step here)
+    with pytest.raises(NewtonDivergenceError, match="time step 0 in run 'evolve'") as info:
+        evolve(Nonlinearity.power(3.0), uniform_grid(1.0, 0.05, 1), InitialData.zero(),
+               BoundaryTrace.constant(230.0), [0.0, 1e-5], 1e-6)
+    assert info.value.step_index == 0
+    assert f"within {evolution._NEWTON_MAX} iterations" in str(info.value)
+
+
+def test_u_path_step_hands_on_only_its_w(monkeypatch):
+    # the u-path twin of test_reused_stepper_gives_the_same_step_bitwise, on
+    # steps whose runs settle at the warm start's check and steps that need
+    # Newton in u.  A u-path step hands the next one no u: that step takes
+    # its u_m as expm1(w_m).  At every step of a two-run family over
+    # [0, 0.01] at dt_max = 2e-5, a fresh stepper takes bitwise the reused
+    # stepper's step, with the same work.
     dt_max, times = 2e-5, [0.0, 0.005, 0.01]
     runs = [
         (uniform_grid(2.0, 0.05, 1), InitialData.truncated(QUARTIC, 1.0),
@@ -911,30 +1003,24 @@ def test_u_path_step_carries_only_its_u(monkeypatch):
         (uniform_grid(2.0, 0.05, 1), _mixed_family()[0][1], BoundaryTrace.constant(0.7), "smooth"),
     ]
     grids, inits, bcs, tags = zip(*runs)
-    step, kept_runs = evolution._step, []
+    step, solving_runs = evolution._step, []
 
     def checked(stepper, wm, x0, w_bc, dt, k):
         fresh = evolution._Stepper(LOG15, grids, tags)
-        if wm is stepper.um_of:
-            kept_runs.append(int((~stepper.um_stale).sum()))
-            fresh.u_arrays[0][:] = stepper.u_arrays[0]
-            fresh.um_of, fresh.um_stale = wm, stepper.um_stale
-            kept = ~stepper.um_stale[stepper.owner]
-            um = stepper.u_arrays[0][kept]
-            assert np.all(np.abs(um - np.expm1(wm[kept])) <= 1e-14 * (1.0 + um))
         want = step(fresh, wm, x0, w_bc, dt, k)
         before = stepper.sweeps.copy(), stepper.solves.copy()
         got = step(stepper, wm, x0, w_bc, dt, k)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(stepper.sweeps - before[0], fresh.sweeps)
         assert np.array_equal(stepper.solves - before[1], fresh.solves)
+        solving_runs.append(int(np.count_nonzero(fresh.solves)))
         return got
 
     monkeypatch.setattr(evolution, "_step", checked)
     family = evolve(LOG15, grids, inits, bcs, times, dt_max, tags)
-    assert family.fields[0].u_steps == len(kept_runs) + 1 == family.fields[0].steps
-    # most steps reuse the u of both runs, some that of the smooth run only
-    assert kept_runs.count(2) > len(kept_runs) / 2 and kept_runs.count(1) > 0
+    assert family.fields[0].u_steps == len(solving_runs) == family.fields[0].steps
+    # most steps settle both runs at the check; some need Newton in u
+    assert solving_runs.count(0) > len(solving_runs) / 2 and max(solving_runs) > 0
 
 
 # ----------------------------------------------------------------------
@@ -996,8 +1082,7 @@ def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
     solo = []
     for a in a_list:
         runs = []
-        for n in n_list:
-            grid, prof, bc = evolution._profile_ball(LOG15, a, n, h)
+        for n, (grid, prof, bc) in zip(n_list, evolution._profile_balls(LOG15, a, n_list, h)):
             runs.append(evolve(LOG15, grid, InitialData.capped(QUARTIC, prof), bc, times,
                                scheme_tag=f"capped a={a:g} n={n:g}"))
         solo.append(runs)
@@ -1014,6 +1099,32 @@ def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
                         "newton_iterations_max", "worst_residual"):
                 assert getattr(one, key) == getattr(many, key), key
         assert evolution._solver_work(seq.fields) == evolution._solver_work(runs)
+
+
+def test_capped_balls_share_one_shoot_per_height(monkeypatch):
+    # A8 shoots each height's profile once, on the largest ball; the
+    # domination check samples that shot, and every smaller ball gets the
+    # shot's first nodes.  The oracle shoots each ball's profile on that
+    # ball's own grid and steps the same capped run alone; the two routes
+    # agree within 1e-9 in w at every output time, the capped data and the
+    # boundary column included, and so do the domination radii.  The ball
+    # radii need not be multiples of each other.
+    a_list, n_list, times, h = [4.0, 2.0], [2.0, 2.65, 3.0], [0.0, 0.01, 0.02], 0.05
+    shots = []
+    for module in (evolution, threshold):
+        monkeypatch.setattr(module, "shoot_profile",
+                            lambda *args, **kw: shots.append(args) or shoot_profile(*args, **kw))
+    seqs = run_scheme_A8(LOG15, QUARTIC, a_list, n_list, times, h=h)
+    assert [args[1] for args in shots] == a_list
+    for a, seq in zip(a_list, seqs):
+        want = domination_radius(QUARTIC, LOG15, a, 1, n_list[-1])
+        assert abs(seq.diagnostics["domination_radius"] - want) < 1e-9
+        for n, fld in zip(n_list, seq.fields):
+            grid = uniform_grid(n, h, 1)
+            prof = shoot_profile(LOG15, a, 1, n, grid=grid.radii)
+            bc = BoundaryTrace.constant(float(prof.w_values[-1]))
+            oracle = evolve(LOG15, grid, InitialData.capped(QUARTIC, prof), bc, times)
+            assert np.max(np.abs(fld.values - oracle.values)) < 1e-9
 
 
 def test_capped_scheme_checks_every_height_before_stepping(monkeypatch):

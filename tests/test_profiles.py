@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from absorblab.errors import BracketError, DomainError, InsufficientRangeError
+from absorblab.errors import BracketError, DomainError, InsufficientRangeError, PreconditionError
 from absorblab.nonlinearity import Nonlinearity, h_of_w
 from absorblab.profiles import (
     RadialProfile,
@@ -135,6 +135,18 @@ def test_fit_is_exact_on_shifted_power_law(alpha, c, shift):
     assert fit.target_exponent == k
     assert fit.exponent_hat == pytest.approx(k, rel=1e-12)
     assert fit.constant_hat == pytest.approx(c, rel=1e-12)
+
+
+def test_profile_without_dense_output_cannot_be_sampled():
+    # every shot profile carries its dense output, and sampling reads only
+    # that: a hand-built profile has none, so sampling it is refused
+    r = np.linspace(0.0, 4.0, 65)
+    prof = RadialProfile(radii=r, w_values=2.0 * r**2, dw_values=4.0 * r)
+    with pytest.raises(PreconditionError, match="dense output"):
+        prof.sample(r[:3])
+    with pytest.raises(PreconditionError, match="dense output"):
+        prof.w_at(1.0)
+    assert shoot_profile(LOG15, 1.0, 1, 4.0).w_at(1.0) > math.log1p(1.0)
 
 
 def test_fit_recovers_quartic_log_growth():
