@@ -17,7 +17,6 @@ domain; the public modules wrap these with domain-specific contracts.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import QuadratureError
 
@@ -145,6 +144,8 @@ def log_simpson(log_f, a: float, b: float, n: int = 2001) -> float:
     the sum is taken with :func:`scipy.special.logsumexp` so integrands with
     astronomically large log-scale never overflow.  ``n`` must be odd.
     """
+    from scipy.special import logsumexp
+
     if n % 2 == 0:
         n += 1
     x = np.linspace(a, b, n)

@@ -58,6 +58,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"absorblab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ImportError:  # scipy loads on first use; a broken install is no numerical failure
+        raise
     except Exception as exc:  # typed solver errors and anything unexpected alike
         print(f"absorblab: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

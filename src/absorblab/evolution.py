@@ -126,7 +126,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     DomainError,
@@ -611,6 +610,8 @@ def _newton_solve(stepper, lower, diag, upper, rhs, norm, active, step_index):
     boundary nodes).  Block couplings are exact zeros, so elimination and
     pivoting never cross from one run into the next.  A non-finite or
     singular system raises, naming the run."""
+    from scipy.linalg.lapack import dgtsv
+
     starts = stepper.starts
     diag[stepper.ends] = 1.0
     if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(diag))):

@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from ._quad import classify_tail, cumulative_gl
 from .errors import DomainError, OverflowGuardError, QuadratureError
@@ -162,6 +160,8 @@ def eval_H(spec: Nonlinearity, s: float) -> float:
     if spec.family == "power":
         return s ** (spec.p + 1.0) / (spec.p + 1.0)
 
+    from scipy.integrate import quad
+
     xs = math.log(s)
 
     def integrand(x: float) -> float:
@@ -198,6 +198,8 @@ class ConditionReport:
 
 def _numeric_H_interpolant(spec: Nonlinearity, x_max: float) -> Callable:
     """Pchip interpolant of ln H(e^x) built from one cumulative sweep."""
+    from scipy.interpolate import PchipInterpolator
+
     xs = np.linspace(-45.0, x_max, 3000)
 
     def integrand(x):

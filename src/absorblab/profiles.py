@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._quad import _GL_NODES, _GL_WEIGHTS
 from .errors import (
@@ -130,6 +129,8 @@ def shoot_profile(
     1/W'.  The same stiffness makes the cost of an alpha = 2 shoot grow like
     W(r_max) ~ e^(r_max).
     """
+    from scipy.integrate import solve_ivp
+
     if not (a > 0.0):
         raise DomainError(f"center height must be positive, got {a}")
     if N < 1:

@@ -26,7 +26,6 @@ from .io import RunManifest, emit_csv, emit_manifest
 from .nonlinearity import Nonlinearity, classify_conditions, log_u_from_w
 from .profiles import apriori_bound, fit_asymptotics, shoot_profile
 from .threshold import GrowthFunction, alpha2_report
-from scipy.optimize import brentq
 
 
 def _spec_from(config: ExperimentConfig) -> Nonlinearity:
@@ -253,6 +252,8 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
 
 
 def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
+    from scipy.optimize import brentq
+
     spec = _spec_from(config)
     h, dt_max = config["h"], config["dt_max"]
     tf = config["t_final"]

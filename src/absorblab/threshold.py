@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from ._quad import _GL_NODES, _GL_WEIGHTS, log_simpson
 from .errors import (
@@ -277,11 +276,15 @@ def erfc_complement(x: float) -> float:
     Values underflow from x of about 26.5 on and are 0 from 27 on, where
     the true value is below double range; use :func:`log_erfc` there.
     """
+    from scipy.special import erfc
+
     return float(erfc(x))
 
 
 def log_erfc(x: float) -> float:
     """ln erfc(x), finite for every representable x (no underflow)."""
+    from scipy.special import erfc, erfcx
+
     if x > 0.0:
         # erfcx(x) = e^(x^2) erfc(x) stays in range for every x
         return math.log(erfcx(x)) - x * x

@@ -121,6 +121,36 @@ def test_flat_ode_at_defaults_quadrature_count(tmp_path, monkeypatch):
     assert len(h_nodes) <= 300
 
 
+_SCIPY_FREE_RUNS = """
+import json, sys
+from absorblab import cli, scenarios
+codes = [cli.main([name, "--out", out]) for name, out in zip(("flat-ode", "alpha2"), sys.argv[1:])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_flat_ode_and_alpha2_never_import_scipy(tmp_path):
+    # scipy loads where it is called; a fresh interpreter, because this
+    # process has imported scipy already
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path / "flat"), str(tmp_path / "alpha2")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [EXIT_OK, EXIT_OK]
+    assert result["scipy"] == [], f"{len(result['scipy'])} scipy modules loaded"
+
+
+def test_missing_scipy_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    # an install fault propagates; exit 3 stays for numerical failures
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ImportError):
+        main(["stationary", "--out", str(tmp_path / "run")])
+
+
 def test_stationary_power_family_skips_growth_law_fit(tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("family = power\np = 2\nr_max = 1\na_list = 0.1\nbound_radii = 0.5\n")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.optimize import brentq
 
 from absorblab.errors import (
@@ -916,7 +917,8 @@ def _u_newton_steps(monkeypatch, spec, runs, dt):
     iterates u_0, u_1, ... that Newton in u checks (u_0 the warm start's)
     and the corrections solved for at each, in order."""
     steps = []
-    warm_start, residual, solve = evolution._u_warm_start, evolution._u_residual, evolution.dgtsv
+    warm_start, residual = evolution._u_warm_start, evolution._u_residual
+    solve = scipy.linalg.lapack.dgtsv
 
     def recorded_warm_start(*args):
         steps.append(([], []))
@@ -934,7 +936,7 @@ def _u_newton_steps(monkeypatch, spec, runs, dt):
     monkeypatch.setattr(evolution, "_DT_INIT", dt)
     monkeypatch.setattr(evolution, "_u_warm_start", recorded_warm_start)
     monkeypatch.setattr(evolution, "_u_residual", recorded_residual)
-    monkeypatch.setattr(evolution, "dgtsv", recorded_solve)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", recorded_solve)
     grids, inits, bcs, tags = zip(*runs)
     evolve(spec, grids, inits, bcs, [0.0, dt, 2.0 * dt], dt, tags)
     return steps
