@@ -73,7 +73,7 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("runs"),
                     help="root directory for per-scenario outputs")
     ap.add_argument("--tolerance-scale", type=float, default=1.0)
-    ap.add_argument("--only", nargs="*", default=None,
+    ap.add_argument("--only", nargs="*", default=None, choices=tuple(EXPECTED_EXIT),
                     help="subset of scenario names to run")
     args = ap.parse_args()
     cfg = DriverConfig(out_root=args.out, tolerance_scale=args.tolerance_scale)

@@ -18,16 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from absorblab.evolution import (
-    BoundaryTrace,
-    InitialData,
-    evolve,
-    uniform_grid,
-)
+from absorblab.evolution import BoundaryTrace, evolve, uniform_grid
 from absorblab.flat_ode import solve_phi
 from absorblab.nonlinearity import Nonlinearity
 from absorblab.profiles import shoot_profile
-from absorblab.threshold import GrowthFunction
 
 
 @dataclass
@@ -45,7 +39,7 @@ def time_order(cfg: OrderConfig) -> None:
     w0 = math.log1p(cfg.height)
     exact = float(solve_phi(spec, cfg.height, [0.0, cfg.t_final]).values[-1])
     grid = uniform_grid(4.0, 0.1, cfg.dimension)
-    flat = GrowthFunction(gamma=lambda r: w0, beta=None, K=None)
+    flat = np.full(len(grid.radii), w0)
     # the boundary follows the continuum flat decay, so the field stays
     # space-flat and the center error is pure time discretization
     trace = BoundaryTrace.flat_trace(spec, cfg.height)
@@ -54,7 +48,7 @@ def time_order(cfg: OrderConfig) -> None:
     print(f"{'dt':>10} {'center err':>12} {'ratio':>7}")
     errs = []
     for dt in cfg.dt_list:
-        fld = evolve(spec, grid, InitialData.raw(flat), trace,
+        fld = evolve(spec, grid, flat, trace,
                      [0.0, cfg.t_final], dt_max=dt)
         err = abs(math.expm1(fld.values[-1, 0]) - exact)
         ratio = errs[-1] / err if errs else float("nan")
@@ -74,10 +68,7 @@ def space_order(cfg: OrderConfig) -> None:
     errs = []
     for h in cfg.h_list:
         grid = uniform_grid(r_max, h, cfg.dimension)
-        data = GrowthFunction(
-            gamma=lambda r, p=prof: float(p.w_at(min(float(r), r_max))),
-            beta=None, K=None)
-        fld = evolve(spec, grid, InitialData.raw(data),
+        fld = evolve(spec, grid, prof.sample(grid.radii)[0],
                      BoundaryTrace.constant(float(prof.w_at(r_max))),
                      [0.0, cfg.t_final], dt_max=1e-4)
         drift = float(np.max(np.abs(fld.values[-1] - fld.values[0])))

@@ -181,8 +181,25 @@ def _scenario_checks(scenario: str, params: dict):
         raise ConfigError(
             f"grid_points must be at least 2 to span [0, r_max], got {params['grid_points']}"
         )
-    if scenario == "alpha2" and params["x_radius"] < 0.0:
-        raise ConfigError(f"x_radius is the distance |x|, must be >= 0, got {params['x_radius']}")
+    if scenario == "alpha2":
+        x, N, r = params["x_radius"], params["dimension"], params["r_list"][-1]
+        if x < 0.0:
+            raise ConfigError(f"x_radius is the distance |x|, must be >= 0, got {x}")
+        if not _maximizer_in_range(r, x, N):
+            raise ConfigError(
+                f"r_list reaches r = {r:g}, where the alpha = 2 maximizer's "
+                f"4 N (r + x)^2 e^(2r) is beyond double range"
+            )
+
+
+def _maximizer_in_range(r: float, x: float, N: int) -> bool:
+    """Whether ``4 N R^2 gamma^2``, with R = r + x and gamma = e^r, is a
+    finite double, formed as ``tail_exponent_maximizer`` forms it."""
+    R = r + x
+    try:
+        return math.isfinite(4.0 * N * R * R * math.exp(r) ** 2.0)
+    except OverflowError:
+        return False
 
 
 def parse_config(scenario: str, text: str) -> ExperimentConfig:

@@ -104,6 +104,14 @@ the discrete comparison principle, and with it every in-n ordering check
 between members, holds only between runs taken through identical step
 sequences.
 
+Initial values: :func:`evolve` takes each run's ``w0 = ln(1+u0)`` as an
+array on the run's grid and checks its length and that it is finite and
+nonnegative.  The drivers build those arrays from the growth ``gamma``,
+which maps an array of radii to an array: A4 cuts ``gamma`` to zero beyond
+each truncation radius (the node at r = n keeps its value), A8 takes the
+lower of the profile and ``gamma`` on each ball, and A8.1 takes ``gamma``
+itself.
+
 Drivers cover the three ball-exhaustion sequences used by the collapse
 experiments: truncated data on a fixed large ball (A4), profile-capped
 data on growing balls (A8), and the two-sided profile-boundary variant
@@ -111,8 +119,8 @@ data on growing balls (A8), and the two-sided profile-boundary variant
 takes every center height at once and calls :func:`evolve` once per ball,
 its family being the heights' runs on that ball's grid; the same times and
 ``dt_max`` give every call the same step sequence.  The profile balls of
-A8 and A8.1 (grid, stationary profile, constant boundary trace) all come
-from ``_profile_balls``, which shoots each center height once, on the
+A8 and A8.1 (grid, stationary profile values, constant boundary trace) all
+come from ``_profile_balls``, which shoots each center height once, on the
 largest ball, and every driver checks and packs its ordering through
 ``_ordered_sequence``.  A sequence's diagnostics hold only A8's
 domination notes; the solver counters stay on the runs, and a scenario
@@ -137,13 +145,12 @@ from .errors import (
 )
 from .flat_ode import solve_phi_log
 from .nonlinearity import Nonlinearity, dh_dw, eval_h, h_of_w, w_from_log_u
-from .profiles import RadialProfile, shoot_profile
+from .profiles import shoot_profile
 from .threshold import GrowthFunction, domination_radius
 
 __all__ = [
     "RadialGrid",
     "uniform_grid",
-    "InitialData",
     "BoundaryTrace",
     "EvolutionField",
     "EvolutionFamily",
@@ -195,52 +202,6 @@ def uniform_grid(r_out: float, h: float, dimension: int) -> RadialGrid:
     radii = np.arange(cells + 1) * h
     radii[-1] = r_out
     return RadialGrid(radii=radii, dimension=dimension)
-
-
-@dataclass(frozen=True)
-class InitialData:
-    """Nonnegative radial initial height, evaluated in log form ln(1+u).
-
-    kinds: ``truncated`` is the growth data cut to zero outside radius n;
-    ``capped`` is the pointwise minimum with a stationary profile, which
-    must be sampled on the run's grid; ``raw`` is the growth data itself.
-    """
-
-    kind: str
-    g: GrowthFunction | None = None
-    n: float | None = None
-    profile: RadialProfile | None = None
-
-    @staticmethod
-    def truncated(g: GrowthFunction, n: float) -> "InitialData":
-        return InitialData(kind="truncated", g=g, n=float(n))
-
-    @staticmethod
-    def capped(g: GrowthFunction, profile: RadialProfile) -> "InitialData":
-        return InitialData(kind="capped", g=g, profile=profile)
-
-    @staticmethod
-    def raw(g: GrowthFunction) -> "InitialData":
-        return InitialData(kind="raw", g=g)
-
-    @staticmethod
-    def zero() -> "InitialData":
-        return InitialData(kind="raw", g=GrowthFunction(gamma=lambda r: 0.0, beta=0.0, K=0.0))
-
-    def w_on_grid(self, grid: RadialGrid) -> np.ndarray:
-        gam = self.g.gamma_vec(grid.radii)
-        if np.any(gam < 0.0):
-            raise DomainError("initial data must be nonnegative")
-        if self.kind == "raw":
-            return gam
-        if self.kind == "truncated":
-            return np.where(grid.radii <= self.n + 1e-12, gam, 0.0)
-        if self.kind == "capped":
-            prof = self.profile
-            if len(prof.radii) != len(grid.radii) or np.max(np.abs(prof.radii - grid.radii)) > 1e-12:
-                raise GridError("capped data needs its profile sampled on the run's grid")
-            return np.minimum(prof.w_values, gam)
-        raise DomainError(f"unknown initial-data kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -867,7 +828,7 @@ def _extrapolate(ts, ws, t, scratch):
 def evolve(
     spec: Nonlinearity,
     grid: RadialGrid | Sequence[RadialGrid],
-    init: InitialData | Sequence[InitialData],
+    w0: np.ndarray | Sequence[np.ndarray],
     boundary: BoundaryTrace | Sequence[BoundaryTrace],
     times: Sequence[float],
     dt_max: float = 1e-3,
@@ -875,25 +836,38 @@ def evolve(
 ) -> EvolutionField | EvolutionFamily:
     """Backward-Euler evolution of the absorption problem on the grid.
 
+    ``w0`` is the initial value ``ln(1+u0)`` at every node of the grid: an
+    array of the grid's length, finite and nonnegative.  Its boundary node is
+    replaced by the trace's value at t = 0.
     ``times`` are the output instants (times[0] = 0), finite and strictly
     increasing; internal stepping refines geometrically near t = 0 (first
     step ``_DT_INIT``, ratio ``_RAMP``) up to ``dt_max`` and lands on every
     output time exactly.
     The boundary column of the result equals the declared trace exactly.
 
-    Family form: with a sequence of grids, ``init``, ``boundary`` and
+    Family form: with a sequence of grids, ``w0``, ``boundary`` and
     ``scheme_tag`` are sequences too, one entry per run.  The runs are
     stepped together as one system on one step sequence (see the module
     notes) and an :class:`EvolutionFamily` is returned.
     """
     single = isinstance(grid, RadialGrid)
     if single:
-        grids, inits, bcs, tags = [grid], [init], [boundary], [scheme_tag]
+        grids, w0s, bcs, tags = [grid], [w0], [boundary], [scheme_tag]
     else:
-        grids, inits, bcs, tags = map(list, (grid, init, boundary, scheme_tag))
-        if not 0 < len(grids) == len(inits) == len(bcs) == len(tags):
+        grids, w0s, bcs, tags = map(list, (grid, w0, boundary, scheme_tag))
+        if not 0 < len(grids) == len(w0s) == len(bcs) == len(tags):
             raise PreconditionError(
-                "a family needs one grid, initial datum, boundary and tag per run"
+                "a family needs one grid, initial value array, boundary and tag per run"
+            )
+    for gr, w_run, tag in zip(grids, w0s, tags):
+        if np.shape(w_run) != gr.radii.shape:
+            raise GridError(
+                f"initial values of run {tag!r} have shape {np.shape(w_run)}, "
+                f"its grid has {len(gr.radii)} nodes"
+            )
+        if not np.all(np.isfinite(w_run)) or np.any(np.less(w_run, 0.0)):
+            raise DomainError(
+                f"initial values of run {tag!r} must be finite and nonnegative in log form"
             )
     times = np.asarray(list(times), dtype=float)
     if len(times) == 0 or times[0] != 0.0:
@@ -907,7 +881,7 @@ def evolve(
 
     stepper = _Stepper(spec, grids, tags)
     starts, ends = stepper.starts, stepper.ends
-    w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
+    w = np.concatenate(w0s, dtype=float)
     step_times, is_output = _internal_times(times, dt_max)
     all_times = np.concatenate(([0.0], step_times))
     bc = np.empty((len(all_times), len(grids)))  # row k: boundary values at step k
@@ -971,9 +945,10 @@ def evolve(
 
 
 def _profile_balls(spec: Nonlinearity, a: float, n_list: Sequence[float], h: float):
-    """The balls of the ascending radii ``n_list`` for center height a: each
-    ball's grid, the height-a stationary profile on that grid, and the
-    profile's edge value as a constant boundary trace.
+    """The height-a stationary profile shot on the largest of the balls of
+    the ascending radii ``n_list``, and for each ball its grid, the
+    profile's values on that grid, and the profile's edge value as a
+    constant boundary trace.
 
     The profile is shot once, on the largest ball.  The balls are nested and
     node j of each lies at ``j h``, so a smaller ball's profile is the shot's
@@ -984,11 +959,9 @@ def _profile_balls(spec: Nonlinearity, a: float, n_list: Sequence[float], h: flo
     balls = []
     for n in n_list:
         grid = uniform_grid(n, h, 1)
-        m = len(grid.radii)
-        prof = RadialProfile(radii=grid.radii, w_values=shot.w_values[:m],
-                             dw_values=shot.dw_values[:m], dense=shot.dense)
-        balls.append((grid, prof, BoundaryTrace.constant(float(prof.w_values[-1]))))
-    return balls
+        w = shot.w_values[: len(grid.radii)]
+        balls.append((grid, w, BoundaryTrace.constant(float(w[-1]))))
+    return shot, balls
 
 
 def _solver_work(fields: Sequence[EvolutionField]) -> dict:
@@ -1062,10 +1035,11 @@ def run_scheme_A4(
     if n_list[-1] >= r_out:
         raise PreconditionError("truncation radii must stay below r_out")
     grid = uniform_grid(r_out, h, dimension)
-    inits = [InitialData.truncated(g, n) for n in n_list]
+    gam = g.gamma(grid.radii)
+    w0 = [np.where(grid.radii <= n + 1e-12, gam, 0.0) for n in n_list]
     tags = [f"truncated n={n:g}" for n in n_list]
     bcs = [BoundaryTrace.constant(0.0)] * len(n_list)
-    fields = evolve(spec, [grid] * len(n_list), inits, bcs, times, dt_max, tags).fields
+    fields = evolve(spec, [grid] * len(n_list), w0, bcs, times, dt_max, tags).fields
     return _ordered_sequence(fields, True, discretization_tolerance(h, dt_max), "truncation")
 
 
@@ -1109,13 +1083,12 @@ def run_scheme_A8(
 
     # one shoot per height, on the largest ball, which the domination check
     # samples too
-    profile_balls = [_profile_balls(spec, a, n_list, h) for a in a_list]
+    shots, profile_balls = zip(*(_profile_balls(spec, a, n_list, h) for a in a_list))
     notes = []
-    for a, height_balls in zip(a_list, profile_balls):
+    for a, shot in zip(a_list, shots):
         diagnostics: dict = {}
         if domination != "skip":
             try:
-                shot = height_balls[-1][1]  # the profile on the largest ball
                 r_a = domination_radius(g, spec, a, 1, n_list[-1], shot)
                 diagnostics["domination_radius"] = r_a
                 if r_a > n_list[0] and domination == "require":
@@ -1139,10 +1112,11 @@ def run_scheme_A8(
     # dt_max give every run the same step sequence, as the ordering check needs
     balls = []
     for k, n in enumerate(n_list):
-        grids, profs, bcs = zip(*(height[k] for height in profile_balls))
-        inits = [InitialData.capped(g, prof) for prof in profs]
+        grids, caps, bcs = zip(*(height[k] for height in profile_balls))
+        gam = g.gamma(grids[0].radii)  # every height's ball k is the same grid
+        w0 = [np.minimum(cap, gam) for cap in caps]
         tags = [f"capped a={a:g} n={n:g}" for a in a_list]
-        balls.append(evolve(spec, grids, inits, bcs, times, dt_max, tags).fields)
+        balls.append(evolve(spec, grids, w0, bcs, times, dt_max, tags).fields)
     # balls[k][i] is height i on ball k; a height's sequence is column i
     return tuple(
         _ordered_sequence(fields, False, tol, "capped", diagnostics)
@@ -1176,12 +1150,12 @@ def run_scheme_A8_1(
     if tol is None:
         tol = discretization_tolerance(h, dt_max)
 
-    lower_balls = _profile_balls(spec, c, n_list, h)
-    upper_balls = _profile_balls(spec, b, n_list, h)
+    _, lower_balls = _profile_balls(spec, c, n_list, h)
+    _, upper_balls = _profile_balls(spec, b, n_list, h)
     (big, prof_c, _), (_, prof_b, _) = lower_balls[-1], upper_balls[-1]
-    gam = g.gamma_vec(big.radii)
+    gam = g.gamma(big.radii)
     slack = 1e-9
-    if np.any(gam < prof_c.w_values - slack) or np.any(gam > prof_b.w_values + slack):
+    if np.any(gam < prof_c - slack) or np.any(gam > prof_b + slack):
         raise PreconditionError(
             "initial data is not sandwiched between the two stationary profiles"
         )
@@ -1189,9 +1163,9 @@ def run_scheme_A8_1(
     # one family, so lower and upper runs also share the step sequence that
     # the comparison between the two limits relies on
     grids, _, bcs = zip(*lower_balls, *upper_balls)
-    inits = [InitialData.raw(g)] * len(grids)
+    w0 = [g.gamma(grid.radii) for grid in grids]
     tags = [f"sandwich a={center:g} n={n:g}" for center in (c, b) for n in n_list]
-    fields = evolve(spec, grids, inits, bcs, times, dt_max, tags).fields
+    fields = evolve(spec, grids, w0, bcs, times, dt_max, tags).fields
     lower, upper = fields[: len(n_list)], fields[len(n_list):]
     return (
         _ordered_sequence(lower, True, tol, "lower sandwich"),

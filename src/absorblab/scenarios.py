@@ -262,7 +262,7 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     r_big = max(config["r_out"], config["n_list"][-1])
     prof_mid = shoot_profile(spec, config["mid"], config["dimension"], r_big)
     g = GrowthFunction(
-        gamma=lambda r: float(prof_mid.w_at(min(r, r_big))),
+        gamma=lambda r: prof_mid.sample(np.minimum(r, r_big))[0],
         beta=2.0 / (2.0 - spec.alpha),
         K=0.0,
     )

@@ -74,23 +74,21 @@ _ABSORPTION_PANELS = 8
 class GrowthFunction:
     """Radial growth descriptor: data height is exp(gamma(r)) - 1.
 
-    ``gamma`` must be nonnegative and nondecreasing.  ``beta`` and ``K``
-    declare the leading asymptotic gamma(r) ~ K r^beta, which threshold
-    verdicts use directly: a liminf cannot be decided from finitely many
-    samples, and every experiment builds its growth from a known rate
-    anyway.
+    ``gamma`` maps an array of radii to the array of its values, and a
+    scalar radius to a scalar; it must be nonnegative and nondecreasing.
+    ``beta`` and ``K`` declare the leading asymptotic gamma(r) ~ K r^beta,
+    which threshold verdicts use directly: a liminf cannot be decided from
+    finitely many samples, and every experiment builds its growth from a
+    known rate anyway.
     """
 
-    gamma: Callable[[float], float]
+    gamma: Callable[[np.ndarray], np.ndarray]
     beta: float
     K: float
 
-    def gamma_vec(self, r) -> np.ndarray:
-        return np.vectorize(self.gamma, otypes=[float])(np.asarray(r, dtype=float))
-
     def log_data(self, r) -> np.ndarray:
         """ln(exp(gamma) - 1), the log of the data height; -inf where gamma=0."""
-        return log_u_from_w(self.gamma_vec(r))
+        return log_u_from_w(self.gamma(r))
 
 
 def domination_radius(
@@ -113,7 +111,7 @@ def domination_radius(
     grid = np.linspace(0.0, search_max, _DOMINATION_GRID)
     if profile is None:
         profile = shoot_profile(spec, n, N, search_max)
-    diff = g.gamma_vec(grid) - profile.sample(grid)[0]
+    diff = g.gamma(grid) - profile.sample(grid)[0]
     if diff[-1] < 0.0:
         raise DominationError(
             f"data stays below the height-{n:g} profile at radius {search_max:g} "

@@ -36,7 +36,6 @@ from absorblab._quad import log_simpson
 from absorblab.config import load_config
 from absorblab.evolution import (
     BoundaryTrace,
-    InitialData,
     check_comparison,
     evolve,
     uniform_grid,
@@ -51,7 +50,6 @@ from absorblab.nonlinearity import Nonlinearity, classify_conditions
 from absorblab.profiles import apriori_bound, fit_asymptotics, shoot_profile
 from absorblab.scenarios import run_non_uniqueness, run_theorem_b, run_theorem_c
 from absorblab.threshold import (
-    GrowthFunction,
     absorption_integral_bound,
     alpha2_report,
     erfc_complement,
@@ -163,18 +161,11 @@ def test_acceptance_06_discrete_comparison_randomized():
         grid = uniform_grid(1.0, 0.05, dim)
         c0, c1, c2 = rng.uniform(0.2, 3.0, 3)
         b0, b1 = rng.uniform(0.0, 2.0, 2)
-        lo = GrowthFunction(
-            gamma=lambda r, c0=c0, c1=c1, c2=c2:
-                c0 + c1 * float(r) ** 2 / (1 + c2 * float(r)),
-            beta=None, K=None)
-        hi = GrowthFunction(
-            gamma=lambda r, g=lo, b0=b0, b1=b1:
-                float(g.gamma(r)) + b0 + b1 * math.sin(3.0 * float(r)) ** 2,
-            beta=None, K=None)
-        f_lo = evolve(spec, grid, InitialData.raw(lo),
-                      BoundaryTrace.constant(float(lo.gamma(1.0))), times)
-        f_hi = evolve(spec, grid, InitialData.raw(hi),
-                      BoundaryTrace.constant(float(hi.gamma(1.0)) + 0.1), times)
+        r = grid.radii
+        lo = c0 + c1 * r**2 / (1 + c2 * r)
+        hi = lo + b0 + b1 * np.sin(3.0 * r) ** 2
+        f_lo = evolve(spec, grid, lo, BoundaryTrace.constant(float(lo[-1])), times)
+        f_hi = evolve(spec, grid, hi, BoundaryTrace.constant(float(hi[-1]) + 0.1), times)
         worst = max(worst, check_comparison(f_lo, f_hi))
     print(f"  worst ordering violation over 50 pairs: {worst:.2e}")
     clauses = {"violations<=1e-9": worst <= 1e-9}

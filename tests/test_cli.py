@@ -196,6 +196,42 @@ def test_unknown_scenario_exits_2(capsys):
     assert exc.value.code == EXIT_CONFIG
 
 
+def test_overflowing_growth_is_a_domain_error(tmp_path, capsys):
+    # K r^40 overflows to inf inside the first truncation radius; the data
+    # check names the run before Newton meets a NaN residual at step 0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("growth_constant = 1e300\ngrowth_power = 40\n")
+    with np.errstate(over="ignore"):
+        code = main(["theorem-c", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "run 'truncated n=3'" in err
+    assert "NewtonDivergenceError" not in err
+
+
+@pytest.mark.parametrize("r_last, code", [("348", EXIT_OK), ("350", EXIT_CONFIG), ("800", EXIT_CONFIG)])
+def test_alpha2_radii_beyond_double_range_are_a_config_error(tmp_path, capsys, r_last, code):
+    # past r = 348 (N = 1, x = 0) the maximizer's 4 N (r + x)^2 e^(2r)
+    # leaves double range: r = 350 raised DomainError, r = 800 an
+    # OverflowError, both as numerical failures
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text(f"r_list = 5, {r_last}\n")
+    out = tmp_path / "run"
+    assert main(["alpha2", "--config", str(cfg), "--out", str(out)]) == code
+    if code == EXIT_CONFIG:
+        assert "r_list" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_all_scenarios_only_takes_known_names(tmp_path):
+    proc = _run_script("run_all_scenarios.py", "--out", str(tmp_path), "--only", "flat-ode", "alpha2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("[ok]") == 2
+    typo = _run_script("run_all_scenarios.py", "--out", str(tmp_path), "--only", "theorem_c")
+    assert typo.returncode == 2
+    assert "invalid choice" in typo.stderr
+
+
 def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch):
     # theorem-b steps one capped family per ball, holding every center
     # height's run on that ball, and gets back one sequence per height: three

@@ -19,7 +19,6 @@ from absorblab.evolution import (
     BoundaryTrace,
     EvolutionFamily,
     EvolutionField,
-    InitialData,
     RadialGrid,
     check_comparison,
     discretization_tolerance,
@@ -39,7 +38,7 @@ from absorblab.profiles import shoot_profile
 from absorblab.threshold import GrowthFunction, domination_radius
 
 LOG15 = Nonlinearity.log_power(1.5)
-QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * float(r) ** 4, beta=4.0, K=2.0)
+QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * r**4.0, beta=4.0, K=2.0)
 
 
 @pytest.fixture
@@ -53,8 +52,20 @@ def controls(monkeypatch):
     return set_controls
 
 
-def flat_growth(w_value: float) -> GrowthFunction:
-    return GrowthFunction(gamma=lambda r, w=w_value: w, beta=0.0, K=0.0)
+def smooth(r):
+    return 0.5 + r**2 / 8.0
+
+
+def cut(n, gamma=QUARTIC.gamma):
+    """gamma cut to zero beyond radius n, as the truncated scheme cuts its data."""
+    return lambda r: np.where(r <= n + 1e-12, gamma(r), 0.0)
+
+
+def make_run(r_out, h, gamma, bc, tag):
+    """One run of a family: a grid on [0, r_out], gamma on it, a boundary
+    trace and a tag."""
+    grid = uniform_grid(r_out, h, 1)
+    return grid, gamma(grid.radii), bc, tag
 
 
 def scalar_backward_euler_u(spec, a, step_times):
@@ -148,12 +159,11 @@ def test_evolve_time_and_data_validation():
     grid = uniform_grid(1.0, 0.05, 1)
     bc = BoundaryTrace.constant(0.0)
     with pytest.raises(PreconditionError):
-        evolve(LOG15, grid, InitialData.zero(), bc, [0.1, 0.2])
+        evolve(LOG15, grid, np.zeros(21), bc, [0.1, 0.2])
     with pytest.raises(PreconditionError):
-        evolve(LOG15, grid, InitialData.zero(), bc, [0.0, 0.2, 0.2])
-    bad = GrowthFunction(gamma=lambda r: -1.0, beta=None, K=None)
-    with pytest.raises(DomainError):
-        evolve(LOG15, grid, InitialData.raw(bad), bc, [0.0, 0.1])
+        evolve(LOG15, grid, np.zeros(21), bc, [0.0, 0.2, 0.2])
+    with pytest.raises(DomainError, match="run 'evolve'"):
+        evolve(LOG15, grid, np.full(21, -1.0), bc, [0.0, 0.1])
 
 
 @pytest.mark.parametrize("times", [[0.0, math.inf], [0.0, 0.25, math.inf], [0.0, math.nan]])
@@ -161,7 +171,7 @@ def test_evolve_rejects_non_finite_times(times):
     # [0, inf, inf] passed the ordering check, since inf - inf is NaN, and
     # the step schedule then grew toward T = inf without end
     with pytest.raises(PreconditionError, match="finite"):
-        evolve(LOG15, uniform_grid(1.0, 0.05, 1), InitialData.zero(),
+        evolve(LOG15, uniform_grid(1.0, 0.05, 1), np.zeros(21),
                BoundaryTrace.constant(0.0), times)
 
 
@@ -170,24 +180,32 @@ def test_evolve_rejects_step_caps_outside_zero_to_inf(dt_max):
     # a zero or negative cap stops t from advancing, so the schedule never
     # ended; a NaN cap left the step uncapped
     with pytest.raises(PreconditionError, match="dt_max"):
-        evolve(LOG15, uniform_grid(1.0, 0.05, 1), InitialData.zero(),
+        evolve(LOG15, uniform_grid(1.0, 0.05, 1), np.zeros(21),
                BoundaryTrace.constant(0.0), [0.0, 0.1], dt_max)
 
 
-def test_initial_data_kinds_on_grid():
-    grid = uniform_grid(1.0, 0.05, 1)
-    gam = InitialData.truncated(QUARTIC, 0.5).w_on_grid(grid)
-    assert gam[0] == 0.0
-    assert gam[10] == pytest.approx(2.0 * 0.5**4)
-    assert np.all(gam[11:] == 0.0)
-    assert np.all(InitialData.zero().w_on_grid(grid) == 0.0)
-    prof = shoot_profile(LOG15, 1.0, 1, 1.0, grid=grid.radii)
-    capped = InitialData.capped(QUARTIC, prof).w_on_grid(grid)
-    np.testing.assert_allclose(capped, np.minimum(prof.w_values, 2.0 * grid.radii**4),
-                               atol=1e-12)
-    # the profile must already sit on the run's grid
-    with pytest.raises(GridError):
-        InitialData.capped(QUARTIC, prof).w_on_grid(uniform_grid(1.0, 0.025, 1))
+def test_evolve_checks_the_length_of_each_runs_initial_values():
+    grid, bc = uniform_grid(1.0, 0.05, 1), BoundaryTrace.constant(0.0)
+    with pytest.raises(GridError, match="run 'evolve'"):
+        evolve(LOG15, grid, np.zeros(20), bc, [0.0, 0.1])
+    with pytest.raises(GridError, match="run 'coarse'"):
+        evolve(LOG15, [grid, uniform_grid(2.0, 0.1, 1)], [np.zeros(21), np.zeros(41)],
+               [bc, bc], [0.0, 0.1], scheme_tag=["fine", "coarse"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_evolve_rejects_non_finite_initial_values(monkeypatch, bad):
+    # such data used to reach Newton, which failed at step 0 on a NaN
+    # residual; it is a domain error naming the run, before any step
+    grid, bc = uniform_grid(1.0, 0.05, 1), BoundaryTrace.constant(0.0)
+    w0 = np.zeros(21)
+    w0[7] = bad
+    monkeypatch.setattr(evolution, "_step", lambda *args: pytest.fail("stepped"))
+    with pytest.raises(DomainError, match="run 'evolve' must be finite"):
+        evolve(LOG15, grid, w0, bc, [0.0, 0.1])
+    with pytest.raises(DomainError, match="run 'cliff' must be finite"):
+        evolve(LOG15, [grid, grid], [np.zeros(21), w0], [bc, bc], [0.0, 0.1],
+               scheme_tag=["flat", "cliff"])
 
 
 def test_boundary_trace_values():
@@ -204,7 +222,7 @@ def test_boundary_trace_values():
 
 def test_zero_data_stays_zero():
     grid = uniform_grid(1.0, 0.05, 1)
-    fld = evolve(LOG15, grid, InitialData.zero(), BoundaryTrace.constant(0.0),
+    fld = evolve(LOG15, grid, np.zeros(21), BoundaryTrace.constant(0.0),
                  [0.0, 0.1, 0.3])
     assert np.max(np.abs(fld.values)) < 1e-12  # roundoff from the solve only
     assert fld.negative_clips == 0
@@ -218,7 +236,7 @@ def test_flat_run_reproduces_scalar_recursion():
     step_times, _ = _internal_times(times, 1e-3)
     path = scalar_backward_euler_u(LOG15, a, step_times)
     grid = uniform_grid(2.0, 0.1, 1)
-    fld = evolve(LOG15, grid, InitialData.raw(flat_growth(math.log1p(a))),
+    fld = evolve(LOG15, grid, np.full_like(grid.radii, math.log1p(a)),
                  path_trace(path), times, 1e-3)
     want = np.array([path[round(float(t), 15)] for t in times])
     assert np.max(np.abs(fld.values - want[:, None])) < 1e-9
@@ -229,7 +247,7 @@ def test_flat_center_tracks_continuum_from_far_boundary():
     a = 2.0
     times = np.array([0.0, 0.1, 0.3, 0.5])
     grid = uniform_grid(4.0, 0.1, 1)
-    fld = evolve(LOG15, grid, InitialData.raw(flat_growth(math.log1p(a))),
+    fld = evolve(LOG15, grid, np.full_like(grid.radii, math.log1p(a)),
                  BoundaryTrace.flat_trace(LOG15, a), times)
     w_cont = np.log1p(solve_phi(LOG15, a, times).values)
     diff = fld.values[:, 0] - w_cont
@@ -246,7 +264,7 @@ def test_time_stepping_is_first_order():
     w_cont = math.log1p(float(solve_phi(LOG15, a, times).values[-1]))
     for dt in (1e-3, 5e-4):
         grid = uniform_grid(4.0, 0.1, 1)
-        fld = evolve(LOG15, grid, InitialData.raw(flat_growth(math.log1p(a))),
+        fld = evolve(LOG15, grid, np.full_like(grid.radii, math.log1p(a)),
                      BoundaryTrace.flat_trace(LOG15, a), times, dt)
         errs.append(abs(float(fld.values[-1, 0]) - w_cont))
     ratio = errs[0] / errs[1]
@@ -260,9 +278,7 @@ def test_space_discretization_is_second_order():
     for h in (0.05, 0.025):
         grid = uniform_grid(4.0, h, 1)
         prof = shoot_profile(LOG15, 2.0, 1, 4.0, grid=grid.radii)
-        g = GrowthFunction(gamma=lambda r, p=prof: p.w_at(min(float(r), 4.0)),
-                           beta=None, K=None)
-        fld = evolve(LOG15, grid, InitialData.raw(g),
+        fld = evolve(LOG15, grid, prof.sample(grid.radii)[0],
                      BoundaryTrace.constant(float(prof.w_values[-1])), [0.0, 0.5])
         drift[h] = float(np.max(np.abs(fld.values[-1] - prof.w_values)))
         assert drift[h] < 5.0 * h * h
@@ -285,7 +301,7 @@ def test_cliff_data_bounded_by_scalar_majorant():
     step_times, _ = _internal_times(times, 1e-3)
     majorant = scalar_backward_euler_log(LOG15, 2.0 * 4.0**4, step_times)
     grid = uniform_grid(9.0, 0.05, 1)
-    fld = evolve(LOG15, grid, InitialData.truncated(QUARTIC, 4.0),
+    fld = evolve(LOG15, grid, cut(4.0)(grid.radii),
                  BoundaryTrace.constant(0.0), times, 1e-3)
     for i, t in enumerate(times):
         assert float(np.max(fld.values[i])) <= majorant[round(float(t), 15)] + 1e-9
@@ -300,7 +316,7 @@ def test_giant_cliff_data_solves_cleanly():
     step_times, _ = _internal_times(times, 1e-3)
     majorant = scalar_backward_euler_log(LOG15, 2.0 * 6.0**4, step_times)
     grid = uniform_grid(9.0, 0.05, 1)
-    fld = evolve(LOG15, grid, InitialData.truncated(QUARTIC, 6.0),
+    fld = evolve(LOG15, grid, cut(6.0)(grid.radii),
                  BoundaryTrace.constant(0.0), times, 1e-3)
     assert float(np.max(fld.values[-1])) <= majorant[round(0.5, 15)] + 1e-9
     assert np.all(np.isfinite(fld.values))
@@ -318,24 +334,19 @@ def test_comparison_randomized_ordered_pairs():
         grid = uniform_grid(1.0, 0.05, dim)
         c0, c1, c2 = rng.uniform(0.2, 3.0, 3)
         b0, b1 = rng.uniform(0.0, 2.0, 2)
-        g1 = GrowthFunction(
-            gamma=lambda r, c0=c0, c1=c1, c2=c2: c0 + c1 * float(r) ** 2 / (1 + c2 * float(r)),
-            beta=None, K=None)
-        g2 = GrowthFunction(
-            gamma=lambda r, g=g1, b0=b0, b1=b1: float(g.gamma(r)) + b0 + b1 * math.sin(3.0 * float(r)) ** 2,
-            beta=None, K=None)
-        f1 = evolve(spec, grid, InitialData.raw(g1),
-                    BoundaryTrace.constant(float(g1.gamma(1.0))), times)
-        f2 = evolve(spec, grid, InitialData.raw(g2),
-                    BoundaryTrace.constant(float(g2.gamma(1.0)) + 0.1), times)
+        r = grid.radii
+        w1 = c0 + c1 * r**2 / (1 + c2 * r)
+        w2 = w1 + b0 + b1 * np.sin(3.0 * r) ** 2
+        f1 = evolve(spec, grid, w1, BoundaryTrace.constant(float(w1[-1])), times)
+        f2 = evolve(spec, grid, w2, BoundaryTrace.constant(float(w2[-1]) + 0.1), times)
         worst = max(worst, check_comparison(f1, f2))
     assert worst <= 1e-9
 
 
 def test_comparison_requires_matching_layout():
-    f1 = evolve(LOG15, uniform_grid(1.0, 0.05, 1), InitialData.zero(),
+    f1 = evolve(LOG15, uniform_grid(1.0, 0.05, 1), np.zeros(21),
                 BoundaryTrace.constant(0.0), [0.0, 0.1])
-    f2 = evolve(LOG15, uniform_grid(2.0, 0.1, 1), InitialData.zero(),
+    f2 = evolve(LOG15, uniform_grid(2.0, 0.1, 1), np.zeros(21),
                 BoundaryTrace.constant(0.0), [0.0, 0.1])
     with pytest.raises(GridError):
         check_comparison(f1, f2)
@@ -347,20 +358,18 @@ def test_comparison_requires_matching_layout():
 
 
 def _mixed_family():
-    smooth = GrowthFunction(gamma=lambda r: 0.5 + float(r) ** 2 / 8.0, beta=None, K=None)
-    short, longer = uniform_grid(2.0, 0.05, 1), uniform_grid(3.0, 0.05, 1)
     zero = BoundaryTrace.constant(0.0)
     return [
-        (short, InitialData.raw(smooth), zero, "smooth"),
-        (longer, InitialData.truncated(QUARTIC, 2.5), zero, "cliff"),
-        (short, InitialData.truncated(QUARTIC, 1.0), zero, "truncated"),
-        (longer, InitialData.raw(smooth), BoundaryTrace.constant(0.7), "raised boundary"),
+        make_run(2.0, 0.05, smooth, zero, "smooth"),
+        make_run(3.0, 0.05, cut(2.5), zero, "cliff"),
+        make_run(2.0, 0.05, cut(1.0), zero, "truncated"),
+        make_run(3.0, 0.05, smooth, BoundaryTrace.constant(0.7), "raised boundary"),
     ]
 
 
 def _family(runs, times, dt_max=1e-3):
-    grids, inits, bcs, tags = zip(*runs)
-    return evolve(LOG15, grids, inits, bcs, times, dt_max, tags)
+    grids, w0, bcs, tags = zip(*runs)
+    return evolve(LOG15, grids, w0, bcs, times, dt_max, tags)
 
 
 def _h_evals(monkeypatch, run, times, dt_max=1e-3):
@@ -399,9 +408,9 @@ def test_batched_family_matches_solo_runs_bitwise(monkeypatch):
 
 def test_family_needs_one_entry_per_run():
     runs = _mixed_family()
-    grids, inits, bcs, tags = zip(*runs)
+    grids, w0, bcs, tags = zip(*runs)
     with pytest.raises(PreconditionError, match="per run"):
-        evolve(LOG15, grids, inits[:-1], bcs, [0.0, 0.01], scheme_tag=tags)
+        evolve(LOG15, grids, w0[:-1], bcs, [0.0, 0.01], scheme_tag=tags)
     with pytest.raises(PreconditionError, match="per run"):
         evolve(LOG15, [], [], [], [0.0, 0.01], scheme_tag=[])
 
@@ -418,12 +427,10 @@ def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch, controls
         monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
     controls(dt_init=1.0)
     times = [0.0, 1.0]
-    smooth = _mixed_family()[0][1]
     runs = [
-        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
-         BoundaryTrace.constant(0.0), "damped"),
-        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
-        (uniform_grid(3.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "long"),
+        make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "damped"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.0), "short"),
+        make_run(3.0, 0.05, smooth, BoundaryTrace.constant(0.7), "long"),
     ]
     solo, evals = zip(*(_h_evals(monkeypatch, run, times, 1.0) for run in runs))
     assert all(f.u_steps == u_steps and f.newton_solves > 0 for f in solo)
@@ -452,11 +459,9 @@ def test_batched_stall_names_the_failing_run(controls):
     # correction of order one, far above roundoff, so it stalls while the
     # smooth run converges without damping
     controls(dt_init=1.0, damp_max=0, u_switch=-math.inf)
-    smooth = _mixed_family()[0][1]
     runs = [
-        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "smooth"),
-        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
-         BoundaryTrace.constant(0.0), "cliff"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.0), "smooth"),
+        make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "cliff"),
     ]
     with pytest.raises(NewtonDivergenceError, match="'cliff'") as batched:
         _family(runs, [0.0, 1.0], 1.0)
@@ -474,8 +479,8 @@ def test_newton_stall_at_roundoff_is_accepted(controls, dt):
     # the scaled residual below 1.8e-10 (dt = 0.1) or 2.2e-9 (dt = 1), above
     # _NEWTON_TOL, because the last Newton correction is a third of an ulp of w
     controls(dt_init=dt)
-    g = GrowthFunction(gamma=lambda r: 50.0 * float(r) ** 4, beta=4.0, K=50.0)
-    fld = evolve(LOG15, uniform_grid(3.0, 0.1, 1), InitialData.truncated(g, 2.0),
+    grid = uniform_grid(3.0, 0.1, 1)
+    fld = evolve(LOG15, grid, cut(2.0, lambda r: 50.0 * r**4)(grid.radii),
                  BoundaryTrace.constant(0.0), [0.0, dt], dt)
     assert np.all(np.isfinite(fld.values))
     assert np.all(fld.values >= 0.0)
@@ -487,7 +492,7 @@ def test_zero_tolerance_settles_at_roundoff(controls):
     # correction is within four ulps of w, within the default tolerance's own
     # error (a 1e-10 scaled residual) of the default result
     runs = _mixed_family()[:1] + [
-        (uniform_grid(1.0, 0.05, 1), InitialData.zero(), BoundaryTrace.constant(0.0), "flat zero"),
+        make_run(1.0, 0.05, np.zeros_like, BoundaryTrace.constant(0.0), "flat zero"),
     ]
     default = _family(runs, [0.0, 0.01])
     controls(newton_tol=0.0, damp_max=2)
@@ -529,16 +534,14 @@ def test_warm_start_matches_nested_logaddexp_oracle(controls):
     # on a family of two runs of different lengths, one of them a cliff from
     # w = 2592 to zero data (nodes with h = 0) that exhausts its sweep cap
     controls(dt_init=1.0, newton_tol=math.inf)
-    smooth = _mixed_family()[0][1]
     runs = [
-        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "smooth"),
-        (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
-         BoundaryTrace.constant(0.0), "giant cliff"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.7), "smooth"),
+        make_run(9.0, 0.05, cut(6.0), BoundaryTrace.constant(0.0), "giant cliff"),
     ]
     family = _family(runs, [0.0, 1.0], 1.0)
     assert float(np.max(family.fields[1].values[0])) == 2.0 * 6.0**4
-    for (grid, init, bc, _), fld in zip(runs, family.fields):
-        w0 = init.w_on_grid(grid)
+    for (grid, w0, bc, _), fld in zip(runs, family.fields):
+        w0 = w0.copy()
         w_bc = float(bc.w_of_times(np.array([0.0]))[0])
         w0[-1] = w_bc
         want = _nested_logaddexp_warm_start(LOG15, grid, w0, w_bc, 1.0)
@@ -552,18 +555,16 @@ def test_extrapolated_start_agrees_with_start_from_previous_step():
     # The schedule has ramp steps, full steps and, after the landing on
     # t = 0.0123, a step three times longer than its predecessor.
     times = [0.0, 0.0123, 0.02]
-    smooth = _mixed_family()[0][1]
     runs = [
-        (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
-         BoundaryTrace.constant(0.0), "giant cliff"),
-        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.7), "smooth"),
+        make_run(9.0, 0.05, cut(6.0), BoundaryTrace.constant(0.0), "giant cliff"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.7), "smooth"),
     ]
     family = _family(runs, times)
 
-    grids, inits, bcs, tags = zip(*runs)
+    grids, w0, bcs, tags = zip(*runs)
     stepper = evolution._Stepper(LOG15, grids, tags)
     w_bc = np.array([0.0, 0.7])
-    w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
+    w = np.concatenate(w0)
     w[stepper.ends] = w_bc
     step_times, is_output = _internal_times(np.array(times), 1e-3)
     want, prev_t = [w], 0.0
@@ -585,10 +586,10 @@ def test_reused_stepper_gives_the_same_step_bitwise():
     # of a fresh stepper; its summed counters grow by exactly the fresh one's
     # and its maxima become the larger of the old and the fresh; and every
     # accepted w is a fresh array that later steps leave alone
-    grids, inits, bcs, tags = zip(*_mixed_family())
+    grids, w0, bcs, tags = zip(*_mixed_family())
     reused = evolution._Stepper(LOG15, grids, tags)
     w_bc = np.array([float(bc.w_of_times(np.array([0.0]))[0]) for bc in bcs])
-    w = np.concatenate([ini.w_on_grid(gr) for gr, ini in zip(grids, inits)])
+    w = np.concatenate(w0)
     w[reused.ends] = w_bc
     step_times, _ = _internal_times(np.array([0.0, 0.0123, 0.02]), 1e-3)
     summed, maxima = ("sweeps", "solves", "halvings", "clips"), ("iters_max", "worst_residual")
@@ -662,14 +663,11 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch, contr
 
     monkeypatch.setattr(evolution, "_scaled_residual", checked_residual)
     monkeypatch.setattr(evolution, "_extrapolate", checked_extrapolate)
-    cliff = (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 6.0),
-             BoundaryTrace.constant(0.0), "giant cliff")
+    cliff = make_run(9.0, 0.05, cut(6.0), BoundaryTrace.constant(0.0), "giant cliff")
     _family([cliff, *_mixed_family()], [0.0, 0.0123, 0.02])
-    smooth = _mixed_family()[0][1]
     damped = [
-        (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
-         BoundaryTrace.constant(0.0), "damped"),
-        (uniform_grid(2.0, 0.05, 1), smooth, BoundaryTrace.constant(0.0), "short"),
+        make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "damped"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.0), "short"),
     ]
     controls(dt_init=1.0, u_switch=-math.inf)
     family = _family(damped, [0.0, 1.0], 1.0)
@@ -711,8 +709,7 @@ def test_start_falls_back_to_previous_step_after_short_steps(monkeypatch):
         return step(stepper, wm, x0, *rest)
 
     monkeypatch.setattr(evolution, "_step", recording)
-    evolve(LOG15, uniform_grid(2.0, 0.05, 1), _mixed_family()[0][1],
-           BoundaryTrace.constant(0.7), times)
+    evolve(LOG15, *make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.7), "evolve")[:3], times)
     steps, is_output = _internal_times(np.array(times), 1e-3)
     dts = np.diff(np.concatenate(([0.0], steps)))
     after_landing = int(np.argmax(is_output)) + 1
@@ -792,9 +789,9 @@ def theorem_c_family():
     the domain over [0, 0.1], stepped once for the tests that read it.  Its
     first four runs are bitwise A4's runs of the theorem-c scenario there."""
     ns = [3.0, 4.0, 5.0, 6.0, 6.0]
+    grids = [uniform_grid(9.0, 0.025, 1)] * 4 + [uniform_grid(13.5, 0.025, 1)]
     return evolve(
-        LOG15, [uniform_grid(9.0, 0.025, 1)] * 4 + [uniform_grid(13.5, 0.025, 1)],
-        [InitialData.truncated(QUARTIC, n) for n in ns],
+        LOG15, grids, [cut(n)(grid.radii) for n, grid in zip(ns, grids)],
         [BoundaryTrace.constant(0.0)] * 5, [0.0, 0.1], 2e-5,
         [f"n={n:g}" for n in ns[:4]] + ["n=6 on r_out=13.5"],
     )
@@ -888,7 +885,7 @@ def test_overflow_guard_keeps_power_law_steps_in_w(controls):
     def run(w_bc, switch):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evolution, "_U_SWITCH", switch)
-            return evolve(spec, uniform_grid(170000.0, 10000.0, 1), InitialData.zero(),
+            return evolve(spec, uniform_grid(170000.0, 10000.0, 1), np.zeros(18),
                           BoundaryTrace.constant(w_bc), [0.0, 1e-82], 1e-82)
 
     guarded, w_only = run(300.0, evolution._U_SWITCH), run(300.0, -math.inf)
@@ -937,8 +934,8 @@ def _u_newton_steps(monkeypatch, spec, runs, dt):
     monkeypatch.setattr(evolution, "_u_warm_start", recorded_warm_start)
     monkeypatch.setattr(evolution, "_u_residual", recorded_residual)
     monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", recorded_solve)
-    grids, inits, bcs, tags = zip(*runs)
-    evolve(spec, grids, inits, bcs, [0.0, dt, 2.0 * dt], dt, tags)
+    grids, w0, bcs, tags = zip(*runs)
+    evolve(spec, grids, w0, bcs, [0.0, dt, 2.0 * dt], dt, tags)
     return steps
 
 
@@ -952,18 +949,15 @@ def test_u_newton_iterates_decrease_after_the_first(monkeypatch, spec, dt, solve
     # and no iterate goes negative before its clip to [0, u_cap]
     if spec.family == "log_power":
         runs = [
-            (uniform_grid(9.0, 0.05, 1), InitialData.truncated(QUARTIC, 4.0),
-             BoundaryTrace.constant(0.0), "cliff to w = 512"),
-            (uniform_grid(3.0, 0.1, 1), InitialData.truncated(QUARTIC, 1.0),
-             BoundaryTrace.constant(0.0), "cliff to w = 2"),
+            make_run(9.0, 0.05, cut(4.0), BoundaryTrace.constant(0.0), "cliff to w = 512"),
+            make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "cliff to w = 2"),
         ]
     else:
-        g = GrowthFunction(gamma=lambda r: 0.5 * float(r) ** 2, beta=None, K=None)
+        def gamma(r):
+            return 0.5 * r**2
         runs = [
-            (uniform_grid(4.0, 0.05, 1), InitialData.truncated(g, 3.0),
-             BoundaryTrace.constant(0.0), "cliff to w = 4.5"),
-            (uniform_grid(2.0, 0.05, 1), InitialData.truncated(g, 1.0),
-             BoundaryTrace.constant(0.5), "raised boundary"),
+            make_run(4.0, 0.05, cut(3.0, gamma), BoundaryTrace.constant(0.0), "cliff to w = 4.5"),
+            make_run(2.0, 0.05, cut(1.0, gamma), BoundaryTrace.constant(0.5), "raised boundary"),
         ]
     steps = _u_newton_steps(monkeypatch, spec, runs, dt)
     assert len(steps) == 2
@@ -985,7 +979,7 @@ def test_power_law_newton_failure_names_its_step_and_run():
     # _NEWTON_MAX iterations and raises a typed error naming the step and
     # the run (the w path raised OverflowGuardError with no step here)
     with pytest.raises(NewtonDivergenceError, match="time step 0 in run 'evolve'") as info:
-        evolve(Nonlinearity.power(3.0), uniform_grid(1.0, 0.05, 1), InitialData.zero(),
+        evolve(Nonlinearity.power(3.0), uniform_grid(1.0, 0.05, 1), np.zeros(21),
                BoundaryTrace.constant(230.0), [0.0, 1e-5], 1e-6)
     assert info.value.step_index == 0
     assert f"within {evolution._NEWTON_MAX} iterations" in str(info.value)
@@ -1000,11 +994,10 @@ def test_u_path_step_hands_on_only_its_w(monkeypatch):
     # stepper's step, with the same work.
     dt_max, times = 2e-5, [0.0, 0.005, 0.01]
     runs = [
-        (uniform_grid(2.0, 0.05, 1), InitialData.truncated(QUARTIC, 1.0),
-         BoundaryTrace.constant(0.0), "truncated"),
-        (uniform_grid(2.0, 0.05, 1), _mixed_family()[0][1], BoundaryTrace.constant(0.7), "smooth"),
+        make_run(2.0, 0.05, cut(1.0), BoundaryTrace.constant(0.0), "truncated"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.7), "smooth"),
     ]
-    grids, inits, bcs, tags = zip(*runs)
+    grids, w0, bcs, tags = zip(*runs)
     step, solving_runs = evolution._step, []
 
     def checked(stepper, wm, x0, w_bc, dt, k):
@@ -1019,7 +1012,7 @@ def test_u_path_step_hands_on_only_its_w(monkeypatch):
         return got
 
     monkeypatch.setattr(evolution, "_step", checked)
-    family = evolve(LOG15, grids, inits, bcs, times, dt_max, tags)
+    family = evolve(LOG15, grids, w0, bcs, times, dt_max, tags)
     assert family.fields[0].u_steps == len(solving_runs) == family.fields[0].steps
     # most steps settle both runs at the check; some need Newton in u
     assert solving_runs.count(0) > len(solving_runs) / 2 and max(solving_runs) > 0
@@ -1031,7 +1024,7 @@ def test_u_path_step_hands_on_only_its_w(monkeypatch):
 
 
 def test_truncation_family_is_exactly_monotone():
-    g = GrowthFunction(gamma=lambda r: 0.5 + float(r) ** 2 / 8.0, beta=None, K=None)
+    g = GrowthFunction(gamma=smooth, beta=None, K=None)
     times = [0.0, 0.01, 0.02]
     seq = run_scheme_A4(LOG15, g, [0.4, 0.7], 1.0, times, h=0.05)
     assert seq.monotone_violation <= 1e-12
@@ -1044,13 +1037,13 @@ def test_truncation_family_is_exactly_monotone():
 
 
 def test_truncation_radii_must_fit_domain():
-    g = GrowthFunction(gamma=lambda r: 1.0, beta=None, K=None)
+    g = GrowthFunction(gamma=lambda r: np.full_like(r, 1.0), beta=None, K=None)
     with pytest.raises(PreconditionError):
         run_scheme_A4(LOG15, g, [1.0, 2.0], 1.5, [0.0, 0.01])
 
 
 def test_capped_family_policies():
-    low = GrowthFunction(gamma=lambda r: 0.05, beta=None, K=None)
+    low = GrowthFunction(gamma=lambda r: np.full_like(r, 0.05), beta=None, K=None)
     with pytest.raises(DominationError):
         run_scheme_A8(LOG15, low, [2.0], [4.0], [0.0, 0.01], h=0.05,
                       domination="require")
@@ -1060,6 +1053,39 @@ def test_capped_family_policies():
     (seq2,) = run_scheme_A8(LOG15, QUARTIC, [2.0], [4.0], [0.0, 0.01], h=0.05,
                             domination="require")
     assert seq2.diagnostics["domination_radius"] == pytest.approx(0.918, abs=1e-3)
+
+
+def test_truncated_data_keeps_the_node_at_n_and_zeroes_beyond():
+    # the t = 0 row of each A4 run: the truncation is inclusive, so the node
+    # at r = n keeps the data, and every node beyond it is zero.  The node
+    # of n = 0.7 lies at 0.7000000000000001, a rounding above n
+    seq = run_scheme_A4(LOG15, QUARTIC, [0.5, 0.7], 1.0, [0.0, 0.01], h=0.05)
+    for n, node, fld in zip([0.5, 0.7], [10, 14], seq.fields):
+        w0, r = fld.values[0], fld.grid.radii
+        assert r[node] == pytest.approx(n, rel=1e-15)
+        assert w0[0] == 0.0
+        np.testing.assert_array_equal(w0[: node + 1], QUARTIC.gamma(r[: node + 1]))
+        assert w0[node] == pytest.approx(2.0 * n**4, rel=1e-14)
+        assert np.all(w0[node + 1:] == 0.0)
+
+
+def test_capped_data_is_the_lower_of_profile_and_growth():
+    # the t = 0 row of each A8 run is min(V_a, gamma) on its ball, with the
+    # boundary node at the profile's edge value V_a(n); gamma crosses V_2 at
+    # r = 0.918, so both branches of the minimum appear on the larger ball
+    a_list, n_list, h = [2.0, 4.0], [1.0, 1.5], 0.05
+    seqs = run_scheme_A8(LOG15, QUARTIC, a_list, n_list, [0.0, 0.01], h=h)
+    for a, seq in zip(a_list, seqs):
+        shot = shoot_profile(LOG15, a, 1, n_list[-1], grid=uniform_grid(n_list[-1], h, 1).radii)
+        for fld in seq.fields:
+            r = fld.grid.radii
+            profile = shot.w_values[: len(r)]
+            want = np.minimum(profile, QUARTIC.gamma(r))
+            np.testing.assert_array_equal(fld.values[0, :-1], want[:-1])
+            assert fld.values[0, -1] == profile[-1]
+    capped = seqs[0].fields[-1].values[0]
+    assert np.any(capped[:-1] < QUARTIC.gamma(seqs[0].fields[-1].grid.radii[:-1]))
+    assert np.any(capped[1:-1] == QUARTIC.gamma(seqs[0].fields[-1].grid.radii[1:-1]))
 
 
 def _counted_evolve(monkeypatch, fail=False):
@@ -1084,8 +1110,9 @@ def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
     solo = []
     for a in a_list:
         runs = []
-        for n, (grid, prof, bc) in zip(n_list, evolution._profile_balls(LOG15, a, n_list, h)):
-            runs.append(evolve(LOG15, grid, InitialData.capped(QUARTIC, prof), bc, times,
+        _, balls = evolution._profile_balls(LOG15, a, n_list, h)
+        for n, (grid, prof, bc) in zip(n_list, balls):
+            runs.append(evolve(LOG15, grid, np.minimum(prof, QUARTIC.gamma(grid.radii)), bc, times,
                                scheme_tag=f"capped a={a:g} n={n:g}"))
         solo.append(runs)
     calls = _counted_evolve(monkeypatch)
@@ -1125,7 +1152,8 @@ def test_capped_balls_share_one_shoot_per_height(monkeypatch):
             grid = uniform_grid(n, h, 1)
             prof = shoot_profile(LOG15, a, 1, n, grid=grid.radii)
             bc = BoundaryTrace.constant(float(prof.w_values[-1]))
-            oracle = evolve(LOG15, grid, InitialData.capped(QUARTIC, prof), bc, times)
+            w0 = np.minimum(prof.w_values, QUARTIC.gamma(grid.radii))
+            oracle = evolve(LOG15, grid, w0, bc, times)
             assert np.max(np.abs(fld.values - oracle.values)) < 1e-9
 
 
@@ -1161,8 +1189,7 @@ def test_drivers_reject_empty_ball_lists(monkeypatch, run):
 
 def test_sandwich_scheme_orders_families():
     mid = shoot_profile(LOG15, 1.5, 1, 3.0)
-    g = GrowthFunction(gamma=lambda r, p=mid: p.w_at(min(float(r), 3.0)),
-                       beta=None, K=None)
+    g = GrowthFunction(gamma=lambda r: mid.sample(np.minimum(r, 3.0))[0], beta=None, K=None)
     lower, upper = run_scheme_A8_1(LOG15, g, 1.0, 2.0, [2.0, 3.0], [0.0, 0.05, 0.1], h=0.05)
     assert lower.monotone_violation <= 1e-9
     assert upper.monotone_violation <= 1e-9
@@ -1173,7 +1200,7 @@ def test_sandwich_scheme_orders_families():
 
 
 def test_sandwich_scheme_rejects_unsandwiched_data():
-    g = GrowthFunction(gamma=lambda r: 10.0, beta=None, K=None)
+    g = GrowthFunction(gamma=lambda r: np.full_like(r, 10.0), beta=None, K=None)
     with pytest.raises(PreconditionError):
         run_scheme_A8_1(LOG15, g, 1.0, 2.0, [2.0, 3.0], [0.0, 0.05], h=0.05)
     with pytest.raises(PreconditionError):

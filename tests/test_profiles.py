@@ -47,6 +47,15 @@ def test_profile_center_height_table():
             assert prof.sample(r) == (w, dw) and np.ndim(prof.sample(r)[0]) == 0
 
 
+def test_array_sample_equals_one_point_calls_bitwise():
+    # non-uniqueness samples its growth profile once per grid; the one-point
+    # calls that this replaced give bitwise the same values
+    prof = shoot_profile(LOG15, 1.5, 1, 9.0)
+    r = np.arange(361) * 0.025
+    r[-1] = 9.0
+    assert prof.sample(r)[0].tobytes() == np.array([prof.w_at(x) for x in r]).tobytes()
+
+
 def test_profile_matches_independent_collocation():
     # same boundary-value problem solved by scipy's collocation method from
     # a flat initial guess; agreement validates the shooting route

@@ -35,7 +35,7 @@ from absorblab.threshold import (
 )
 
 LOG15 = Nonlinearity.log_power(1.5)
-QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * float(r) ** 4, beta=4.0, K=2.0)
+QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * r**4.0, beta=4.0, K=2.0)
 
 
 # ----------------------------------------------------------------------
@@ -98,13 +98,13 @@ def test_domination_radius_crossing_is_genuine():
 
 
 def test_domination_radius_raises_when_data_stays_low():
-    low = GrowthFunction(gamma=lambda r: 0.1, beta=0.0, K=0.1)
+    low = GrowthFunction(gamma=lambda r: np.full_like(r, 0.1), beta=0.0, K=0.1)
     with pytest.raises(DominationError):
         domination_radius(low, LOG15, 6.0, 1, 9.0)
 
 
 def test_domination_radius_zero_when_data_dominates_everywhere():
-    high = GrowthFunction(gamma=lambda r: 50.0 + float(r), beta=None, K=None)
+    high = GrowthFunction(gamma=lambda r: 50.0 + r, beta=None, K=None)
     assert domination_radius(high, LOG15, 2.0, 1, 6.0) == 0.0
 
 
@@ -281,7 +281,7 @@ def test_tail_exponent_domain_guards():
 
 def test_heat_core_against_mpmath():
     mp.mp.dps = 25
-    g = GrowthFunction(gamma=lambda r: 1.0 + float(r) ** 2 / 4.0, beta=None, K=None)
+    g = GrowthFunction(gamma=lambda r: 1.0 + r**2 / 4.0, beta=None, K=None)
     for (t, x, rn) in [(0.3, 0.0, 2.0), (0.1, 0.5, 1.5), (0.8, 1.0, 3.0)]:
         got = heat_core_log_integral(t, x, rn, g, 0.7, 1)
         f = lambda y: mp.e ** (-((x - y) ** 2) / (4 * t)) * (mp.e ** (1 + y**2 / 4) - 1)
@@ -321,7 +321,7 @@ def test_tail_bound_asymptotic_agrees_far_out():
 def test_heat_core_dimension_guard():
     from absorblab.errors import UnsupportedDimensionError
 
-    g = GrowthFunction(gamma=lambda r: 1.0, beta=None, K=None)
+    g = GrowthFunction(gamma=lambda r: np.full_like(r, 1.0), beta=None, K=None)
     with pytest.raises(UnsupportedDimensionError):
         heat_core_log_integral(0.5, 0.0, 1.0, g, 0.0, 3)
 
@@ -341,31 +341,31 @@ def test_growth_verdict_boundary_logic():
     assert v.exceeds_collapse_threshold is True  # K = 2 > 1
     assert v.exceeds_profile_growth is True
 
-    between = GrowthFunction(gamma=lambda r: 0.1 * float(r) ** 4, beta=4.0, K=0.1)
+    between = GrowthFunction(gamma=lambda r: 0.1 * r**4, beta=4.0, K=0.1)
     vb = growth_threshold_verdict(between, 1.5, 1)
     assert vb.exceeds_collapse_threshold is False  # 0.1 < 1
     assert vb.exceeds_profile_growth is True  # 0.1 > 1/256
 
-    slow = GrowthFunction(gamma=lambda r: 5.0 * float(r) ** 3, beta=3.0, K=5.0)
+    slow = GrowthFunction(gamma=lambda r: 5.0 * r**3, beta=3.0, K=5.0)
     vs = growth_threshold_verdict(slow, 1.5, 1)
     assert vs.exceeds_collapse_threshold is False
     assert vs.exceeds_profile_growth is False
 
-    fast = GrowthFunction(gamma=lambda r: 1e-6 * float(r) ** 5, beta=5.0, K=1e-6)
+    fast = GrowthFunction(gamma=lambda r: 1e-6 * r**5, beta=5.0, K=1e-6)
     vf = growth_threshold_verdict(fast, 1.5, 1)
     assert vf.exceeds_collapse_threshold is True  # exponent wins at any K
 
 
 def test_growth_verdict_requires_declared_asymptotic():
-    anon = GrowthFunction(gamma=lambda r: float(r), beta=None, K=None)
+    anon = GrowthFunction(gamma=lambda r: r, beta=None, K=None)
     with pytest.raises(DomainError):
         growth_threshold_verdict(anon, 1.5, 1)
 
 
 def test_growth_function_log_data_edge_values():
-    g = GrowthFunction(gamma=lambda r: math.log(2.0), beta=None, K=None)
+    g = GrowthFunction(gamma=lambda r: np.full_like(r, math.log(2.0)), beta=None, K=None)
     assert float(g.log_data(1.0)) == pytest.approx(0.0, abs=1e-15)
-    gz = GrowthFunction(gamma=lambda r: 0.0, beta=0.0, K=0.0)
+    gz = GrowthFunction(gamma=lambda r: np.zeros_like(r), beta=0.0, K=0.0)
     assert float(gz.log_data(1.0)) == -math.inf
 
 
