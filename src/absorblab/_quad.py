@@ -2,8 +2,11 @@
 
 Three building blocks used across the package:
 
-* fixed-order Gauss-Legendre panels, including a cumulative variant that
-  returns the running integral at a sorted list of breakpoints;
+* one Gauss-Legendre panel kernel, :func:`gl_panels`, which integrates an
+  array of panels, each split into equal 15-node sub-panels, with a single
+  integrand call; :func:`gl_panel_refined` is its one-panel form, and
+  :func:`cumulative_gl` returns the running integral at a sorted list of
+  breakpoints, panel by panel;
 * improper-tail integration by doubling panels with geometric-ratio
   extrapolation of the remainder;
 * classification of improper integrals by the log-log slope of the
@@ -32,17 +35,34 @@ _FIT_PANELS = 10
 _DEAD_BAND = 0.05
 
 
-def gl_panel(f, a: float, b: float) -> float:
-    """15-point Gauss-Legendre integral of vectorized ``f`` over [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+def gl_panels(f, lo, hi, splits: int = 4) -> np.ndarray:
+    """Gauss-Legendre integrals of vectorized ``f`` over the panels [lo_i, hi_i].
+
+    Each panel is split into ``splits`` equal sub-panels of 15 nodes, and
+    ``f`` is called once, on the (m, splits, 15) array of every node.  Each
+    entry is the arithmetic of one panel alone: the edges of
+    ``np.linspace(lo_i, hi_i, splits + 1)`` (bar subnormal sub-panel
+    widths), one ``ddot`` of 15 nodes per sub-panel, and the sub-panel
+    integrals added left to right from 0.0.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    e = np.arange(splits + 1.0) * ((hi - lo) / splits)[:, None] + lo[:, None]
+    e[:, -1] = hi
+    a, b = e[:, :-1], e[:, 1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    # np.dot on a 3-D array takes one ddot per sub-panel; a 2-D array would
+    # go through dgemv, which sums in another order
+    sub = half * np.dot(f(mid[..., None] + half[..., None] * _GL_NODES), _GL_WEIGHTS)
+    total = np.zeros(len(lo))
+    for j in range(splits):
+        total += sub[:, j]
+    return total
 
 
 def gl_panel_refined(f, a: float, b: float, splits: int = 4) -> float:
     """Gauss-Legendre over [a, b] split into ``splits`` equal sub-panels."""
-    edges = np.linspace(a, b, splits + 1)
-    return float(sum(gl_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
+    return float(gl_panels(f, [a], [b], splits)[0])
 
 
 def cumulative_gl(f, xs: np.ndarray) -> np.ndarray:
@@ -115,13 +135,8 @@ def classify_tail(f) -> tuple[bool | None, float]:
     divergence (False), and inside the dead band ``None`` (inconclusive).
     """
     k_max = _CLASSIFY_PANELS
-    ks = np.arange(k_max)
-    panel_sums = np.empty(k_max)
-    for k in ks:
-        lo = 2.0 ** float(k)
-        hi = 2.0 * lo
-        panel_sums[k] = gl_panel_refined(f, lo, hi, splits=4)
-    widths = 2.0 ** ks.astype(float)
+    widths = 2.0 ** np.arange(float(k_max))
+    panel_sums = gl_panels(f, widths, 2.0 * widths)
     mids = 1.5 * widths  # arithmetic midpoint of [w, 2w]
     with np.errstate(divide="ignore"):
         log_mean = np.log(np.maximum(panel_sums / widths, 1e-300))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _GL_NODES, _GL_WEIGHTS, gl_panel_refined, tail_integral
+from ._quad import gl_panel_refined, gl_panels, tail_integral
 from .errors import (
     BracketError,
     DomainError,
@@ -103,11 +103,18 @@ def _level_table(spec: Nonlinearity, x_top: float, t_min: float, t_max: float):
     :func:`_tail_settled`) and extrapolate the remainder from the last panel
     ratio as in :func:`tail_integral`.  Both descend until ``T`` covers
     t_max.  ``T`` is summed from the top, so no cancellation occurs.
+
+    The ascent's first four panels take one integrand call, since the
+    settle rule cannot fire before four; after that, one call per panel.
+    Panels computed ahead of the settle point would be wasted work: it
+    falls at about 48 panels on a log-power tail, so rounds of doubling
+    length would overshoot it by up to 16 panels.
     """
     f = _inv_h(spec)
     if math.isinf(x_top):
-        up = []
-        while len(up) < 4 or not _tail_settled(up, t_min):
+        lattice = 2.0 ** np.arange(5.0) - 1.0
+        up = gl_panels(f, lattice[:-1], lattice[1:]).tolist()
+        while not _tail_settled(up, t_min):
             if len(up) == _MAX_TABLE_PANELS:
                 raise BracketError("lifetime tail did not settle within the panel budget")
             k = len(up)
@@ -136,17 +143,10 @@ def _level_table(spec: Nonlinearity, x_top: float, t_min: float, t_max: float):
 def _panel_residuals(f, x, x_hi, T_hi, t):
     """T(x) - t for arrays of times, from the table value T_hi at x_hi.
 
-    ``[x, x_hi]`` is split into two 15-point Gauss-Legendre sub-panels whose
-    nodes form one (m, 2, 15) array for a single integrand call; each entry
-    repeats the arithmetic of ``gl_panel_refined(f, x, x_hi, splits=2)``.
+    ``[x, x_hi]`` is split into two 15-point Gauss-Legendre sub-panels, and
+    every time's nodes go through one integrand call.
     """
-    e = np.empty((len(x), 3))  # the edges of np.linspace(x, x_hi, 3)
-    e[:, 0], e[:, 1], e[:, 2] = x, 0.5 * (x_hi - x) + x, x_hi
-    lo, hi = e[:, :2], e[:, 1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # np.dot on a 3-D array takes one ddot per row, as gl_panel does
-    sub = half * np.dot(f(mid[..., None] + half[..., None] * _GL_NODES), _GL_WEIGHTS)
-    return T_hi + (sub[:, 0] + sub[:, 1]) - t
+    return T_hi + gl_panels(f, x, x_hi, 2) - t
 
 
 def _invert_levels(spec: Nonlinearity, x_top: float, times: np.ndarray) -> np.ndarray:

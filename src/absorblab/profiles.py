@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import _GL_NODES, _GL_WEIGHTS
+from ._quad import _GL_NODES, _GL_WEIGHTS, gl_panels
 from .errors import (
     BracketError,
     DomainError,
@@ -229,32 +229,27 @@ def _panel_F_increment(
     """Gauss-Legendre increment of F = int e^x/sqrt(H) over [x_lo, x_hi].
 
     H itself is advanced through the Gauss nodes by sub-panel quadrature of
-    e^(2x) h(e^x), so both integrals come out of a single left-to-right pass.
+    e^(2x) h(e^x): the 16 sub-panels between consecutive nodes take one
+    integrand call, and H adds their integrals left to right.
     Returns (dF, H at x_hi).
     """
     width = x_hi - x_lo
     if width <= 0.0:
         return 0.0, H_lo
     nodes = x_lo + (_GL_NODES + 1.0) * 0.5 * width
+    edges = np.concatenate(([x_lo], nodes, [x_hi]))
     H_nodes = np.empty_like(nodes)
-    prev = x_lo
-    H_run = H_lo
     # overflow of H to inf just kills the 1/sqrt(H) contribution, which is
     # the right limit when the sweep runs past double range
     with np.errstate(over="ignore"):
-        for i, u in enumerate(nodes):
-            mid, half = 0.5 * (prev + u), 0.5 * (u - prev)
-            sub_nodes = mid + half * _GL_NODES
-            H_run += half * float(
-                np.dot(_GL_WEIGHTS, np.exp(2.0 * sub_nodes) * _h_at_exp(spec, sub_nodes))
-            )
+        steps = gl_panels(
+            lambda x: np.exp(2.0 * x) * _h_at_exp(spec, x), edges[:-1], edges[1:], 1
+        ).tolist()
+        H_run = H_lo
+        for i, dH in enumerate(steps[:-1]):
+            H_run += dH
             H_nodes[i] = H_run
-            prev = u
-        mid, half = 0.5 * (prev + x_hi), 0.5 * (x_hi - prev)
-        sub_nodes = mid + half * _GL_NODES
-        H_run += half * float(
-            np.dot(_GL_WEIGHTS, np.exp(2.0 * sub_nodes) * _h_at_exp(spec, sub_nodes))
-        )
+        H_run += steps[-1]
         dF = 0.5 * width * float(np.dot(_GL_WEIGHTS, np.exp(nodes) / np.sqrt(H_nodes)))
     return dF, H_run
 

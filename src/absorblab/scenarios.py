@@ -35,7 +35,13 @@ def _spec_from(config: ExperimentConfig) -> Nonlinearity:
 
 
 def _power_growth(K: float, beta: float) -> GrowthFunction:
-    return GrowthFunction(gamma=lambda r: K * r**beta, beta=beta, K=K)
+    def gamma(r):
+        # a growth beyond double range is inf, which evolve's data check
+        # reports as a DomainError naming the run
+        with np.errstate(over="ignore"):
+            return K * r**beta
+
+    return GrowthFunction(gamma=gamma, beta=beta, K=K)
 
 
 def _field_rows(prefix: tuple, fld, times) -> list:

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import _GL_NODES, _GL_WEIGHTS, log_simpson
+from ._quad import gl_panels, log_simpson
 from .errors import (
     DomainError,
     DominationError,
@@ -226,19 +226,18 @@ def exact_absorption_integral(spec: Nonlinearity, gamma_rn: float, t: float) -> 
         j = int(np.argmax(widths))
         edge_list.insert(j + 1, edge_list[j] + widths[j] / 2.0)
     edges = np.asarray(edge_list)
-    nodes = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL_NODES)
-    nodes = np.concatenate(nodes)
-    order = np.argsort(nodes)
-    lam = np.empty_like(nodes)
-    lam[order] = solve_phi_log(spec, ln_a, nodes[order])
-    vals = w_from_log_u(lam) ** spec.alpha
+
+    def integrand(s):
+        # one level inversion for every node, on the times sorted
+        times = s.ravel()
+        order = np.argsort(times)
+        lam = np.empty_like(times)
+        lam[order] = solve_phi_log(spec, ln_a, times[order])
+        return (w_from_log_u(lam) ** spec.alpha).reshape(s.shape)
+
     total = 0.0
-    k = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, vals[k : k + len(_GL_NODES)]))
-        k += len(_GL_NODES)
+    for panel in gl_panels(integrand, edges[:-1], edges[1:], 1).tolist():
+        total += panel
     return total
 
 

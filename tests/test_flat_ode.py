@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absorblab import flat_ode
-from absorblab._quad import gl_panel_refined
 from absorblab.errors import (
     BracketError,
     DomainError,
@@ -28,6 +27,8 @@ from absorblab.flat_ode import (
     solve_phi_log,
 )
 from absorblab.nonlinearity import Nonlinearity
+
+from test_quad import reference_gl_panel
 
 LOG15 = Nonlinearity.log_power(1.5)
 POW2 = Nonlinearity.power(2.0)
@@ -153,7 +154,8 @@ def test_finite_data_array_matches_one_time_calls_bitwise(spec, ln_a):
 
 
 def test_panel_residuals_match_scalar_quadrature_bitwise():
-    # the residual of each time repeats gl_panel_refined(f, x, x_hi, splits=2)
+    # the residual of each time repeats the two-sub-panel quadrature of
+    # [x, x_hi] alone, as the independent reference sums it
     rng = np.random.default_rng(0)
     for spec in (LOG15, POW2):
         f = flat_ode._inv_h(spec)
@@ -162,7 +164,7 @@ def test_panel_residuals_match_scalar_quadrature_bitwise():
         x[0] = x_hi[0]
         T_hi, t = rng.uniform(0.0, 1.0, 25), rng.uniform(0.0, 1.0, 25)
         want = [
-            T_hi[i] + gl_panel_refined(f, x[i], x_hi[i], splits=2) - t[i] for i in range(25)
+            T_hi[i] + reference_gl_panel(f, x[i], x_hi[i], 2) - t[i] for i in range(25)
         ]
         np.testing.assert_array_equal(flat_ode._panel_residuals(f, x, x_hi, T_hi, t), want)
 

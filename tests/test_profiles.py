@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
+from absorblab import profiles
+from absorblab._quad import _GL_NODES, _GL_WEIGHTS
 from absorblab.errors import BracketError, DomainError, InsufficientRangeError, PreconditionError
 from absorblab.nonlinearity import Nonlinearity, h_of_w
 from absorblab.profiles import (
@@ -122,6 +124,38 @@ def test_apriori_bound_dominates_profiles():
         for R in (1.0, 2.0, 4.0):
             v_at = math.expm1(prof.w_at(R))
             assert v_at <= apriori_bound(LOG15, a, R) * (1.0 + 1e-9)
+
+
+def _sequential_F_increment(spec, x_lo, H_lo, x_hi):
+    """The increment with one 15-node quadrature per H sub-panel, in order."""
+    width = x_hi - x_lo
+    nodes = x_lo + (_GL_NODES + 1.0) * 0.5 * width
+    H_nodes = np.empty_like(nodes)
+    prev, H_run = x_lo, H_lo
+    with np.errstate(over="ignore"):
+        for i, u in enumerate([*nodes, x_hi]):
+            mid, half = 0.5 * (prev + u), 0.5 * (u - prev)
+            sub = mid + half * _GL_NODES
+            H_run += half * float(
+                np.dot(_GL_WEIGHTS, np.exp(2.0 * sub) * profiles._h_at_exp(spec, sub))
+            )
+            if i < len(nodes):
+                H_nodes[i] = H_run
+            prev = u
+        dF = 0.5 * width * float(np.dot(_GL_WEIGHTS, np.exp(nodes) / np.sqrt(H_nodes)))
+    return dF, H_run
+
+
+@pytest.mark.parametrize("spec", [LOG15, LOG20, POW3], ids=["log_power_1.5", "log_power_2", "power_3"])
+def test_panel_F_increment_matches_sequential_sub_panels_bitwise(spec):
+    # the 16 H sub-panels of one increment share one integrand call; H still
+    # adds their integrals left to right, so nothing moves by a bit
+    rng = np.random.default_rng(3)
+    for x_lo, width in zip(rng.uniform(-3.0, 300.0, 12), rng.uniform(1e-3, 1.0, 12)):
+        H_lo = float(np.exp(rng.uniform(-5.0, 5.0)))
+        got = profiles._panel_F_increment(spec, x_lo, H_lo, x_lo + width)
+        want = _sequential_F_increment(spec, x_lo, H_lo, x_lo + width)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_apriori_bound_increases_in_radius_and_height():
