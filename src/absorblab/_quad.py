@@ -4,9 +4,7 @@ Three building blocks used across the package:
 
 * one Gauss-Legendre panel kernel, :func:`gl_panels`, which integrates an
   array of panels, each split into equal 15-node sub-panels, with a single
-  integrand call; :func:`gl_panel_refined` is its one-panel form, and
-  :func:`cumulative_gl` returns the running integral at a sorted list of
-  breakpoints, panel by panel;
+  integrand call; :func:`gl_panel_refined` is its one-panel form;
 * improper-tail integration by doubling panels with geometric-ratio
   extrapolation of the remainder;
 * classification of improper integrals by the log-log slope of the
@@ -24,10 +22,9 @@ import numpy as np
 from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-# sub-panels per interval of cumulative_gl; the length ratio of consecutive
-# tail_integral panels and its panel budget; classify_tail's panel count, the
-# last panels its slope fit reads, and its dead band's half-width
-_CUMULATIVE_SPLITS = 2
+# the length ratio of consecutive tail_integral panels and its panel budget;
+# classify_tail's panel count, the last panels its slope fit reads, and its
+# dead band's half-width
 _TAIL_GROWTH = 2.0
 _TAIL_MAX_PANELS = 200
 _CLASSIFY_PANELS = 40
@@ -63,24 +60,6 @@ def gl_panels(f, lo, hi, splits: int = 4) -> np.ndarray:
 def gl_panel_refined(f, a: float, b: float, splits: int = 4) -> float:
     """Gauss-Legendre over [a, b] split into ``splits`` equal sub-panels."""
     return float(gl_panels(f, [a], [b], splits)[0])
-
-
-def cumulative_gl(f, xs: np.ndarray) -> np.ndarray:
-    """Running integral of ``f`` from xs[0] to each breakpoint in ``xs``.
-
-    ``xs`` must be sorted (ascending or descending); the result has the same
-    length as ``xs`` with value 0 at the first entry.  Each consecutive pair
-    is integrated with ``_CUMULATIVE_SPLITS`` Gauss-Legendre sub-panels, so
-    the result is spectrally accurate for smooth integrands on panels of
-    moderate width.
-    """
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    acc = 0.0
-    for i in range(1, len(xs)):
-        acc += gl_panel_refined(f, xs[i - 1], xs[i], splits=_CUMULATIVE_SPLITS)
-        out[i] = acc
-    return out
 
 
 def tail_integral(

@@ -34,6 +34,7 @@ def emit_csv(path: str | Path, header: list[str], rows) -> Path:
     """Write a table; floats rendered with 17 significant digits."""
     p = Path(path)
     try:
+        p.parent.mkdir(parents=True, exist_ok=True)
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
@@ -103,6 +104,7 @@ class RunManifest:
 def emit_manifest(manifest: RunManifest, out_dir: str | Path) -> Path:
     p = Path(out_dir) / "manifest.json"
     try:
+        p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(manifest.to_json(), encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OutputError(f"cannot write manifest {p}: {exc}") from exc

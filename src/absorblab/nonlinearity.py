@@ -24,14 +24,12 @@ tail classification.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ._quad import classify_tail, cumulative_gl
+from ._quad import classify_tail, gl_panels
 from .errors import DomainError, OverflowGuardError, QuadratureError
 
 _W_OVERFLOW = 700.0  # ln(1+s) above which s itself is not a double
@@ -196,30 +194,35 @@ class ConditionReport:
     confidence: dict = field(default_factory=dict)
 
 
-def _numeric_H_interpolant(spec: Nonlinearity, x_max: float) -> Callable:
-    """Pchip interpolant of ln H(e^x) built from one cumulative sweep."""
-    from scipy.interpolate import PchipInterpolator
+def _log_H_at_log(spec: Nonlinearity, x) -> np.ndarray:
+    """ln H(e^x) at each node of ``x`` (every node above -45), exactly.
 
-    xs = np.linspace(-45.0, x_max, 3000)
+    The nodes are sorted and H is the running sum of one Gauss-Legendre
+    sweep of e^{2x} h(e^x): unit-width panels from x = -45 up to the
+    smallest node (ln(1+e^x) is singular at x = i pi, so one wide panel
+    loses digits), then one panel per gap between consecutive nodes.
+    """
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, axis=None)
+    nodes = x.ravel()[order]
+    edges = np.concatenate([np.arange(-45.0, nodes[0], 1.0), nodes])
 
-    def integrand(x):
-        return np.exp(2.0 * np.asarray(x) + log_h_at_log(spec, np.asarray(x)))
+    def integrand(t):
+        # t^2 h(t) dt/t = e^{2x} h(e^x) dx
+        return np.exp(2.0 * t + log_h_at_log(spec, t))
 
-    Hs = cumulative_gl(integrand, xs)
-    good = Hs > 0.0
-    interp = PchipInterpolator(xs[good], np.log(Hs[good]), extrapolate=True)
-    return interp
+    H = np.cumsum(gl_panels(integrand, edges[:-1], edges[1:], splits=2))
+    out = np.empty(nodes.size)
+    out[order] = np.log(H[-nodes.size:])
+    return out.reshape(x.shape)
 
 
-@functools.lru_cache(maxsize=64)
 def _numeric_classification(spec: Nonlinearity) -> dict:
     """Numerical verdict and fitted tail slope of both conditions; a
     verdict is None inside the dead band.
 
-    Cached per law (a ``Nonlinearity`` is frozen and hashable): one process
-    may classify the same law many times, as a repeated ``conditions`` run
-    does, and each fresh classification costs about 0.1 s.  The dict is
-    shared between callers, who must not mutate it.
+    Each tail is one :func:`classify_tail` call; the Keller-Osserman
+    integrand takes ln H at its nodes from one :func:`_log_H_at_log` sweep.
     """
     def osgood_integrand(s):
         s = np.asarray(s, dtype=float)
@@ -227,11 +230,8 @@ def _numeric_classification(spec: Nonlinearity) -> dict:
 
     verdict_o, slope_o = classify_tail(osgood_integrand)
 
-    lnH = _numeric_H_interpolant(spec, x_max=math.log(2.0) * 42.0)
-
     def ko_integrand(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-0.5 * lnH(np.log(s)))
+        return np.exp(-0.5 * _log_H_at_log(spec, np.log(s)))
 
     verdict_k, slope_k = classify_tail(ko_integrand)
     return {
@@ -264,5 +264,5 @@ def classify_conditions(spec: Nonlinearity) -> ConditionReport:
         osgood=_condition_holds(spec, "osgood"),
         keller_osserman=ko,
         all_tails_divergent=not ko,
-        confidence=dict(_numeric_classification(spec)),
+        confidence=_numeric_classification(spec),
     )

@@ -379,7 +379,6 @@ def run_scenario(
     config: ExperimentConfig, out_dir: str | Path, tolerance_scale: float = 1.0
 ) -> RunManifest:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RUNNERS[config.scenario](config, out, tolerance_scale)
     emit_manifest(manifest, out)
     return manifest

@@ -130,23 +130,25 @@ _CLI_MAIN = "import sys; from absorblab import cli; sys.exit(cli.main(sys.argv[1
 _SCIPY_FREE_RUNS = """
 import json, sys
 from absorblab import cli, scenarios
-codes = [cli.main([name, "--out", out]) for name, out in zip(("flat-ode", "alpha2"), sys.argv[1:])]
+names = ("flat-ode", "alpha2", "conditions")
+codes = [cli.main([name, "--out", out]) for name, out in zip(names, sys.argv[1:])]
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_flat_ode_and_alpha2_never_import_scipy(tmp_path):
+def test_flat_ode_alpha2_and_conditions_never_import_scipy(tmp_path):
     # scipy loads where it is called; a fresh interpreter, because this
     # process has imported scipy already
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    outs = [str(tmp_path / name) for name in ("flat", "alpha2", "conditions")]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path / "flat"), str(tmp_path / "alpha2")],
+        [sys.executable, "-c", _SCIPY_FREE_RUNS, *outs],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [EXIT_OK, EXIT_OK]
+    assert result["codes"] == [EXIT_OK, EXIT_OK, EXIT_OK]
     assert result["scipy"] == [], f"{len(result['scipy'])} scipy modules loaded"
 
 
@@ -218,6 +220,7 @@ def test_overflowing_growth_is_a_domain_error(tmp_path):
     assert "DomainError" in proc.stderr and "run 'truncated n=3'" in proc.stderr
     assert "NewtonDivergenceError" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("r_last, code", [("348", EXIT_OK), ("350", EXIT_CONFIG), ("800", EXIT_CONFIG)])

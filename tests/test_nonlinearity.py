@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from absorblab import nonlinearity
+from absorblab import _quad, nonlinearity
 from absorblab.errors import DomainError
 from absorblab.nonlinearity import (
     Nonlinearity,
+    _log_H_at_log,
     classify_conditions,
     dh_dw,
     eval_H,
@@ -117,21 +118,62 @@ def test_classification_power_family():
     assert report.keller_osserman is True
 
 
-def test_law_is_classified_once(monkeypatch):
-    # the numerical cross-check is cached per law: classifying it again
-    # builds no second H interpolant (a fresh build costs about 0.1 s)
-    built = []
-    real = nonlinearity._numeric_H_interpolant
+def test_classification_costs_three_kernel_calls(monkeypatch):
+    # one classification is the Osgood tail, the Keller-Osserman tail and
+    # the single H sweep behind the latter's nodes
+    calls = []
+    real = _quad.gl_panels
 
     def counted(*args, **kwargs):
-        built.append(1)
+        calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nonlinearity, "_numeric_H_interpolant", counted)
-    nonlinearity._numeric_classification.cache_clear()
-    first = classify_conditions(POW2)
-    assert classify_conditions(POW2) == first
-    assert len(built) == 1
+    # the kernel is bound in _quad (for classify_tail) and in nonlinearity
+    monkeypatch.setattr(_quad, "gl_panels", counted)
+    monkeypatch.setattr(nonlinearity, "gl_panels", counted)
+    classify_conditions(LOG15)
+    assert len(calls) == 3
+
+
+def _mp_log_H(alpha, x):
+    """ln H(e^x) for log_power(alpha) by mpmath quadrature at 30 digits."""
+    with mp.workdps(30):
+        s = mp.exp(mp.mpf(x))
+        cuts = [0, 1, s] if s > 1 else [0, s]
+        return float(mp.log(mp.quad(lambda t: t * mp.log1p(t) ** alpha, cuts)))
+
+
+# unsorted, with duplicates, spanning the Keller-Osserman nodes' range
+_LOG_H_NODES = np.array([27.5, 3.0, 0.0, 12.25, 3.0, 28.0, 0.7, 19.0, 0.0, 6.5])
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_log_H_at_log_against_mpmath(alpha):
+    spec = Nonlinearity.log_power(alpha)
+    # a lone node just right of 0: one wide panel from -45 misses it by
+    # 7e-6 to 7e-5 relative, because ln(1+e^x) is singular at x = i pi
+    lone = _log_H_at_log(spec, np.array([0.4]))
+    assert lone.shape == (1,)
+    assert lone[0] == pytest.approx(_mp_log_H(alpha, 0.4), rel=1e-13)
+    got = _log_H_at_log(spec, _LOG_H_NODES)
+    want = [_mp_log_H(alpha, x) for x in _LOG_H_NODES]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_log_H_at_log_power_closed_form(p):
+    # H(s) = s^(p+1)/(p+1); the nodes keep their (2, 10) shape
+    x = np.concatenate([_LOG_H_NODES, [0.4, 0.0, 1.0, 28.0, 9.5, 9.5, 0.25, 14.0, 2.0, 0.1]])
+    got = _log_H_at_log(Nonlinearity.power(p), x.reshape(2, 10))
+    np.testing.assert_allclose(got.ravel(), (p + 1.0) * x - math.log(p + 1.0), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_power_law_tail_slopes_match_closed_forms(p):
+    # 1/(s h(s)) = s^-p and 1/sqrt(H(s)) = sqrt(p+1) s^(-(p+1)/2)
+    conf = classify_conditions(Nonlinearity.power(p)).confidence
+    assert conf["osgood_slope"] == pytest.approx(-p, rel=1e-12)
+    assert conf["keller_osserman_slope"] == pytest.approx(-(p + 1.0) / 2.0, rel=1e-12)
 
 
 def test_log_converters_against_mpmath():

@@ -14,7 +14,6 @@ from absorblab._quad import (
     _GL_NODES,
     _GL_WEIGHTS,
     classify_tail,
-    cumulative_gl,
     gl_panel_refined,
     gl_panels,
     log_simpson,
@@ -102,13 +101,6 @@ def test_gl_panel_additive_on_subintervals(c0, c1, c2, a, width):
     whole = gl_panel_refined(f, a, b, splits=1)
     split = gl_panel_refined(f, a, mid, splits=1) + gl_panel_refined(f, mid, b, splits=1)
     assert split == pytest.approx(whole, abs=1e-11, rel=1e-11)
-
-
-def test_cumulative_gl_matches_antiderivative():
-    xs = np.linspace(0.0, 2.0, 17)
-    got = cumulative_gl(np.cos, xs)
-    assert got[0] == 0.0
-    np.testing.assert_allclose(got, np.sin(xs), atol=1e-13)
 
 
 def test_tail_integral_exponential():
