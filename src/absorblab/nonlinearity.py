@@ -19,18 +19,19 @@ Three integral conditions on h decide the qualitative theory:
   under which stationary profiles exist globally in radius.
 
 Both families report analytic verdicts cross-checked by a numerical
-tail classification.
+tail classification.  H itself is provided as ``ln H(e^x)`` at given nodes
+x = ln s, by one exact Gauss-Legendre sweep that the classification and the
+a-priori bound of :mod:`absorblab.profiles` share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._quad import classify_tail, gl_panels
-from .errors import DomainError, OverflowGuardError, QuadratureError
+from .errors import DomainError, OverflowGuardError
 
 _W_OVERFLOW = 700.0  # ln(1+s) above which s itself is not a double
 
@@ -144,36 +145,6 @@ def log_h_at_log(spec: Nonlinearity, x) -> np.ndarray:
     return (spec.p - 1.0) * x
 
 
-def eval_H(spec: Nonlinearity, s: float) -> float:
-    """H(s) = integral of t*h(t) over [0, s].
-
-    Power family: closed form s^(p+1)/(p+1).  Otherwise adaptive quadrature
-    in the substitution t = e^x (relative tolerance 1e-10), which handles
-    the huge upper limits reached by a-priori-bound root finds.
-    """
-    if s < 0:
-        raise DomainError(f"H is only defined for s >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    if spec.family == "power":
-        return s ** (spec.p + 1.0) / (spec.p + 1.0)
-
-    from scipy.integrate import quad
-
-    xs = math.log(s)
-
-    def integrand(x: float) -> float:
-        # t^2 h(t) dt/t = e^{2x} h(e^x) dx
-        return math.exp(2.0 * x + float(log_h_at_log(spec, x)))
-
-    val, err = quad(integrand, xs - 45.0, xs, epsabs=0.0, epsrel=1e-11, limit=200)
-    if err > 1e-10 * max(abs(val), 1e-300):
-        raise QuadratureError(
-            f"H({s!r}) quadrature stalled above tolerance", achieved=err / max(abs(val), 1e-300)
-        )
-    return float(val)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Verdicts for the three integral growth conditions on h.
@@ -195,17 +166,21 @@ class ConditionReport:
 
 
 def _log_H_at_log(spec: Nonlinearity, x) -> np.ndarray:
-    """ln H(e^x) at each node of ``x`` (every node above -45), exactly.
+    """ln H(e^x) at each node of ``x``, exactly; the one route to H, read by
+    :func:`_numeric_classification` and :func:`absorblab.profiles.apriori_bound`.
 
     The nodes are sorted and H is the running sum of one Gauss-Legendre
-    sweep of e^{2x} h(e^x): unit-width panels from x = -45 up to the
-    smallest node (ln(1+e^x) is singular at x = i pi, so one wide panel
-    loses digits), then one panel per gap between consecutive nodes.
+    sweep of e^{2x} h(e^x): unit-width panels up to the smallest node x_0
+    (ln(1+e^x) is singular at x = i pi, so one wide panel loses digits),
+    then one panel per gap between consecutive nodes.  The lead-in starts
+    at min(-45, x_0 - 45), so the part of H it leaves out is below about
+    e^-90 relative for either family.
     """
     x = np.asarray(x, dtype=float)
     order = np.argsort(x, axis=None)
     nodes = x.ravel()[order]
-    edges = np.concatenate([np.arange(-45.0, nodes[0], 1.0), nodes])
+    lead_in = np.arange(min(-45.0, nodes[0] - 45.0), nodes[0], 1.0)
+    edges = np.concatenate([lead_in, nodes])
 
     def integrand(t):
         # t^2 h(t) dt/t = e^{2x} h(e^x) dx

@@ -19,7 +19,10 @@ The module provides:
 * :func:`shoot_profile` -- initial-value shooting from the center with a
   Taylor seed that steps over the coordinate singularity at r = 0;
 * :func:`apriori_bound` -- the universal pointwise bound on any profile,
-  obtained by inverting an energy integral;
+  the root of an energy integral of 1/sqrt(H): bracketed by doubling
+  steps, then found by Newton on the integral's exact slope, with ln H
+  from :func:`absorblab.nonlinearity._log_H_at_log` and a residual
+  tolerance of 1e-8;
 * :func:`fit_asymptotics` -- least-squares measurement of the super-Gaussian
   growth exponent and constant against their predicted values.
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import _GL_NODES, _GL_WEIGHTS, gl_panels
+from ._quad import gl_panels
 from .errors import (
     BracketError,
     DomainError,
@@ -41,7 +44,7 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .nonlinearity import Nonlinearity, eval_H, eval_h, h_of_w
+from .nonlinearity import Nonlinearity, _log_H_at_log, eval_h, h_of_w
 
 _V_CLIP = 1e300
 _SHOOT_RTOL = 1e-9  # relative tolerance of shoot_profile's RK45 integration
@@ -115,8 +118,8 @@ def shoot_profile(
     ``V(r0) = a + a h(a) r0^2 / (2N)``, ``V'(r0) = a h(a) r0 / N``, which is
     the exact curvature of the profile at the origin and steps over the
     (N-1)/r singularity.  Adaptive Runge-Kutta (order 5(4), relative
-    tolerance ``_SHOOT_RTOL``) in the W variable; the solution is resampled onto ``grid`` (default: 513 uniform
-    nodes).
+    tolerance ``_SHOOT_RTOL``) in the W variable; the solution is resampled
+    onto ``grid`` (default: 513 uniform nodes).
 
     Overflow guard.  For the log-power family with alpha <= 2 the right-hand
     side is W^alpha and never forms V, and there is no finite-radius blow-up,
@@ -192,111 +195,77 @@ def shoot_profile(
     )
 
 
-def _sqrtH_cumulative(spec: Nonlinearity, b: float, target: float):
-    """Sweep x = ln v upward, accumulating H and F(v) = int_b^v ds/sqrt(H).
-
-    Returns (breaks, H_at_breaks, F_at_breaks) where the last F passes
-    ``target``.  H is advanced through the Gauss nodes of each panel so the
-    two integrals share one pass and no nested quadrature appears.
-    """
-    x = math.log(b)
-    H = eval_H(spec, b)
-    if H <= 0.0:
-        raise PreconditionError("H must be positive above the lower limit")
-    breaks = [x]
-    Hs = [H]
-    Fs = [0.0]
-    width = 0.25
-    for _ in range(20000):
-        if Fs[-1] > target:
-            return np.array(breaks), np.array(Hs), np.array(Fs)
-        dF, H = _panel_F_increment(spec, x, H, x + width)
-        x += width
-        breaks.append(x)
-        Hs.append(H)
-        Fs.append(Fs[-1] + dF)
-        width = min(width * 1.2, 1.0)
-        if x > math.log(_V_CLIP):
-            raise BracketError(
-                "energy integral saturates below the target before 1e300"
-            )
-    raise ToleranceError("energy-integral sweep exceeded its panel budget")
-
-
-def _panel_F_increment(
-    spec: Nonlinearity, x_lo: float, H_lo: float, x_hi: float
-) -> tuple[float, float]:
-    """Gauss-Legendre increment of F = int e^x/sqrt(H) over [x_lo, x_hi].
-
-    H itself is advanced through the Gauss nodes by sub-panel quadrature of
-    e^(2x) h(e^x): the 16 sub-panels between consecutive nodes take one
-    integrand call, and H adds their integrals left to right.
-    Returns (dF, H at x_hi).
-    """
-    width = x_hi - x_lo
-    if width <= 0.0:
-        return 0.0, H_lo
-    nodes = x_lo + (_GL_NODES + 1.0) * 0.5 * width
-    edges = np.concatenate(([x_lo], nodes, [x_hi]))
-    H_nodes = np.empty_like(nodes)
-    # overflow of H to inf just kills the 1/sqrt(H) contribution, which is
-    # the right limit when the sweep runs past double range
-    with np.errstate(over="ignore"):
-        steps = gl_panels(
-            lambda x: np.exp(2.0 * x) * _h_at_exp(spec, x), edges[:-1], edges[1:], 1
-        ).tolist()
-        H_run = H_lo
-        for i, dH in enumerate(steps[:-1]):
-            H_run += dH
-            H_nodes[i] = H_run
-        H_run += steps[-1]
-        dF = 0.5 * width * float(np.dot(_GL_WEIGHTS, np.exp(nodes) / np.sqrt(H_nodes)))
-    return dF, H_run
-
-
-def _h_at_exp(spec: Nonlinearity, x):
-    """h(e^x), vectorized, for quadrature along x = ln s."""
-    from .nonlinearity import log_h_at_log
-
-    return np.exp(log_h_at_log(spec, np.asarray(x, dtype=float)))
-
-
 def apriori_bound(spec: Nonlinearity, b: float, R: float) -> float:
     """Universal bound at radius R for any profile with center height >= b.
 
-    Returns the root v of ``F_b(v) = sqrt(2) R`` where
-    ``F_b(v) = integral of 1/sqrt(H) over [b, v]``, located by a bracketed
-    sweep of the cumulative integral plus bisection, relative tolerance 1e-8.
+    Returns the root v of ``F(v) = sqrt(2) R``, where ``F(v)`` is the
+    integral of ``1/sqrt(H)`` over [b, v].  In x = ln v, F is the integral
+    of ``exp(y - ln H(e^y) / 2)`` over [ln b, x]: one Gauss-Legendre sweep
+    over ceil(x - ln b) equal panels, with ln H at its nodes from one
+    :func:`_log_H_at_log` call.
+
+    The root is bracketed by doubling the step from ln b + 0.25; F still
+    below the target past ln 1e300 raises :class:`BracketError`.  Inside the
+    bracket, Newton steps on the exact slope ``dF/dx = exp(x - ln H(e^x)/2)``
+    climb to it from the left end, bisecting wherever a step would leave the
+    bracket, until a step or the bracket is below ``1e-15 max(1, |x|)``.  A
+    residual ``|F - sqrt(2) R|`` above ``1e-8 sqrt(2) R`` raises
+    :class:`ToleranceError`, and an H that underflows to 0 at b raises
+    :class:`PreconditionError`.
     """
     if not (b > 0.0):
         raise DomainError("lower height must be positive")
-    if R < 0.0:
+    if not (R >= 0.0):
         raise DomainError("radius must be nonnegative")
     if R == 0.0:
         return b
     target = math.sqrt(2.0) * R
-    breaks, Hs, Fs = _sqrtH_cumulative(spec, b, target)
-    j = int(np.searchsorted(Fs, target))
-    x_lo, x_hi = breaks[j - 1], breaks[j]
-    H_lo, F_lo = Hs[j - 1], Fs[j - 1]
-    # bisect inside the bracketing panel; each trial recomputes the partial
-    # panel with the same Gauss-node H advance used by the sweep
-    lo, hi = x_lo, x_hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        dF, _ = _panel_F_increment(spec, x_lo, H_lo, mid)
-        if F_lo + dF < target:
-            lo = mid
+    x_b = math.log(b)
+
+    def slope(x):
+        # H overflows to inf past x ~ 354, which zeroes the slope; where it
+        # underflows to 0 the slope is inf, which the check below refuses
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.exp(x - 0.5 * _log_H_at_log(spec, x))
+
+    if not slope(x_b) < math.inf:
+        raise PreconditionError("H must be positive above the lower limit")
+
+    def F(x):
+        edges = np.linspace(x_b, x, max(math.ceil(x - x_b), 1) + 1)
+        return float(np.sum(gl_panels(slope, edges[:-1], edges[1:], splits=1)))
+
+    x, r, x_hi = x_b, -target, x_b + 0.25
+    r_hi = F(x_hi) - target
+    while r_hi < 0.0:
+        if x_hi > math.log(_V_CLIP):
+            raise BracketError(
+                "energy integral saturates below the target before 1e300"
+            )
+        x, r, x_hi = x_hi, r_hi, 2.0 * x_hi - x_b
+        r_hi = F(x_hi) - target
+    # F is concave in x (H(s) <= s^2 h(s) / 2), so Newton from the left end
+    # of the bracket climbs to the root without overshooting it
+    x_lo = x
+    for _ in range(64):  # bisection alone would shrink the bracket 2^64-fold
+        s = float(slope(x))
+        x_new = x - r / s if s > 0.0 else math.nan
+        tol = 1e-15 * max(1.0, abs(x))
+        if abs(x_new - x) <= tol or x_hi - x_lo <= tol:
+            break
+        if not x_lo < x_new < x_hi:
+            x_new = 0.5 * (x_lo + x_hi)
+        x = x_new
+        r = F(x) - target
+        if r < 0.0:
+            x_lo = x
         else:
-            hi = mid
-    x_root = 0.5 * (lo + hi)
-    dF, _ = _panel_F_increment(spec, x_lo, H_lo, x_root)
-    residual = abs(F_lo + dF - target)
-    if residual > 1e-8 * target:
+            x_hi = x
+    if abs(r) > 1e-8 * target:
         raise ToleranceError(
-            "a-priori bound root residual above tolerance", residual=residual
+            "a-priori bound root residual above tolerance", residual=abs(r)
         )
-    return math.exp(x_root)
+    return math.exp(x)
 
 
 @dataclass(frozen=True)

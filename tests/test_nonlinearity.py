@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from absorblab import _quad, nonlinearity
 from absorblab.errors import DomainError
@@ -16,7 +15,6 @@ from absorblab.nonlinearity import (
     _log_H_at_log,
     classify_conditions,
     dh_dw,
-    eval_H,
     eval_h,
     h_of_w,
     log_h_at_log,
@@ -80,18 +78,6 @@ def test_log_h_at_log_deep_heights():
     # x = ln u with u astronomically large: ln h = alpha ln ln(1+u) ~ alpha ln x
     got = float(log_h_at_log(LOG15, 5000.0))
     assert got == pytest.approx(1.5 * math.log(5000.0), rel=1e-12)
-
-
-def test_eval_H_power_closed_form():
-    s = 3.7
-    assert eval_H(POW2, s) == pytest.approx(s**3 / 3.0, rel=1e-12)
-    assert eval_H(Nonlinearity.power(4.0), 2.0) == pytest.approx(2.0**5 / 5.0, rel=1e-12)
-
-
-def test_eval_H_log_family_against_direct_quadrature():
-    ref, _ = quad(lambda t: t * np.log1p(t) ** 1.5, 0.0, 10.0, epsabs=1e-13, epsrel=1e-13)
-    assert ref == pytest.approx(140.79037783771238, rel=1e-12)  # pins the oracle itself
-    assert eval_H(LOG15, 10.0) == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -158,6 +144,15 @@ def test_log_H_at_log_against_mpmath(alpha):
     got = _log_H_at_log(spec, _LOG_H_NODES)
     want = [_mp_log_H(alpha, x) for x in _LOG_H_NODES]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_log_H_at_log_far_below_minus_45(alpha):
+    # a node below -45 gets its own 45 unit lead-in panels; there
+    # ln(1+s) = s to double precision, so H(s) = s^(alpha+2)/(alpha+2)
+    x = math.log(1e-25)
+    got = _log_H_at_log(Nonlinearity.log_power(alpha), np.array([x]))
+    assert got[0] == pytest.approx((alpha + 2.0) * x - math.log(alpha + 2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

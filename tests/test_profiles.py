@@ -1,14 +1,20 @@
 """Stationary radial profiles: shooting, a-priori bounds, asymptotic fits."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from absorblab import profiles
-from absorblab._quad import _GL_NODES, _GL_WEIGHTS
-from absorblab.errors import BracketError, DomainError, InsufficientRangeError, PreconditionError
+from absorblab.errors import (
+    BracketError,
+    DomainError,
+    InsufficientRangeError,
+    PreconditionError,
+    ToleranceError,
+)
 from absorblab.nonlinearity import Nonlinearity, h_of_w
 from absorblab.profiles import (
     RadialProfile,
@@ -113,9 +119,14 @@ def test_apriori_bound_power_family_closed_form():
 
 
 def test_apriori_bound_saturates_for_wide_balls():
-    # beyond the finite reach of the energy integral no bound exists
-    with pytest.raises(BracketError):
-        apriori_bound(POW3, 1.0, 10.0)
+    # beyond the finite reach of the energy integral no bound exists, for
+    # both Keller-Osserman families; H overflows on the way to 1e300, and
+    # that stays silent
+    for spec in (POW3, Nonlinearity.log_power(3.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketError):
+                apriori_bound(spec, 1.0, 10.0)
 
 
 def test_apriori_bound_dominates_profiles():
@@ -126,36 +137,31 @@ def test_apriori_bound_dominates_profiles():
             assert v_at <= apriori_bound(LOG15, a, R) * (1.0 + 1e-9)
 
 
-def _sequential_F_increment(spec, x_lo, H_lo, x_hi):
-    """The increment with one 15-node quadrature per H sub-panel, in order."""
-    width = x_hi - x_lo
-    nodes = x_lo + (_GL_NODES + 1.0) * 0.5 * width
-    H_nodes = np.empty_like(nodes)
-    prev, H_run = x_lo, H_lo
-    with np.errstate(over="ignore"):
-        for i, u in enumerate([*nodes, x_hi]):
-            mid, half = 0.5 * (prev + u), 0.5 * (u - prev)
-            sub = mid + half * _GL_NODES
-            H_run += half * float(
-                np.dot(_GL_WEIGHTS, np.exp(2.0 * sub) * profiles._h_at_exp(spec, sub))
-            )
-            if i < len(nodes):
-                H_nodes[i] = H_run
-            prev = u
-        dF = 0.5 * width * float(np.dot(_GL_WEIGHTS, np.exp(nodes) / np.sqrt(H_nodes)))
-    return dF, H_run
+def test_apriori_bound_fails_typed_and_silent_for_tiny_heights():
+    # at b = 1e-25 the bound lies within an ulp of b, so F cannot reach
+    # sqrt(2) R at any double; at b = 1e-300 H(b) underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceError):
+            apriori_bound(LOG15, 1e-25, 1.0)
+        with pytest.raises(PreconditionError, match="H must be positive"):
+            apriori_bound(LOG15, 1e-300, 1.0)
 
 
-@pytest.mark.parametrize("spec", [LOG15, LOG20, POW3], ids=["log_power_1.5", "log_power_2", "power_3"])
-def test_panel_F_increment_matches_sequential_sub_panels_bitwise(spec):
-    # the 16 H sub-panels of one increment share one integrand call; H still
-    # adds their integrals left to right, so nothing moves by a bit
-    rng = np.random.default_rng(3)
-    for x_lo, width in zip(rng.uniform(-3.0, 300.0, 12), rng.uniform(1e-3, 1.0, 12)):
-        H_lo = float(np.exp(rng.uniform(-5.0, 5.0)))
-        got = profiles._panel_F_increment(spec, x_lo, H_lo, x_lo + width)
-        want = _sequential_F_increment(spec, x_lo, H_lo, x_lo + width)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+@pytest.mark.parametrize("b", [1.0, 2.0])
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_apriori_bound_log_power_against_mpmath(b, R):
+    # the returned v solves int_b^v ds / sqrt(H(s)) = sqrt(2) R.  With
+    # u = ln(1+t), H(s) = int_0^L (e^{2u} - e^u) u^1.5 du, L = ln(1+s), and
+    # int_0^L u^1.5 e^{ku} du = L^2.5 / 2.5 * 1F1(2.5; 3.5; kL)
+    v = apriori_bound(LOG15, b, R)
+    with mp.workdps(30):
+        def H(s):
+            L = mp.log1p(s)
+            return L**2.5 / 2.5 * (mp.hyp1f1(2.5, 3.5, 2 * L) - mp.hyp1f1(2.5, 3.5, L))
+
+        F = mp.quad(lambda s: 1 / mp.sqrt(H(s)), [b, v])
+    assert float(F) == pytest.approx(math.sqrt(2.0) * R, rel=1e-12)
 
 
 def test_apriori_bound_increases_in_radius_and_height():
