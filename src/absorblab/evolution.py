@@ -115,16 +115,26 @@ itself.
 Drivers cover the three ball-exhaustion sequences used by the collapse
 experiments: truncated data on a fixed large ball (A4), profile-capped
 data on growing balls (A8), and the two-sided profile-boundary variant
-(A8.1).  A4 and A8.1 step each family with one :func:`evolve` call.  A8
-takes every center height at once and calls :func:`evolve` once per ball,
-its family being the heights' runs on that ball's grid; the same times and
-``dt_max`` give every call the same step sequence.  The profile balls of
-A8 and A8.1 (grid, stationary profile values, constant boundary trace) all
-come from ``_profile_balls``, which shoots each center height once, on the
-largest ball, and every driver checks and packs its ordering through
-``_ordered_sequence``.  A sequence's diagnostics hold only A8's
-domination notes; the solver counters stay on the runs, and a scenario
-reduces those of all its runs once with ``_solver_work``.
+(A8.1).  A4 and A8.1 are each split into a plan (``_plan_A4``,
+``_plan_A8_1``: the runs' grids, data, boundaries and tags, made after
+every precondition check) and a check of the returned fields;
+``_step_plans`` steps any number of plans as one :func:`evolve` family and
+hands each plan its slice.  Each driver steps its own plan alone, and
+``non-uniqueness`` steps A4's and A8.1's together.  The joint cap sets the
+u/w path, so an added run keeps the others bitwise only if it never raises
+that cap (strictly, never carries it across ``_U_SWITCH``).  A4's runs
+next to A8.1's do not: the sandwich check keeps their data at or below
+V_b(max n), up to its 1e-9 slack, and that is the largest upper run's
+boundary value.  A8 takes every center height at once and calls
+:func:`evolve` once per ball, its family being the heights' runs on that
+ball's grid; the same times and ``dt_max`` give every call the same step
+sequence.  The profile balls of A8 and A8.1 (grid, stationary profile
+values, constant boundary trace) all come from ``_profile_balls``, which
+shoots each center height once, on the largest ball, and every driver
+checks and packs its ordering through ``_ordered_sequence``.  A sequence's
+diagnostics hold only A8's domination notes; the solver counters stay on
+the runs, and a scenario reduces those of all its runs once with
+``_solver_work``.
 """
 
 from __future__ import annotations
@@ -1011,6 +1021,49 @@ def _ordered_sequence(
     )
 
 
+def _step_plans(
+    spec: Nonlinearity, plans: Sequence[tuple], times: Sequence[float], dt_max: float
+) -> list:
+    """Step the runs of all ``plans`` as one :func:`evolve` family and
+    return each plan's checked result, in order.
+
+    A plan is a pair ``(runs, check)``: the runs of one driver, each as
+    ``(grid, w0, boundary, tag)``, and ``check``, which takes the runs'
+    fields in that order and returns the driver's result.  Every run gets
+    the family's step sequence, and its values are bitwise those of its
+    plan stepped alone as long as the joint cap takes the same u/w path as
+    the plan's own cap at every step (see the module notes): a plan whose
+    runs never raise the others' cap leaves them bitwise."""
+    grids, w0, bcs, tags = zip(*(run for runs, _ in plans for run in runs))
+    fields = evolve(spec, grids, w0, bcs, times, dt_max, tags).fields
+    results, start = [], 0
+    for runs, check in plans:
+        results.append(check(fields[start: start + len(runs)]))
+        start += len(runs)
+    return results
+
+
+def _plan_A4(
+    g: GrowthFunction, n_list: Sequence[float], r_out: float, h: float, dt_max: float,
+    dimension: int,
+) -> tuple:
+    """The plan ``(runs, check)`` of :func:`run_scheme_A4` (see ``_step_plans``)."""
+    n_list = sorted(float(n) for n in n_list)
+    if not n_list:
+        raise PreconditionError("the truncated scheme needs a truncation radius")
+    if n_list[-1] >= r_out:
+        raise PreconditionError("truncation radii must stay below r_out")
+    grid = uniform_grid(r_out, h, dimension)
+    gam = g.gamma(grid.radii)
+    zero = BoundaryTrace.constant(0.0)
+    runs = tuple(
+        (grid, np.where(grid.radii <= n + 1e-12, gam, 0.0), zero, f"truncated n={n:g}")
+        for n in n_list
+    )
+    tol = discretization_tolerance(h, dt_max)
+    return runs, lambda fields: _ordered_sequence(fields, True, tol, "truncation")
+
+
 def run_scheme_A4(
     spec: Nonlinearity,
     g: GrowthFunction,
@@ -1028,19 +1081,14 @@ def run_scheme_A4(
     suits a minimal-limit construction) and are stepped as one family.
     The family must increase with n; a violation above 10x
     :func:`discretization_tolerance` aborts.
+
+    The runs come from ``_plan_A4``, so a scenario can step them in a
+    larger family through ``_step_plans``.  The joint cap then sets the
+    u/w path, and a run is bitwise what this driver returns only while that
+    cap takes the path of this family's own cap.
     """
-    n_list = sorted(float(n) for n in n_list)
-    if not n_list:
-        raise PreconditionError("the truncated scheme needs a truncation radius")
-    if n_list[-1] >= r_out:
-        raise PreconditionError("truncation radii must stay below r_out")
-    grid = uniform_grid(r_out, h, dimension)
-    gam = g.gamma(grid.radii)
-    w0 = [np.where(grid.radii <= n + 1e-12, gam, 0.0) for n in n_list]
-    tags = [f"truncated n={n:g}" for n in n_list]
-    bcs = [BoundaryTrace.constant(0.0)] * len(n_list)
-    fields = evolve(spec, [grid] * len(n_list), w0, bcs, times, dt_max, tags).fields
-    return _ordered_sequence(fields, True, discretization_tolerance(h, dt_max), "truncation")
+    plan = _plan_A4(g, n_list, r_out, h, dt_max, dimension)
+    return _step_plans(spec, [plan], times, dt_max)[0]
 
 
 def run_scheme_A8(
@@ -1124,6 +1172,47 @@ def run_scheme_A8(
     )
 
 
+def _plan_A8_1(
+    spec: Nonlinearity, g: GrowthFunction, c: float, b: float, n_list: Sequence[float],
+    h: float, dt_max: float, tol: float | None,
+) -> tuple:
+    """The plan ``(runs, check)`` of :func:`run_scheme_A8_1` (see
+    ``_step_plans``), made after its sandwich check; the lower runs come
+    first, then the upper ones."""
+    if not 0.0 < c < b:
+        raise PreconditionError("need 0 < c < b")
+    n_list = sorted(float(n) for n in n_list)
+    if not n_list:
+        raise PreconditionError("the sandwich scheme needs a ball radius")
+    if tol is None:
+        tol = discretization_tolerance(h, dt_max)
+
+    _, lower_balls = _profile_balls(spec, c, n_list, h)
+    _, upper_balls = _profile_balls(spec, b, n_list, h)
+    # g sampled once per ball serves that ball's lower and upper run, and
+    # the largest ball's sample the sandwich check
+    gams = [g.gamma(grid.radii) for grid, _, _ in lower_balls]
+    prof_c, prof_b = lower_balls[-1][1], upper_balls[-1][1]
+    slack = 1e-9
+    if np.any(gams[-1] < prof_c - slack) or np.any(gams[-1] > prof_b + slack):
+        raise PreconditionError(
+            "initial data is not sandwiched between the two stationary profiles"
+        )
+
+    # one family, so lower and upper runs also share the step sequence that
+    # the comparison between the two limits relies on
+    runs = tuple(
+        (grid, gam, bc, f"sandwich a={center:g} n={n:g}")
+        for center, balls in ((c, lower_balls), (b, upper_balls))
+        for n, gam, (grid, _, bc) in zip(n_list, gams, balls)
+    )
+    k = len(n_list)
+    return runs, lambda fields: (
+        _ordered_sequence(fields[:k], True, tol, "lower sandwich"),
+        _ordered_sequence(fields[k:], False, tol, "upper sandwich"),
+    )
+
+
 def run_scheme_A8_1(
     spec: Nonlinearity,
     g: GrowthFunction,
@@ -1141,36 +1230,15 @@ def run_scheme_A8_1(
     ball).  For each n the lower run uses boundary height V_c(n) and the
     upper run V_b(n), both with initial data g; the lower family must
     increase and the upper decrease.  Returns ``(lower, upper)``.
+
+    The runs come from ``_plan_A8_1``, so a scenario can step them in a
+    larger family through ``_step_plans``.  The joint cap then sets the
+    u/w path, and the runs are bitwise what this driver returns only while
+    that cap takes the path of this family's own cap; runs that never
+    raise the cap, such as data at most V_b(max n), keep them bitwise.
     """
-    if not 0.0 < c < b:
-        raise PreconditionError("need 0 < c < b")
-    n_list = sorted(float(n) for n in n_list)
-    if not n_list:
-        raise PreconditionError("the sandwich scheme needs a ball radius")
-    if tol is None:
-        tol = discretization_tolerance(h, dt_max)
-
-    _, lower_balls = _profile_balls(spec, c, n_list, h)
-    _, upper_balls = _profile_balls(spec, b, n_list, h)
-    (big, prof_c, _), (_, prof_b, _) = lower_balls[-1], upper_balls[-1]
-    gam = g.gamma(big.radii)
-    slack = 1e-9
-    if np.any(gam < prof_c - slack) or np.any(gam > prof_b + slack):
-        raise PreconditionError(
-            "initial data is not sandwiched between the two stationary profiles"
-        )
-
-    # one family, so lower and upper runs also share the step sequence that
-    # the comparison between the two limits relies on
-    grids, _, bcs = zip(*lower_balls, *upper_balls)
-    w0 = [g.gamma(grid.radii) for grid in grids]
-    tags = [f"sandwich a={center:g} n={n:g}" for center in (c, b) for n in n_list]
-    fields = evolve(spec, grids, w0, bcs, times, dt_max, tags).fields
-    lower, upper = fields[: len(n_list)], fields[len(n_list):]
-    return (
-        _ordered_sequence(lower, True, tol, "lower sandwich"),
-        _ordered_sequence(upper, False, tol, "upper sandwich"),
-    )
+    plan = _plan_A8_1(spec, g, c, b, n_list, h, dt_max, tol)
+    return _step_plans(spec, [plan], times, dt_max)[0]
 
 
 def check_comparison(field1: EvolutionField, field2: EvolutionField) -> float:

@@ -20,7 +20,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import AbsorbLabError, ConfigError
-from .evolution import _solver_work, run_scheme_A4, run_scheme_A8, run_scheme_A8_1
+from .evolution import (
+    _plan_A4, _plan_A8_1, _solver_work, _step_plans, run_scheme_A4, run_scheme_A8,
+)
 from .flat_ode import solve_phi, solve_phi_infinity_log
 from .io import RunManifest, emit_csv, emit_manifest
 from .nonlinearity import Nonlinearity, classify_conditions, log_u_from_w
@@ -284,13 +286,17 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     r_star = brentq(lambda r: prof_c.w_at(r) - target_w, 1e-6, config["n_list"][0])
     v_c_star = math.expm1(float(prof_c.w_at(r_star)))
 
-    a4 = run_scheme_A4(spec, g, config["n_list"], config["r_out"], times, h=h, dt_max=dt_max)
+    # A4's and A8.1's runs step as one family.  A4's data stay at or below
+    # max g <= V_b(max n), the largest upper sandwich run's boundary value,
+    # so the family's cap is the sandwich runs' own at every step: they take
+    # their own u/w path and are bitwise A8.1's runs, and so are A4's while
+    # that cap is below the u/w switch, as it is at defaults.
     # tol=1.0: ordering drift of the sandwich families is reported below,
     # not fatal (only a log-unit runaway trips the scheme guard).
-    lower, upper = run_scheme_A8_1(
-        spec, g, config["c"], config["b"], config["n_list"], times, h=h, dt_max=dt_max,
-        tol=1.0,
-    )
+    a4, (lower, upper) = _step_plans(spec, [
+        _plan_A4(g, config["n_list"], config["r_out"], h, dt_max, dimension=1),
+        _plan_A8_1(spec, g, config["c"], config["b"], config["n_list"], h, dt_max, tol=1.0),
+    ], times, dt_max)
     man.notes["lower_family_violation"] = lower.monotone_violation
     man.notes["upper_family_violation"] = upper.monotone_violation
     man.notes["solver_work"] = _solver_work([*a4.fields, *lower.fields, *upper.fields])

@@ -1,5 +1,6 @@
 """Implicit evolution scheme: exact discrete oracles, orders, comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg.lapack
 from scipy.optimize import brentq
 
+from absorblab.config import parse_config
 from absorblab.errors import (
     DomainError,
     DominationError,
@@ -34,7 +36,8 @@ import absorblab.evolution as evolution
 import absorblab.threshold as threshold
 from absorblab.flat_ode import solve_phi
 from absorblab.nonlinearity import Nonlinearity, eval_h, h_of_w
-from absorblab.profiles import shoot_profile
+from absorblab.profiles import RadialProfile, shoot_profile
+from absorblab.scenarios import run_non_uniqueness
 from absorblab.threshold import GrowthFunction, domination_radius
 
 LOG15 = Nonlinearity.log_power(1.5)
@@ -1088,16 +1091,20 @@ def test_capped_data_is_the_lower_of_profile_and_growth():
     assert np.any(capped[1:-1] == QUARTIC.gamma(seqs[0].fields[-1].grid.radii[1:-1]))
 
 
-def _counted_evolve(monkeypatch, fail=False):
-    """Wraps ``evolution.evolve`` for one test; returns its list of calls.
-    With ``fail`` set, a call raises instead of stepping."""
+def _counted_evolve(monkeypatch, fail=False, results=None):
+    """Wraps ``evolution.evolve`` for one test; returns its list of calls,
+    and appends what each call returns to ``results`` if given.  With
+    ``fail`` set, a call raises instead of stepping."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         if fail:
             raise AssertionError("evolve called")
-        return evolve(*args, **kwargs)
+        out = evolve(*args, **kwargs)
+        if results is not None:
+            results.append(out)
+        return out
 
     monkeypatch.setattr(evolution, "evolve", counted)
     return calls
@@ -1128,6 +1135,51 @@ def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
                         "newton_iterations_max", "worst_residual"):
                 assert getattr(one, key) == getattr(many, key), key
         assert evolution._solver_work(seq.fields) == evolution._solver_work(runs)
+
+
+def test_non_uniqueness_steps_its_drivers_as_one_family(monkeypatch, tmp_path):
+    # the scenario steps A4's truncated runs and A8.1's sandwich runs in one
+    # evolve call.  A4's data stay below the upper sandwich boundary V_2(4),
+    # so the family's cap is the sandwich runs' own, and it stays below the
+    # u/w switch: every run is bitwise its run from the driver called alone.
+    # The witness growth is sampled once per distinct grid: A4's 91 nodes on
+    # [0, 4.5] and the two balls' 61 and 81 nodes
+    config = parse_config(
+        "non-uniqueness", "n_list = 3, 4\nr_out = 4.5\nh = 0.05\nt_final = 2\ndt_max = 0.02\n"
+    )
+    times, n_list, h, dt_max = [0.0, 1.0, 2.0], [3.0, 4.0], 0.05, 0.02
+    prof_mid = shoot_profile(LOG15, 1.5, 1, 4.5)
+    g = GrowthFunction(gamma=lambda r: prof_mid.sample(np.minimum(r, 4.5))[0], beta=None, K=None)
+    a4 = run_scheme_A4(LOG15, g, n_list, 4.5, times, h=h, dt_max=dt_max)
+    lower, upper = run_scheme_A8_1(LOG15, g, 1.0, 2.0, n_list, times, h=h, dt_max=dt_max, tol=1.0)
+    solo = [*a4.fields, *lower.fields, *upper.fields]
+
+    results, sampled = [], []
+    calls = _counted_evolve(monkeypatch, results=results)
+    real_sample = RadialProfile.sample
+
+    def counted_sample(self, radii):
+        if np.ndim(radii):
+            sampled.append(len(radii))
+        return real_sample(self, radii)
+
+    monkeypatch.setattr(RadialProfile, "sample", counted_sample)
+    man = run_non_uniqueness(config, tmp_path, 1.0)
+    assert len(calls) == 1
+    assert sorted(sampled) == [61, 81, 91]
+    joint = results[0].fields
+    assert [f.scheme_tag for f in joint] == [f.scheme_tag for f in solo]
+    counters = [f.name for f in dataclasses.fields(EvolutionField)
+                if f.name not in ("times", "grid", "values", "scheme_tag")]
+    for one, many in zip(solo, joint):
+        assert np.array_equal(one.values, many.values)
+        assert np.array_equal(one.grid.radii, many.grid.radii)
+        assert one.u_steps == many.u_steps == many.steps
+        for key in counters:
+            assert getattr(one, key) == getattr(many, key), key
+    assert man.notes["solver_work"] == evolution._solver_work(solo)
+    assert man.notes["lower_family_violation"] == lower.monotone_violation
+    assert man.notes["upper_family_violation"] == upper.monotone_violation
 
 
 def test_capped_balls_share_one_shoot_per_height(monkeypatch):
