@@ -115,26 +115,23 @@ itself.
 Drivers cover the three ball-exhaustion sequences used by the collapse
 experiments: truncated data on a fixed large ball (A4), profile-capped
 data on growing balls (A8), and the two-sided profile-boundary variant
-(A8.1).  A4 and A8.1 are each split into a plan (``_plan_A4``,
+(A8.1).  Each is split into a plan (``_plan_A4``, ``_plan_A8``,
 ``_plan_A8_1``: the runs' grids, data, boundaries and tags, made after
 every precondition check) and a check of the returned fields;
 ``_step_plans`` steps any number of plans as one :func:`evolve` family and
-hands each plan its slice.  Each driver steps its own plan alone, and
-``non-uniqueness`` steps A4's and A8.1's together.  The joint cap sets the
-u/w path, so an added run keeps the others bitwise only if it never raises
-that cap (strictly, never carries it across ``_U_SWITCH``).  A4's runs
-next to A8.1's do not: the sandwich check keeps their data at or below
-V_b(max n), up to its 1e-9 slack, and that is the largest upper run's
-boundary value.  A8 takes every center height at once and calls
-:func:`evolve` once per ball, its family being the heights' runs on that
-ball's grid; the same times and ``dt_max`` give every call the same step
-sequence.  The profile balls of A8 and A8.1 (grid, stationary profile
-values, constant boundary trace) all come from ``_profile_balls``, which
-shoots each center height once, on the largest ball, and every driver
-checks and packs its ordering through ``_ordered_sequence``.  A sequence's
-diagnostics hold only A8's domination notes; the solver counters stay on
-the runs, and a scenario reduces those of all its runs once with
-``_solver_work``.
+hands each plan its slice.  Each driver steps its own plan alone (A8 every
+center height on every ball), and ``non-uniqueness`` steps A4's and A8.1's
+together.  The joint cap sets the u/w path, so an added run keeps the
+others bitwise only if it never carries that cap across ``_U_SWITCH``.
+A4's runs next to A8.1's do not: the sandwich check keeps their data at or
+below V_b(max n), up to its 1e-9 slack, and that is the largest upper
+run's boundary value.  The profile balls of A8 and A8.1 (grid, stationary
+profile values, constant boundary trace) all come from ``_profile_balls``,
+which shoots each center height once, on the largest ball, and every
+driver checks and packs its ordering through ``_ordered_sequence``.  A
+sequence's diagnostics hold only A8's domination notes; the solver
+counters stay on the runs, and a scenario reduces those of all its runs
+once with ``_solver_work``.
 """
 
 from __future__ import annotations
@@ -1091,6 +1088,59 @@ def run_scheme_A4(
     return _step_plans(spec, [plan], times, dt_max)[0]
 
 
+def _plan_A8(
+    spec: Nonlinearity, g: GrowthFunction, a_list: Sequence[float], n_list: Sequence[float],
+    h: float, dt_max: float, tol: float | None, domination: str,
+) -> tuple:
+    """The plan ``(runs, check)`` of :func:`run_scheme_A8` (see ``_step_plans``),
+    made after its domination check; the runs are height-major."""
+    a_list = [float(a) for a in a_list]
+    n_list = sorted(float(n) for n in n_list)
+    if not a_list or not n_list:
+        raise PreconditionError("the capped scheme needs a center height and a ball radius")
+    tol = discretization_tolerance(h, dt_max) if tol is None else tol
+    if domination not in ("warn", "require", "skip"):
+        raise DomainError("domination policy must be warn, require or skip")
+
+    # one shoot per height, on the largest ball; the domination check samples it
+    shots, profile_balls = zip(*(_profile_balls(spec, a, n_list, h) for a in a_list))
+    notes = []
+    for a, shot in zip(a_list, shots):
+        diagnostics: dict = {}
+        if domination != "skip":
+            try:
+                r_a = domination_radius(g, spec, a, 1, n_list[-1], shot)
+                diagnostics["domination_radius"] = r_a
+                if r_a > n_list[0] and domination == "require":
+                    raise DominationError(f"smallest ball radius {n_list[0]:g} is below the "
+                                          f"domination radius {r_a:g}")
+                if r_a > n_list[0]:
+                    diagnostics["domination_warning"] = (
+                        f"ball radii start below the domination radius {r_a:g}; "
+                        "the capped data is not yet the profile at the boundary"
+                    )
+            except DominationError:
+                if domination == "require":
+                    raise
+                diagnostics["domination_warning"] = (
+                    f"data does not dominate the height-{a:g} profile up to {n_list[-1]:g}"
+                )
+        notes.append(diagnostics)
+
+    # g sampled once per ball serves every height's run on that ball
+    gams = [g.gamma(grid.radii) for grid, _, _ in profile_balls[0]]
+    runs = tuple(
+        (grid, np.minimum(cap, gam), bc, f"capped a={a:g} n={n:g}")
+        for a, balls in zip(a_list, profile_balls)
+        for n, gam, (grid, cap, bc) in zip(n_list, gams, balls)
+    )
+    k = len(n_list)
+    return runs, lambda fields: tuple(
+        _ordered_sequence(fields[i * k: (i + 1) * k], False, tol, "capped", diagnostics)
+        for i, diagnostics in enumerate(notes)
+    )
+
+
 def run_scheme_A8(
     spec: Nonlinearity,
     g: GrowthFunction,
@@ -1114,62 +1164,12 @@ def run_scheme_A8(
     height's profile is shot once, on the largest ball, and serves the
     check and every ball (see ``_profile_balls``).
 
-    Each ball is one :func:`evolve` call whose family is the heights' runs
-    on that ball's grid.  A run is bitwise its solo self as long as the
-    family takes the run's own u/w path at every step.  The path goes by
-    the family's cap, so heights that straddle ``_U_SWITCH`` on one ball
-    agree with their solo runs only to the solve tolerance.
+    Every height's run on every ball is one :func:`evolve` family
+    (``_plan_A8``).  Its cap sets the u/w path, so runs whose caps straddle
+    ``_U_SWITCH`` agree with their solo runs only to the solve tolerance.
     """
-    a_list = [float(a) for a in a_list]
-    n_list = sorted(float(n) for n in n_list)
-    if not a_list or not n_list:
-        raise PreconditionError("the capped scheme needs a center height and a ball radius")
-    if tol is None:
-        tol = discretization_tolerance(h, dt_max)
-    if domination not in ("warn", "require", "skip"):
-        raise DomainError("domination policy must be warn, require or skip")
-
-    # one shoot per height, on the largest ball, which the domination check
-    # samples too
-    shots, profile_balls = zip(*(_profile_balls(spec, a, n_list, h) for a in a_list))
-    notes = []
-    for a, shot in zip(a_list, shots):
-        diagnostics: dict = {}
-        if domination != "skip":
-            try:
-                r_a = domination_radius(g, spec, a, 1, n_list[-1], shot)
-                diagnostics["domination_radius"] = r_a
-                if r_a > n_list[0] and domination == "require":
-                    raise DominationError(
-                        f"smallest ball radius {n_list[0]:g} is below the domination radius {r_a:g}"
-                    )
-                if r_a > n_list[0]:
-                    diagnostics["domination_warning"] = (
-                        f"ball radii start below the domination radius {r_a:g}; "
-                        "the capped data is not yet the profile at the boundary"
-                    )
-            except DominationError:
-                if domination == "require":
-                    raise
-                diagnostics["domination_warning"] = (
-                    f"data does not dominate the height-{a:g} profile up to {n_list[-1]:g}"
-                )
-        notes.append(diagnostics)
-
-    # one evolve call per ball, on every height's run; the shared times and
-    # dt_max give every run the same step sequence, as the ordering check needs
-    balls = []
-    for k, n in enumerate(n_list):
-        grids, caps, bcs = zip(*(height[k] for height in profile_balls))
-        gam = g.gamma(grids[0].radii)  # every height's ball k is the same grid
-        w0 = [np.minimum(cap, gam) for cap in caps]
-        tags = [f"capped a={a:g} n={n:g}" for a in a_list]
-        balls.append(evolve(spec, grids, w0, bcs, times, dt_max, tags).fields)
-    # balls[k][i] is height i on ball k; a height's sequence is column i
-    return tuple(
-        _ordered_sequence(fields, False, tol, "capped", diagnostics)
-        for fields, diagnostics in zip(zip(*balls), notes)
-    )
+    plan = _plan_A8(spec, g, a_list, n_list, h, dt_max, tol, domination)
+    return _step_plans(spec, [plan], times, dt_max)[0]
 
 
 def _plan_A8_1(

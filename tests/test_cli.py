@@ -247,24 +247,33 @@ def test_run_all_scenarios_only_takes_known_names(tmp_path):
 
 
 def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch):
-    # theorem-b steps one capped family per ball, holding every center
-    # height's run on that ball, and gets back one sequence per height: three
-    # sequences, nine runs on one step sequence.  Its solver_work note is
-    # _solver_work over all nine: it sums their counts, but takes the largest
-    # worst residual and longest step and the shortest step
-    seqs = []
+    # theorem-b steps one capped family, holding every center height's run
+    # on every ball, and gets back one sequence per height: three sequences,
+    # nine runs on one step sequence.  Its solver_work note is _solver_work
+    # over all nine: it sums their counts, but takes the largest worst
+    # residual and longest step and the shortest step
+    seqs, families = [], []
 
     def recording(*args, **kwargs):
         result = evolution.run_scheme_A8(*args, **kwargs)
         seqs.extend(result)
         return result
 
+    real_evolve = evolution.evolve
+
+    def counted(*args, **kwargs):
+        families.append(real_evolve(*args, **kwargs))
+        return families[-1]
+
     monkeypatch.setattr(scenarios, "run_scheme_A8", recording)
+    monkeypatch.setattr(evolution, "evolve", counted)
     out = tmp_path / "run"
     assert main(["theorem-b", "--out", str(out)]) == EXIT_NUMERICAL  # acceptance 7
     note = _manifest(out)["notes"]["solver_work"]
     runs = [f for seq in seqs for f in seq.fields]
     assert len(seqs) == 3 and len(runs) == 9
+    assert len(families) == 1 and len(families[0].fields) == 9  # one call, height-major
+    assert all(one is many for one, many in zip(families[0].fields, runs))
     assert note == evolution._solver_work(runs)
     assert note["steps"] == 524 and note["runs"] == 9
     assert all(f.steps == 524 for f in runs)

@@ -1110,9 +1110,10 @@ def _counted_evolve(monkeypatch, fail=False, results=None):
     return calls
 
 
-def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
-    # both heights stay far below the u/w switch, so each run takes the u
-    # path on every step, batched or alone
+def test_capped_runs_step_as_one_family(monkeypatch):
+    # every height's run on every ball is one evolve family.  Both heights
+    # stay far below the u/w switch, so each run takes the u path on every
+    # step, batched or alone, and is bitwise its solo run
     a_list, n_list, times, h = [4.0, 2.0], [2.0, 3.0], [0.0, 0.01, 0.02], 0.05
     solo = []
     for a in a_list:
@@ -1124,7 +1125,7 @@ def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
         solo.append(runs)
     calls = _counted_evolve(monkeypatch)
     seqs = run_scheme_A8(LOG15, QUARTIC, a_list, n_list, times, h=h)
-    assert len(calls) == 2  # one per ball, not one per run
+    assert len(calls) == 1  # not one per ball or per run
     assert len(seqs) == len(a_list)
     for runs, seq in zip(solo, seqs):
         assert [f.scheme_tag for f in seq.fields] == [f.scheme_tag for f in runs]
@@ -1135,6 +1136,39 @@ def test_capped_heights_step_as_one_family_per_ball(monkeypatch):
                         "newton_iterations_max", "worst_residual"):
                 assert getattr(one, key) == getattr(many, key), key
         assert evolution._solver_work(seq.fields) == evolution._solver_work(runs)
+
+
+def test_capped_runs_straddling_the_u_switch_agree_with_per_ball_families(monkeypatch):
+    # the joint cap sets the u/w path.  Ball 15's edge values (397 and 472
+    # for heights 2 and 4) lie below _U_SWITCH and ball 18's (739 and 857)
+    # above it, so ball 15 stepped as its own family takes the u path on
+    # every step and in the joint family the w path.  Its runs then agree
+    # with the per-ball family to the solve tolerance only (measured gap
+    # 4.6e-13 in w), while ball 18's take their own path and stay bitwise.
+    # At this coarse h the discrete runs flood from the boundary past the
+    # profile and break the ordering in n by about 300 in w, so the check's
+    # guard is switched off: this test is about the path, not the limit
+    a_list, n_list, times, h, dt_max = [4.0, 2.0], [15.0, 18.0], [0.0, 0.001], 0.25, 1e-3
+    heights = [evolution._profile_balls(LOG15, a, n_list, h)[1] for a in a_list]
+    per_ball = []
+    for k, n in enumerate(n_list):
+        grids, caps, bcs = zip(*(balls[k] for balls in heights))
+        w0 = [np.minimum(cap, QUARTIC.gamma(grid.radii)) for grid, cap in zip(grids, caps)]
+        assert (max(cap[-1] for cap in caps) < evolution._U_SWITCH) == (k == 0)
+        tags = [f"capped a={a:g} n={n:g}" for a in a_list]
+        per_ball.append(evolve(LOG15, grids, w0, bcs, times, dt_max, tags).fields)
+    calls = _counted_evolve(monkeypatch)
+    seqs = run_scheme_A8(LOG15, QUARTIC, a_list, n_list, times, h=h, dt_max=dt_max, tol=math.inf)
+    assert len(calls) == 1
+    tol = discretization_tolerance(h, dt_max)
+    for i, seq in enumerate(seqs):
+        small, large = seq.fields
+        alone_small, alone_large = per_ball[0][i], per_ball[1][i]
+        assert alone_small.u_steps == alone_small.steps == small.steps
+        assert small.u_steps < small.steps
+        assert 0.0 < np.max(np.abs(small.values - alone_small.values)) <= tol
+        assert np.array_equal(large.values, alone_large.values)
+        assert large.u_steps == alone_large.u_steps == 0
 
 
 def test_non_uniqueness_steps_its_drivers_as_one_family(monkeypatch, tmp_path):
