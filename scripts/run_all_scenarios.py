@@ -3,8 +3,8 @@
 Prints one line per scenario with the exit code and the check summary from
 the emitted manifest.  The evolution scenarios get a second line with the
 manifest's `solver_work` note (steps, the steps taken in u, runs,
-warm-start sweeps, Newton solves, damping halvings, negative clips, the
-worst accepted scaled residual, and the shortest and longest step), so
+warm-start sweeps, Newton solves, negative clips, the worst accepted
+scaled residual, and the shortest and longest step), so
 that a slow run can be explained from this one command.  At default
 settings two scenarios report failing checks and exit 3 (see README):
 `theorem-b` (the capped-data family is not decreasing in the ball radius

@@ -20,7 +20,7 @@ Discretization notes:
 * above the switch the per-step nonlinear system is solved in w with
   residual rows scaled by ``exp(-max(w_j, w_prev_j))``, a warm start that iterates the log-space
   Jacobi form of the step equation (this floods height plateaus one cell a
-  sweep and lands within O(1) of the solution), then damped Newton.  The
+  sweep and lands within O(1) of the solution), then Newton.  The
   warm start begins from the polynomial through the last four accepted
   steps ``(t_i, w_i)``, evaluated at the new t: the cubic predictor of
   BDF/DASSL codes (Brenan, Campbell & Petzold, *Numerical Solution of IVPs
@@ -38,10 +38,13 @@ Discretization notes:
   sweep evaluates the Jacobi fixed point as one log-sum-exp of its four
   log terms shifted by their maximum (Blanchard, Higham & Higham, IMA J.
   Numer. Anal. 41, 2021): a handful of vector exponentials per sweep.
-  Newton stops at ``_NEWTON_TOL``, or, when the damped search cannot lower
-  the residual any more, once its correction is within four ulps of
-  ``max(1, |w|)``: at large w and dt that roundoff floor of the scaled
-  residual lies above ``_NEWTON_TOL``.
+  Newton takes the u path's iterates (below), written in w: the scaled
+  rows and the correction ``z = du/(1+u)`` leave each Newton step as it is
+  in u, and the iterate moves to ``w + log1p(z)`` (see ``_w_correction``),
+  so one convergence argument covers both paths and neither needs a line
+  search.  It stops at ``_NEWTON_TOL``, or once its correction is within
+  four ulps of ``max(1, |w|)``: at large w and dt that roundoff floor of
+  the scaled residual lies above ``_NEWTON_TOL``.
 * u path: a step whose family cap ``max(max w_m, w_bc)`` lies below
   ``_U_SWITCH`` sweeps, checks its residual and runs Newton in
   ``u = e^w - 1``, and never forms the w-form residual.  The Jacobi form
@@ -51,11 +54,13 @@ Discretization notes:
   rows sum to c.  Each iterate's ``w = log1p(u)`` is taken once; it feeds
   h, the unchanged ``|dw| < 1e-3`` stop rule and the accepted w.  The sweep
   caps, the clipped start and the boundary rows are the w path's.  Runs
-  that miss ``_NEWTON_TOL`` go on with undamped Newton in u, each iterate
-  clipped to ``[0, u_cap]``: every law here makes ``u h(u)`` convex, so
-  from the first iterate on the iterates decrease to the step's solution
-  and no line search is needed (see ``_u_newton``).  It stops at
-  ``_NEWTON_TOL``, or once its correction is within four ulps of ``1 + u``.
+  that miss ``_NEWTON_TOL`` go on with Newton in u, each iterate clipped to
+  ``[0, u_cap]``: every law here makes ``u h(u)`` convex, so from the first
+  iterate on the iterates decrease to the step's solution and no line
+  search is needed (see ``_u_correction``).  It stops at ``_NEWTON_TOL``,
+  or once its correction is within four ulps of ``1 + u``.  Both paths run
+  one Newton loop, ``_newton``, which checks the residual after every
+  solve and raises after ``_NEWTON_MAX`` solves.
   A guard keeps the step in w when ``u_cap (1 + dt (max c + h(u_cap)))`` is
   not finite, as a power law can make it below the switch.  The start's
   history stays in w, and a step takes the ``expm1`` of w_m and of its
@@ -92,8 +97,8 @@ residual, one LAPACK ``dgtsv`` solve of the block tridiagonal Newton
 system (identity rows at the boundary nodes) per iteration for all runs
 together.  This pays numpy's and LAPACK's per-call overhead once per
 family instead of once per run.  Rows couple only within their own run, so
-elimination never crosses a block.  Each run keeps its own sweep count,
-Newton convergence and damping, so it does exactly the arithmetic of a
+elimination never crosses a block.  Each run keeps its own sweep count and
+Newton convergence, so it does exactly the arithmetic of a
 solo run: its values are bitwise those of the same run stepped alone, as
 long as the family and the run take the same path at every step (the
 switch goes by the family's cap, so a low run stepped with a high one
@@ -253,7 +258,6 @@ class EvolutionField:
     steps: int = 0                  # backward-Euler steps taken
     warm_start_sweeps: int = 0      # summed over the steps
     newton_solves: int = 0          # Newton systems solved, summed over the steps
-    damping_halvings: int = 0       # damped Newton trial steps after the first
     worst_residual: float = 0.0     # largest accepted scaled-residual max-norm
     min_dt: float = 0.0             # shortest and longest step of the sequence
     max_dt: float = 0.0
@@ -318,13 +322,11 @@ def _operator_rows(grid: RadialGrid):
 
 # the step controls: the first step and the ratio of each ramp step to the
 # one before, up to the caller's dt_max; the scaled residual a step must
-# reach; the Newton iterations a step may take before it raises, and the
-# halvings of one damped search
+# reach; and the Newton solves a step may take before it raises
 _DT_INIT = 1e-6
 _RAMP = 1.3
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX = 50
-_DAMP_MAX = 30
 
 
 def _internal_times(times: np.ndarray, dt_max: float):
@@ -366,11 +368,6 @@ class _ResidualArrays:
         self.up_row = np.empty(n)
         self.G = np.empty(n)
 
-    def take(self, other, where):
-        """Copy ``other``'s iterate and residual where ``where`` holds."""
-        for name in ("x", "e", "self_row", "lo_row", "up_row", "G"):
-            np.copyto(getattr(self, name), getattr(other, name), where=where)
-
 
 class _Stepper:
     """The steps of one :func:`evolve` call (see the module notes).  Run i
@@ -408,12 +405,11 @@ class _Stepper:
         self.upper = np.empty(n - 1)
         self.rhs = np.empty(n)
         # per run, over the steps so far: the most Newton iterations of a step,
-        # the summed sweeps, Newton solves, damping halvings and negative
-        # clips, and the largest accepted scaled-residual max-norm
+        # the summed sweeps, Newton solves and negative clips, and the
+        # largest accepted scaled-residual max-norm
         self.iters_max = np.zeros(runs, dtype=int)
         self.sweeps = np.zeros(runs, dtype=int)
         self.solves = np.zeros(runs, dtype=int)
-        self.halvings = np.zeros(runs, dtype=int)
         self.clips = np.zeros(runs, dtype=int)
         self.worst_residual = np.zeros(runs)
         # the u path: the step's u_m and two iterates, and the residual R
@@ -594,9 +590,39 @@ def _newton_solve(stepper, lower, diag, upper, rhs, norm, active, step_index):
     return delta
 
 
-def _u_newton(stepper, x, u, um, norm, cap, w_bc, dt, step_index):
-    """Newton in u for the runs whose warm start missed ``_NEWTON_TOL``; moves
-    their ``u``, ``x`` and ``norm`` in place, and leaves the others alone.
+def _newton(stepper, norm, step_index, correct, *state):
+    """Newton for the runs whose ``norm`` misses ``_NEWTON_TOL``, each run on
+    its own, on either path; moves their iterate and ``norm`` in place.
+
+    ``correct(stepper, active, norm, step_index, *state)`` solves one Newton
+    system for the ``active`` runs, moves the iterate of those whose
+    correction lies above roundoff, refreshes their norm, and returns the
+    runs whose correction lay at roundoff: they have converged as far as the
+    iterate can resolve.  A run stops there, or at ``_NEWTON_TOL``, checked
+    after every solve, the last one included; a run that has reached neither
+    after ``_NEWTON_MAX`` solves raises."""
+    iters_max = stepper.iters_max
+    active = ~(norm < _NEWTON_TOL)
+    for it in range(1, _NEWTON_MAX + 1):
+        if not active.any():
+            return
+        resolved = active & correct(stepper, active, norm, step_index, *state)
+        np.maximum(iters_max, it, out=iters_max, where=resolved)
+        active &= ~resolved
+        done = active & (norm < _NEWTON_TOL)
+        np.maximum(iters_max, it + 1, out=iters_max, where=done)
+        active &= ~done
+    if active.any():
+        raise _newton_error(
+            stepper, int(np.argmax(active)),
+            f"Newton did not reach {_NEWTON_TOL:g} within {_NEWTON_MAX} iterations",
+            step_index, norm,
+        )
+
+
+def _u_correction(stepper, active, norm, step_index, x, u, um, cap, w_bc, dt):
+    """One Newton iterate in u of the u path (see ``_newton``); moves ``u``
+    and ``x`` in place.
 
     The Jacobian of R(u) is tridiagonal, with the operator's off-diagonals
     and the diagonal 1 + dt c + dt (h + u h'(u)), where u h'(u) = dh_dw(w)
@@ -607,54 +633,38 @@ def _u_newton(stepper, x, u, um, norm, cap, w_bc, dt, step_index):
     after the first is a supersolution, and the iterates decrease to the
     step's solution from any start.  Clipping each iterate to [0, u_cap]
     keeps that, since the flat cap is a supersolution and so is the minimum
-    of two, so the loop needs no line search.  Its exits are the tolerance,
-    a correction within four ulps of 1 + u (the run has converged as far
-    as u can resolve), and ``_NEWTON_MAX`` iterations, which raises."""
+    of two, so Newton needs no line search.  A correction within four ulps
+    of 1 + u is at roundoff."""
     starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
     dta, dtb = stepper.products[:2]
-    tmp, den, R = stepper.tmp, stepper.den, stepper.R
-    iters_max = stepper.iters_max
-    active = ~(norm < _NEWTON_TOL)
-    if not active.any():
-        return
-    u_cap = np.expm1(cap)[owner]
-    for it in range(1, _NEWTON_MAX + 1):
-        done = active & (norm < _NEWTON_TOL)
-        np.maximum(iters_max, it, out=iters_max, where=done)
-        active &= ~done
-        if not active.any():
-            return
-        diag = np.multiply(dh_dw(stepper.spec, x), dt, out=stepper.diag)
-        diag *= np.divide(u, np.add(u, 1.0, out=tmp), out=tmp)
-        diag += den
-        delta = _newton_solve(
-            stepper, np.negative(dta[1:], out=stepper.lower), diag,
-            np.negative(dtb[:-1], out=stepper.upper), np.negative(R, out=stepper.rhs),
-            norm, active, step_index,
-        )
-        resolved = active & np.logical_and.reduceat(
-            np.abs(delta) <= np.multiply(np.add(u, 1.0, out=tmp), _ROUNDOFF, out=tmp), starts
-        )
-        np.maximum(iters_max, it, out=iters_max, where=resolved)
-        active &= ~resolved
-        if not active.any():
-            return
-        nodes = active[owner]
+    tmp = stepper.tmp
+    diag = np.multiply(dh_dw(stepper.spec, x), dt, out=stepper.diag)
+    diag *= np.divide(u, np.add(u, 1.0, out=tmp), out=tmp)
+    diag += stepper.den
+    delta = _newton_solve(
+        stepper, np.negative(dta[1:], out=stepper.lower), diag,
+        np.negative(dtb[:-1], out=stepper.upper), np.negative(stepper.R, out=stepper.rhs),
+        norm, active, step_index,
+    )
+    resolved = np.logical_and.reduceat(
+        np.abs(delta) <= np.multiply(np.add(u, 1.0, out=tmp), _ROUNDOFF, out=tmp), starts
+    )
+    moving = active & ~resolved
+    if moving.any():
+        nodes = moving[owner]
         np.add(u, delta, out=u, where=nodes)
-        np.minimum(np.maximum(u, 0.0, out=u, where=nodes), u_cap, out=u, where=nodes)
+        np.minimum(np.maximum(u, 0.0, out=u, where=nodes), np.expm1(cap)[owner], out=u,
+                   where=nodes)
         np.log1p(u, out=x, where=nodes)
         x[ends] = w_bc
-        np.copyto(norm, _u_residual(stepper, u, um, x, dt), where=active)
-    raise _newton_error(
-        stepper, int(np.argmax(active)),
-        f"Newton did not reach {_NEWTON_TOL:g} within {_NEWTON_MAX} iterations",
-        step_index, norm,
-    )
+        np.copyto(norm, _u_residual(stepper, u, um, x, dt), where=moving)
+    return resolved
 
 
 def _w_warm_start(stepper, wm, w_bc, dt):
-    """The warm start in w from the start in ``stepper.iterates[0].x``;
-    returns the iterates ``(cur, trial)`` with the last sweep's w in ``cur.x``."""
+    """The warm start and residual check in w from the start in
+    ``stepper.iterates[0].x``; returns the iterate holding the last sweep's
+    w, with its residual filled in, and each run's scaled-residual norm."""
     spec, starts, ends, owner = stepper.spec, stepper.starts, stepper.ends, stepper.owner
     log_dta, log_dtb = stepper.constants(dt)[3:]
     c_row = stepper.rows[2]
@@ -704,80 +714,52 @@ def _w_warm_start(stepper, wm, w_bc, dt):
             if not sweeping.any():
                 break
     if x is trial.x:
-        cur, trial = trial, cur
-    return cur, trial
-
-
-def _w_newton(stepper, cur, trial, wm, dt, step_index):
-    """Damped Newton in w from the warm start's iterate ``cur``, each run on
-    its own; returns the accepted iterate's w and each run's residual norm."""
-    spec, starts, owner = stepper.spec, stepper.starts, stepper.owner
-    tmp = stepper.tmp
+        cur = trial
     stepper.source[3] = wm
-    norm = np.maximum.reduceat(np.abs(_scaled_residual(stepper, cur, dt), out=tmp), starts)
-    iters_max = stepper.iters_max
-    active = ~(norm < _NEWTON_TOL)
-    for it in range(1, _NEWTON_MAX + 1):
-        done = active & (norm < _NEWTON_TOL)
-        np.maximum(iters_max, it, out=iters_max, where=done)
-        active &= ~done
-        if not active.any():
-            return cur.x, norm
-        x, G, e = cur.x, cur.G, cur.e
-        hp = dh_dw(spec, x)
-        diag = np.multiply(hp, dt, out=stepper.diag)
-        diag *= np.subtract(e[0], e[4], out=tmp)
-        diag += cur.self_row
-        diag -= np.multiply(G, x > wm, out=tmp)  # d/dw of the row scaling
-        # d G_j / d w_{j-1} and d G_j / d w_{j+1} are -lo_row and -up_row
-        delta = _newton_solve(
-            stepper, np.negative(cur.lo_row[1:], out=stepper.lower), diag,
-            np.negative(cur.up_row[:-1], out=stepper.upper), np.negative(G, out=stepper.rhs),
-            norm, active, step_index,
-        )
-        # runs still searching share one step length: all start at 1 together
-        step = 1.0
-        pending = active.copy()
-        for tries in range(_DAMP_MAX + 1):
-            if tries:
-                stepper.halvings += pending
-            x_try = np.multiply(delta, step, out=trial.x)
-            x_try += x
-            if not pending.all():
-                np.copyto(x_try, x, where=~pending[owner])
-            n_try = np.maximum.reduceat(
-                np.abs(_scaled_residual(stepper, trial, dt), out=tmp), starts
-            )
-            accept = pending & ((n_try < norm) | (n_try < _NEWTON_TOL))
-            if np.array_equal(accept, pending):
-                # runs outside `pending` kept their x, so their rows are unchanged
-                cur, trial = trial, cur
-                x = cur.x
-            else:
-                cur.take(trial, accept[owner])
-            norm = np.where(accept, n_try, norm)
-            pending &= ~accept
-            if not pending.any():
-                break
-            step *= 0.5
-        if pending.any():
-            # a correction within a few ulps of w cannot lower the residual
-            # any further: the run has converged as far as w can resolve
-            stalled = pending & ~np.logical_and.reduceat(
-                np.abs(delta) <= _ROUNDOFF * np.maximum(1.0, np.abs(x)), starts
-            )
-            if stalled.any():
-                raise _newton_error(stepper, int(np.argmax(stalled)), "damped Newton stalled",
-                                    step_index, norm)
-            np.maximum(iters_max, it, out=iters_max, where=pending)
-            active &= ~pending
-    if active.any():
-        raise _newton_error(
-            stepper, int(np.argmax(active)),
-            f"Newton did not reach {_NEWTON_TOL:g} within {_NEWTON_MAX} iterations",
-            step_index, norm,
-        )
-    return cur.x, norm
+    return cur, np.maximum.reduceat(np.abs(_scaled_residual(stepper, cur, dt), out=tmp), starts)
+
+
+def _w_correction(stepper, active, norm, step_index, it, cap, w_bc, dt):
+    """One Newton iterate of the w path (see ``_newton``): the u path's
+    Newton step, written in the w path's scaled variables; moves ``it.x`` in
+    place and refills ``it``.
+
+    Row j of G is row j of R(u) divided by e^{M_j}.  Dividing the rows of
+    Newton's system J du = -R by e^{M} and setting du = (1+u) z leave its
+    solution unchanged: the matrix below has the diagonal
+    ``self_row + dt dh_dw(w) u e^{-M}`` and the off-diagonals ``-lo_row`` and
+    ``-up_row``, and the right side is -G.  The new iterate is
+    1 + u + du = (1+u)(1+z), that is w + log1p(z), clipped to [0, cap] as
+    the u path clips u.  So every iterate is the u path's up to rounding, and
+    the convergence argument of ``_u_correction`` covers both paths.  A
+    correction is at roundoff when ``|log1p z|`` is within four ulps of
+    ``max(1, |w|)``: at large w and dt that floor of the scaled residual
+    lies above ``_NEWTON_TOL``."""
+    starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
+    x, e = it.x, it.e
+    diag = np.multiply(dh_dw(stepper.spec, x), dt, out=stepper.diag)
+    diag *= np.subtract(e[0], e[4], out=stepper.tmp)
+    diag += it.self_row
+    z = _newton_solve(
+        stepper, np.negative(it.lo_row[1:], out=stepper.lower), diag,
+        np.negative(it.up_row[:-1], out=stepper.upper), np.negative(it.G, out=stepper.rhs),
+        norm, active, step_index,
+    )
+    # z <= -1 takes u to -1 or below: log1p gives -inf there, which the clip makes 0
+    with np.errstate(divide="ignore"):
+        dx = np.log1p(np.maximum(z, -1.0, out=z), out=z)
+    resolved = np.logical_and.reduceat(
+        np.abs(dx) <= _ROUNDOFF * np.maximum(1.0, np.abs(x)), starts
+    )
+    moving = active & ~resolved
+    if moving.any():
+        nodes = moving[owner]
+        np.add(x, dx, out=x, where=nodes)
+        np.minimum(np.maximum(x, 0.0, out=x, where=nodes), cap[owner], out=x, where=nodes)
+        x[ends] = w_bc
+        G = _scaled_residual(stepper, it, dt)
+        np.copyto(norm, np.maximum.reduceat(np.abs(G, out=stepper.tmp), starts), where=moving)
+    return resolved
 
 
 def _step(stepper, wm, x0, w_bc, dt, step_index):
@@ -786,8 +768,9 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
     work to the stepper's per-run counters.
 
     The family's cap picks the path (see ``_u_path_fits``): a u-path step
-    sweeps, checks and runs Newton in u, a w-path step sweeps in w and runs
-    damped Newton in w.  Each run keeps its own convergence state, so it
+    sweeps, checks and runs Newton in u, a w-path step does so in w, with
+    the same Newton iterates written in scaled variables (see
+    ``_w_correction``).  Each run keeps its own convergence state, so it
     does exactly the arithmetic it would do if stepped alone on the same
     path; runs that have finished a phase keep their values while the
     others go on.
@@ -804,9 +787,11 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
     if _u_path_fits(stepper, float(cap.max()), dt):
         stepper.u_steps += 1
         x, u, um, norm = _u_warm_start(stepper, wm, w_bc, dt)
-        _u_newton(stepper, x, u, um, norm, cap, w_bc, dt, step_index)
+        _newton(stepper, norm, step_index, _u_correction, x, u, um, cap, w_bc, dt)
     else:
-        x, norm = _w_newton(stepper, *_w_warm_start(stepper, wm, w_bc, dt), wm, dt, step_index)
+        it, norm = _w_warm_start(stepper, wm, w_bc, dt)
+        x = it.x
+        _newton(stepper, norm, step_index, _w_correction, it, cap, w_bc, dt)
     stepper.clips += np.add.reduceat(x < -1e-10, starts, dtype=int)
     np.maximum(stepper.worst_residual, norm, out=stepper.worst_residual)
     return np.maximum(x, 0.0)
@@ -933,7 +918,6 @@ def evolve(
             newton_iterations_max=int(stepper.iters_max[i]),
             negative_clips=int(stepper.clips[i]), steps=len(step_times),
             warm_start_sweeps=int(stepper.sweeps[i]), newton_solves=int(stepper.solves[i]),
-            damping_halvings=int(stepper.halvings[i]),
             worst_residual=float(stepper.worst_residual[i]), min_dt=min_dt, max_dt=max_dt,
             u_steps=stepper.u_steps,
         ))
@@ -974,12 +958,11 @@ def _profile_balls(spec: Nonlinearity, a: float, n_list: Sequence[float], h: flo
 def _solver_work(fields: Sequence[EvolutionField]) -> dict:
     """Solver work of runs on one step schedule: the step count and the
     steps taken in u, the step-size range, the worst accepted residual, and
-    the sweeps, Newton solves, halvings and clips summed over the runs."""
+    the sweeps, Newton solves and clips summed over the runs."""
     return {
         "steps": max(f.steps for f in fields), "runs": len(fields),
         "warm_start_sweeps": sum(f.warm_start_sweeps for f in fields),
         "newton_solves": sum(f.newton_solves for f in fields),
-        "damping_halvings": sum(f.damping_halvings for f in fields),
         "negative_clips": sum(f.negative_clips for f in fields),
         "worst_residual": max(f.worst_residual for f in fields),
         "min_dt": min(f.min_dt for f in fields), "max_dt": max(f.max_dt for f in fields),

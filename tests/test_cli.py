@@ -277,7 +277,7 @@ def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch
     assert note == evolution._solver_work(runs)
     assert note["steps"] == 524 and note["runs"] == 9
     assert all(f.steps == 524 for f in runs)
-    for key in ("warm_start_sweeps", "newton_solves", "damping_halvings", "negative_clips"):
+    for key in ("warm_start_sweeps", "newton_solves", "negative_clips"):
         assert note[key] == sum(getattr(f, key) for f in runs)
     residuals = [f.worst_residual for f in runs]
     assert len(set(residuals)) > 1 and note["worst_residual"] == max(residuals)
@@ -285,8 +285,8 @@ def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch
     assert note["min_dt"] == 1e-6 and note["max_dt"] == pytest.approx(1e-3)
     assert all((f.min_dt, f.max_dt) == (note["min_dt"], note["max_dt"]) for f in runs)
     # runs on different step ranges
-    counts = ("steps", "warm_start_sweeps", "newton_solves", "damping_halvings",
-              "negative_clips", "worst_residual", "u_steps")
+    counts = ("steps", "warm_start_sweeps", "newton_solves", "negative_clips",
+              "worst_residual", "u_steps")
     fake = [SimpleNamespace(**{k: getattr(runs[0], k) for k in counts}, min_dt=lo, max_dt=hi)
             for lo, hi in ((1e-6, 2e-3), (3e-7, 1e-3))]
     work = evolution._solver_work(fake)

@@ -47,8 +47,8 @@ QUARTIC = GrowthFunction(gamma=lambda r: 2.0 * r**4.0, beta=4.0, K=2.0)
 @pytest.fixture
 def controls(monkeypatch):
     """Sets the stepper's private controls for one test by their names in
-    lower case: ``controls(dt_init=1.0, damp_max=0)`` sets ``_DT_INIT`` and
-    ``_DAMP_MAX``."""
+    lower case: ``controls(dt_init=1.0, newton_max=3)`` sets ``_DT_INIT`` and
+    ``_NEWTON_MAX``."""
     def set_controls(**values):
         for name, value in values.items():
             monkeypatch.setattr(evolution, f"_{name.upper()}", value)
@@ -418,69 +418,97 @@ def test_family_needs_one_entry_per_run():
         evolve(LOG15, [], [], [], [0.0, 0.01], scheme_tag=[])
 
 
-@pytest.mark.parametrize("u_steps, damped", [(0, 1), (1, 0)], ids=["w_path", "u_path"])
-def test_batched_large_step_keeps_caps_and_damping_per_run(monkeypatch, controls, u_steps, damped):
-    # one step of dt = 1, on the w path (the switch at -inf) or on the u
-    # path: the warm start contracts so slowly that every run stops at its
-    # own cap of 2J + 100 sweeps, and every run needs Newton.  An h_of_w
-    # count is sweeps + Newton iterations + halvings.  In w the cliff run
-    # halves one Newton step and takes the most iterations; Newton in u
-    # takes full steps, so no run halves one there.
-    if not u_steps:
-        monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
-    controls(dt_init=1.0)
-    times = [0.0, 1.0]
-    runs = [
-        make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "damped"),
-        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.0), "short"),
+def _cliff_trio():
+    return [
+        make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "cliff"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.0), "smooth"),
         make_run(3.0, 0.05, smooth, BoundaryTrace.constant(0.7), "long"),
     ]
-    solo, evals = zip(*(_h_evals(monkeypatch, run, times, 1.0) for run in runs))
-    assert all(f.u_steps == u_steps and f.newton_solves > 0 for f in solo)
-    caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
-    halvings = [n - cap - f.newton_iterations_max
-                for n, cap, f in zip(evals, caps, solo)]
-    assert [f.warm_start_sweeps for f in solo] == caps == [160, 180, 220]
-    assert halvings == [damped, 0, 0]
-    assert [f.damping_halvings for f in solo] == halvings
+
+
+def _large_step_solo(monkeypatch, runs, u_path):
+    """Each run stepped alone by one step of dt = 1 on the u path, or on the
+    w path (the switch at -inf), with its h_of_w count."""
+    with monkeypatch.context() as patch:
+        if not u_path:
+            patch.setattr(evolution, "_U_SWITCH", -math.inf)
+        return zip(*(_h_evals(patch, run, [0.0, 1.0], 1.0) for run in runs))
+
+
+@pytest.mark.parametrize("u_steps", [0, 1], ids=["w_path", "u_path"])
+def test_batched_large_step_keeps_caps_per_run(monkeypatch, controls, u_steps):
+    # one step of dt = 1: the warm start contracts so slowly that every run
+    # stops at its own cap of 2J + 100 sweeps, and every run needs Newton.
+    # An h_of_w count is sweeps + Newton iterations.  The w path takes the u
+    # path's Newton iterates, so every counter agrees between the paths.  The
+    # family is stepped on the u path, or on the w path (the switch at -inf)
+    controls(dt_init=1.0)
+    runs = _cliff_trio()
+    counters = []
+    for u_path in (False, True):
+        solo, evals = _large_step_solo(monkeypatch, runs, u_path)
+        assert all(f.u_steps == u_path and f.newton_solves > 0 for f in solo)
+        caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
+        assert [f.warm_start_sweeps for f in solo] == caps == [160, 180, 220]
+        assert [n - cap for n, cap in zip(evals, caps)] == [f.newton_iterations_max for f in solo]
+        counters.append([(f.newton_solves, f.newton_iterations_max) for f in solo])
+        if u_path == u_steps:
+            path_solo = solo
+    assert counters[0] == counters[1]
     # stepped last in the family, the cliff run still gets its own counts,
     # and the family's iteration count is the largest of its runs'
-    family = _family(runs[::-1], times, 1.0)
-    for one, many in zip(solo[::-1], family.fields):
+    if not u_steps:
+        monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
+    family = _family(runs[::-1], [0.0, 1.0], 1.0)
+    for one, many in zip(path_solo[::-1], family.fields):
         assert np.array_equal(one.values, many.values)
         assert one.newton_iterations_max == many.newton_iterations_max
-        assert one.damping_halvings == many.damping_halvings
-    assert sum(f.damping_halvings for f in family.fields) == damped
-    assert family.newton_iterations_max == max(f.newton_iterations_max for f in solo)
-    if damped:
-        assert solo[0].newton_iterations_max > max(f.newton_iterations_max for f in solo[1:])
+        assert one.newton_solves == many.newton_solves
+    assert family.newton_iterations_max == max(f.newton_iterations_max for f in path_solo)
 
 
-def test_batched_stall_names_the_failing_run(controls):
-    # one undamped step of dt = 1 in w (the switch at -inf; the u path has no
-    # line search): the cliff run's full Newton step overshoots by a
-    # correction of order one, far above roundoff, so it stalls while the
-    # smooth run converges without damping
-    controls(dt_init=1.0, damp_max=0, u_switch=-math.inf)
-    runs = [
-        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.0), "smooth"),
-        make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "cliff"),
-    ]
-    with pytest.raises(NewtonDivergenceError, match="'cliff'") as batched:
-        _family(runs, [0.0, 1.0], 1.0)
-    assert "stalled" in str(batched.value)
+@pytest.mark.parametrize("u_switch", [-math.inf, evolution._U_SWITCH], ids=["w_path", "u_path"])
+def test_newton_limit_counts_its_last_solve(controls, u_switch):
+    # with _NEWTON_MAX equal to the most solves a step needs, the residual
+    # after the last allowed solve is checked before Newton gives up: the
+    # step completes with the values under the default limit
+    controls(dt_init=1.0, u_switch=u_switch)
+    default = _family(_cliff_trio(), [0.0, 1.0], 1.0)
+    solves = max(f.newton_solves for f in default.fields)
+    assert solves > 1
+    controls(newton_max=solves)
+    limited = _family(_cliff_trio(), [0.0, 1.0], 1.0)
+    for one, ref in zip(limited.fields, default.fields):
+        assert one.values.tobytes() == ref.values.tobytes()
+        assert (one.newton_solves, one.newton_iterations_max) == (
+            ref.newton_solves, ref.newton_iterations_max)
+
+
+def test_batched_newton_limit_names_the_failing_run(controls):
+    # one step of dt = 1 in w (the switch at -inf), with Newton allowed the
+    # cliff run's 3 solves but not the smooth run's 4: the family raises on
+    # the smooth run, the second, exactly as it raises stepped alone, and the
+    # cliff run alone completes
+    controls(dt_init=1.0, u_switch=-math.inf, newton_max=3)
+    cliff, smooth_run = _cliff_trio()[:2]
+    with pytest.raises(NewtonDivergenceError, match="'smooth'") as batched:
+        _family([cliff, smooth_run], [0.0, 1.0], 1.0)
+    assert "within 3 iterations" in str(batched.value)
     with pytest.raises(NewtonDivergenceError) as solo:
-        evolve(LOG15, *runs[1][:3], [0.0, 1.0], 1.0, scheme_tag=runs[1][3])
+        evolve(LOG15, *smooth_run[:3], [0.0, 1.0], 1.0, scheme_tag=smooth_run[3])
     assert str(solo.value) == str(batched.value)
     assert batched.value.step_index == solo.value.step_index == 0
-    assert batched.value.residual == solo.value.residual > 1.0
+    assert batched.value.residual == solo.value.residual > evolution._NEWTON_TOL
+    alone = evolve(LOG15, *cliff[:3], [0.0, 1.0], 1.0, scheme_tag=cliff[3])
+    assert alone.newton_solves == 3 and alone.worst_residual < evolution._NEWTON_TOL
 
 
 @pytest.mark.parametrize("dt", [0.1, 1.0])
 def test_newton_stall_at_roundoff_is_accepted(controls, dt):
-    # one large step on data reaching w = 800: the damped search cannot push
-    # the scaled residual below 1.8e-10 (dt = 0.1) or 2.2e-9 (dt = 1), above
-    # _NEWTON_TOL, because the last Newton correction is a third of an ulp of w
+    # one large step on data reaching w = 800: Newton cannot push the scaled
+    # residual below 1.8e-10 (dt = 0.1) or 5.8e-9 (dt = 1), above
+    # _NEWTON_TOL, because its last correction is within four ulps of w; the
+    # step is accepted there
     controls(dt_init=dt)
     grid = uniform_grid(3.0, 0.1, 1)
     fld = evolve(LOG15, grid, cut(2.0, lambda r: 50.0 * r**4)(grid.radii),
@@ -498,7 +526,7 @@ def test_zero_tolerance_settles_at_roundoff(controls):
         make_run(1.0, 0.05, np.zeros_like, BoundaryTrace.constant(0.0), "flat zero"),
     ]
     default = _family(runs, [0.0, 0.01])
-    controls(newton_tol=0.0, damp_max=2)
+    controls(newton_tol=0.0)
     exact = _family(runs, [0.0, 0.01])
     for one, ref in zip(exact.fields, default.fields):
         assert np.max(np.abs(one.values - ref.values)) < 1e-9
@@ -595,7 +623,7 @@ def test_reused_stepper_gives_the_same_step_bitwise():
     w = np.concatenate(w0)
     w[reused.ends] = w_bc
     step_times, _ = _internal_times(np.array([0.0, 0.0123, 0.02]), 1e-3)
-    summed, maxima = ("sweeps", "solves", "halvings", "clips"), ("iters_max", "worst_residual")
+    summed, maxima = ("sweeps", "solves", "clips"), ("iters_max", "worst_residual")
     prev_t, accepted, resweeps, solves = 0.0, [], 0, 0
     for k, t in enumerate(step_times[:40]):
         before = {name: getattr(reused, name).copy() for name in summed + maxima}
@@ -641,8 +669,7 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch, contr
     # arrays, and accumulates the start's Lagrange terms in place; both must
     # be bitwise the plain expressions, at every residual and start of a
     # family with w up to 2592 (exponentials that underflow) over default
-    # steps, and of the damped dt = 1 family in w (the switch at -inf; partly
-    # accepted line searches)
+    # steps, and of a dt = 1 family with a cliff in w (the switch at -inf)
     residual, extrapolate, checked = evolution._scaled_residual, evolution._extrapolate, []
 
     def checked_residual(stepper, it, dt):
@@ -668,13 +695,8 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch, contr
     monkeypatch.setattr(evolution, "_extrapolate", checked_extrapolate)
     cliff = make_run(9.0, 0.05, cut(6.0), BoundaryTrace.constant(0.0), "giant cliff")
     _family([cliff, *_mixed_family()], [0.0, 0.0123, 0.02])
-    damped = [
-        make_run(3.0, 0.1, cut(1.0), BoundaryTrace.constant(0.0), "damped"),
-        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.0), "short"),
-    ]
     controls(dt_init=1.0, u_switch=-math.inf)
-    family = _family(damped, [0.0, 1.0], 1.0)
-    assert sum(f.damping_halvings for f in family.fields) == 1
+    _family(_cliff_trio()[:2], [0.0, 1.0], 1.0)
     assert checked.count("residual") > checked.count("start") > 30
 
 
@@ -848,8 +870,9 @@ def _mixed_fields():
 def test_u_path_agrees_with_w_path(monkeypatch, request, family, u_steps):
     # below the switch a step sweeps, checks its residual and runs Newton in
     # u: the same Jacobi fixed point and the same scaled residual as in w,
-    # rounded otherwise, and undamped Newton in u, which needs no more solves
-    # than damped Newton in w.  The mixed family (w <= 78) is below the
+    # rounded otherwise, and Newton in u, whose iterates the w path takes in
+    # scaled variables, so both take the same Newton solves and iteration
+    # maxima.  The mixed family (w <= 78) is below the
     # switch at every one of its 44 steps, the theorem-c family over
     # [0, 0.1] from step 2,988 on.  Against the w path alone the fields
     # agree within 1e-9 in w, and every run's sweeps are equal.  A sweep
@@ -868,7 +891,8 @@ def test_u_path_agrees_with_w_path(monkeypatch, request, family, u_steps):
     for u_fld, w_fld in zip(fields, w_fields):
         assert np.max(np.abs(u_fld.values - w_fld.values)) < 1e-9
         assert abs(u_fld.warm_start_sweeps - w_fld.warm_start_sweeps) <= 2
-        assert u_fld.newton_solves <= w_fld.newton_solves
+        assert u_fld.newton_solves == w_fld.newton_solves
+        assert u_fld.newton_iterations_max == w_fld.newton_iterations_max
         assert (u_fld.u_steps, w_fld.u_steps) == (u_steps, 0)
         assert u_fld.worst_residual < evolution._NEWTON_TOL
     assert evolution._solver_work(fields)["u_steps"] == u_steps
@@ -1132,8 +1156,8 @@ def test_capped_runs_step_as_one_family(monkeypatch):
         for one, many in zip(runs, seq.fields):
             assert np.array_equal(one.values, many.values)
             assert one.u_steps == many.u_steps == many.steps
-            for key in ("warm_start_sweeps", "newton_solves", "damping_halvings",
-                        "newton_iterations_max", "worst_residual"):
+            for key in ("warm_start_sweeps", "newton_solves", "newton_iterations_max",
+                        "worst_residual"):
                 assert getattr(one, key) == getattr(many, key), key
         assert evolution._solver_work(seq.fields) == evolution._solver_work(runs)
 
