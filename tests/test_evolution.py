@@ -444,27 +444,28 @@ def test_batched_large_step_keeps_caps_per_run(monkeypatch, controls, u_steps):
     # family is stepped on the u path, or on the w path (the switch at -inf)
     controls(dt_init=1.0)
     runs = _cliff_trio()
-    counters = []
-    for u_path in (False, True):
+    caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
+    by_path = []
+    for u_path in (0, 1):
         solo, evals = _large_step_solo(monkeypatch, runs, u_path)
         assert all(f.u_steps == u_path and f.newton_solves > 0 for f in solo)
-        caps = [2 * (len(run[0].radii) - 1) + 100 for run in runs]
         assert [f.warm_start_sweeps for f in solo] == caps == [160, 180, 220]
         assert [n - cap for n, cap in zip(evals, caps)] == [f.newton_iterations_max for f in solo]
-        counters.append([(f.newton_solves, f.newton_iterations_max) for f in solo])
-        if u_path == u_steps:
-            path_solo = solo
-    assert counters[0] == counters[1]
+        by_path.append(solo)
+    w_solo, u_solo = by_path
+    assert ([(f.newton_solves, f.newton_iterations_max) for f in w_solo]
+            == [(f.newton_solves, f.newton_iterations_max) for f in u_solo])
     # stepped last in the family, the cliff run still gets its own counts,
     # and the family's iteration count is the largest of its runs'
     if not u_steps:
         monkeypatch.setattr(evolution, "_U_SWITCH", -math.inf)
     family = _family(runs[::-1], [0.0, 1.0], 1.0)
-    for one, many in zip(path_solo[::-1], family.fields):
+    solo = by_path[u_steps]
+    for one, many in zip(solo[::-1], family.fields):
         assert np.array_equal(one.values, many.values)
         assert one.newton_iterations_max == many.newton_iterations_max
         assert one.newton_solves == many.newton_solves
-    assert family.newton_iterations_max == max(f.newton_iterations_max for f in path_solo)
+    assert family.newton_iterations_max == max(f.newton_iterations_max for f in solo)
 
 
 @pytest.mark.parametrize("u_switch", [-math.inf, evolution._U_SWITCH], ids=["w_path", "u_path"])
