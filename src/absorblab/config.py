@@ -58,7 +58,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "h": Field("float", 0.025, positive=True),
         "dt_max": Field("float", 1e-3, positive=True),
         "t_checks": Field("float_list", (0.25, 0.5), positive=True, nonempty=True),
-        "domination": Field("str", "warn", choices=("warn", "require", "skip")),
+        "domination": Field("str", "warn", choices=("warn", "require")),
     },
     "theorem-c": {
         **_COMMON,

@@ -52,15 +52,17 @@ Discretization notes:
   log-sum-exp's fixed point, and ``R(u) / (1 + max(u, u_m))``, R the step
   equation in u, is the same scaled residual, since ``e^w = 1 + u`` and
   rows sum to c.  Each iterate's ``w = log1p(u)`` is taken once; it feeds
-  h, the unchanged ``|dw| < 1e-3`` stop rule and the accepted w.  The sweep
-  caps, the clipped start and the boundary rows are the w path's.  Runs
-  that miss ``_NEWTON_TOL`` go on with Newton in u, each iterate clipped to
+  h, the ``|dw| < 1e-3`` stop rule and the accepted w.  Runs that miss
+  ``_NEWTON_TOL`` go on with Newton in u, each iterate clipped to
   ``[0, u_cap]``: every law here makes ``u h(u)`` convex, so from the first
   iterate on the iterates decrease to the step's solution and no line
   search is needed (see ``_u_correction``).  It stops at ``_NEWTON_TOL``,
-  or once its correction is within four ulps of ``1 + u``.  Both paths run
-  one Newton loop, ``_newton``, which checks the residual after every
-  solve and raises after ``_NEWTON_MAX`` solves.
+  or once its correction is within four ulps of ``1 + u``.  The paths
+  differ only in the representation, each with its own Jacobi sweep,
+  residual and Newton iterate: both run one sweep loop, ``_sweeps``, and
+  one Newton loop, ``_newton``, which moves every run still in Newton at
+  each solve, stops a run at ``_NEWTON_TOL`` or at a roundoff correction
+  (applied too), and raises after ``_NEWTON_MAX`` solves.
   A guard keeps the step in w when ``u_cap (1 + dt (max c + h(u_cap)))`` is
   not finite, as a power law can make it below the switch.  The start's
   history stays in w, and a step takes the ``expm1`` of w_m and of its
@@ -81,14 +83,16 @@ every ``_step``.  It holds the family's block layout, the scratch arrays
 that the sweeps and Newton iterations compute into with ``out=``
 arithmetic, the products of the operator rows with dt (rebuilt only when
 dt changes), and each run's solver counters, which every step adds to in
-place.  The w-form residual takes its five exponentials as one (5, n)
-block, clamped below at -746 where exp is 0, and the Newton loop is
-skipped when every run meets ``_NEWTON_TOL`` after the sweep.  Every
-operation and its order are those of the plain expressions, so the results
-are bitwise the same; each accepted w is still a fresh array, as the
-start's history keeps the last four.  A step hands the next nothing but
-the counters, the dt products and the last cap that fitted the u path, so
-a reused stepper takes bitwise the step of a fresh one.
+place.  The iterate and the sweep's estimate are one (2, 2, n) pair
+buffer with rows (w, u), of which the w path uses row w alone.  The w-form
+residual takes its five exponentials as one (5, n) block, clamped below
+at -746 where exp is 0, and the Newton loop is skipped when every run
+meets ``_NEWTON_TOL`` after the sweep.  Every operation and its order are
+those of the plain expressions, so the results are bitwise the same; each
+accepted w is a fresh array, as the start's history keeps the last four.
+A step hands the next nothing but the counters, the dt products and the
+last cap that fitted the u path, so a reused stepper takes bitwise the
+step of a fresh one.
 
 Batching: :func:`evolve` steps either one run or a family of runs given
 as sequences.  A family's grid vectors are laid end to end in one vector
@@ -206,6 +210,8 @@ class RadialGrid:
 
 def uniform_grid(r_out: float, h: float, dimension: int) -> RadialGrid:
     """Grid with exact spacing h; r_out must be a multiple of h."""
+    if not (0.0 < r_out < math.inf and 0.0 < h < math.inf):
+        raise GridError(f"r_out = {r_out:g} and h = {h:g} must be positive and finite")
     cells = int(round(r_out / h))
     if cells < 17:
         raise GridError("grid needs at least 16 interior nodes")
@@ -355,20 +361,6 @@ def _internal_times(times: np.ndarray, dt_max: float):
 _ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
-class _ResidualArrays:
-    """One iterate ``x`` with its scaled residual ``G`` and the pieces the
-    Newton matrix reuses: the exponential block ``e`` (rows e^{x-M},
-    e^{x_{j-1}-M}, e^{x_{j+1}-M}, e^{w_m-M}, e^{-M}) and the row products."""
-
-    def __init__(self, n):
-        self.x = np.empty(n)
-        self.e = np.empty((5, n))
-        self.self_row = np.empty(n)
-        self.lo_row = np.empty(n)
-        self.up_row = np.empty(n)
-        self.G = np.empty(n)
-
-
 class _Stepper:
     """The steps of one :func:`evolve` call (see the module notes).  Run i
     owns nodes ``starts[i]..ends[i]`` of the concatenated operator ``rows``
@@ -396,10 +388,15 @@ class _Stepper:
         self.tmp = np.empty(n)
         self.M = np.empty(n)
         self.dthy = np.empty(n)
-        # the residual's exponents before the shift by M; rows 1 and 2 keep
-        # their zero end, row 3 holds w_m for a step, row 4 stays 0
+        self.pair = np.empty((2, 2, n))  # the iterate and the sweep's estimate
+        # the w-form residual G and the pieces the Newton matrix reuses: the
+        # exponential block e (rows e^{x-M}, e^{x_{j-1}-M}, e^{x_{j+1}-M},
+        # e^{w_m-M}, e^{-M}) and the row products.  The exponents before the
+        # shift by M are ``source``, whose rows 1 and 2 keep their zero end,
+        # row 3 holds w_m for a step and row 4 stays 0
         self.source = np.zeros((5, n))
-        self.iterates = (_ResidualArrays(n), _ResidualArrays(n))
+        self.e = np.empty((5, n))
+        self.self_row, self.lo_row, self.up_row, self.G = (np.empty(n) for _ in range(4))
         self.diag = np.empty(n)
         self.lower = np.empty(n - 1)
         self.upper = np.empty(n - 1)
@@ -412,11 +409,11 @@ class _Stepper:
         self.solves = np.zeros(runs, dtype=int)
         self.clips = np.zeros(runs, dtype=int)
         self.worst_residual = np.zeros(runs)
-        # the u path: the step's u_m and two iterates, and the residual R
-        # and its row factor 1 + dt c + dt h at the current iterate
+        # the u path: the step's u_m, and the residual R and its row factor
+        # 1 + dt c + dt h at the current iterate
         self.c_max = float(self.rows[2].max())
         self.fit_dt, self.fit_cap = None, -math.inf  # the last cap that fitted, and its dt
-        self.u_arrays = [np.empty(n) for _ in range(3)]
+        self.um = np.empty(n)
         self.den = np.empty(n)
         self.R = np.empty(n)
         self.u_steps = 0
@@ -432,17 +429,17 @@ class _Stepper:
         return self.products
 
 
-def _scaled_residual(stepper, it, dt):
-    """Fill ``it`` with the scaled residual at ``it.x``; returns ``it.G``.
-    ``stepper`` must hold this step's dt products and its w_m (source row 3).
+def _scaled_residual(stepper, y, dt):
+    """Fill the stepper's residual arrays at the w iterate ``y``; returns
+    ``G``.  ``stepper`` must hold this step's dt products and w_m (source row 3).
 
-    Row j is the step equation divided by e^{M_j}, M = max(x, w_m): all five
+    Row j is the step equation divided by e^{M_j}, M = max(y, w_m): all five
     exponentials are taken as one (5, n) block, the neighbour terms clamped
     at 700 (the others are at most 0, since M >= w_m >= 0).  The block is
     clamped below at -746 too: exp is exactly 0 there and below, and the
     clamp keeps np.exp off its slow path for underflowing arguments."""
     dta, dtb, one_dtc = stepper.products[:3]
-    y, src, e = it.x, stepper.source, it.e
+    src, e, self_row = stepper.source, stepper.e, stepper.self_row
     M = np.maximum(y, src[3], out=stepper.M)
     hy = h_of_w(stepper.spec, y)
     src[0] = y
@@ -455,10 +452,10 @@ def _scaled_residual(stepper, it, dt):
     e_self, e_lo, e_up, e_wm, e_0 = e
     dthy = np.multiply(hy, dt, out=stepper.dthy)
     # the row products, kept for the Newton matrix
-    self_row = np.multiply(np.add(one_dtc, dthy, out=it.self_row), e_self, out=it.self_row)
-    lo_row = np.multiply(dta, e_lo, out=it.lo_row)
-    up_row = np.multiply(dtb, e_up, out=it.up_row)
-    G = np.subtract(self_row, lo_row, out=it.G)
+    np.multiply(np.add(one_dtc, dthy, out=self_row), e_self, out=self_row)
+    lo_row = np.multiply(dta, e_lo, out=stepper.lo_row)
+    up_row = np.multiply(dtb, e_up, out=stepper.up_row)
+    G = np.subtract(self_row, lo_row, out=stepper.G)
     G -= up_row
     G -= e_wm
     G -= np.multiply(dthy, e_0, out=dthy)
@@ -490,18 +487,19 @@ def _u_path_fits(stepper, cap, dt):
     return fits
 
 
-def _u_residual(stepper, u, um, x, dt):
-    """Each run's scaled-residual norm at the u-path iterate ``u``, whose w
-    is ``x``; leaves the residual R in ``stepper.R`` and its row factor
+def _u_residual(stepper, x, dt):
+    """Each run's scaled-residual norm at the u-path iterate ``x``, a pair
+    (w, u); leaves the residual R in ``stepper.R`` and its row factor
     ``1 + dt c + dt h`` in ``stepper.den``.  ``stepper`` must hold this
-    step's dt products.
+    step's dt products and its u_m.
 
     R(u) = (1 + dt c + dt h(u)) u - dt a u_{j-1} - dt b u_{j+1} - u_m, zero at
     the boundary nodes, is checked as R / (1 + max(u, u_m)): the w path's G,
     since e^w = 1 + u and rows sum to c."""
     dta, dtb, one_dtc = stepper.products[:3]
-    tmp, den, R = stepper.tmp, stepper.den, stepper.R
-    hx = h_of_w(stepper.spec, x)
+    tmp, den, R, um = stepper.tmp, stepper.den, stepper.R, stepper.um
+    w, u = x[0], x[1]
+    hx = h_of_w(stepper.spec, w)
     np.multiply(np.add(one_dtc, np.multiply(hx, dt, out=den), out=den), u, out=R)
     # a is 0 at each block start and b at each block end, so the neighbour
     # terms never cross from one run into the next
@@ -513,52 +511,67 @@ def _u_residual(stepper, u, um, x, dt):
     return np.maximum.reduceat(np.abs(G, out=tmp), stepper.starts)
 
 
-def _u_warm_start(stepper, wm, w_bc, dt):
-    """The warm start and residual check in u from the start in
-    ``stepper.iterates[0].x``; returns the last sweep's w and u, the step's
-    u_m, and each run's scaled-residual norm.
-
-    The Jacobi fixed point of the step equation in u,
-      u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c + dt h),
-    is that of the w path's log-sum-exp.  Each iterate's w = log1p(u) is
-    taken once and serves the stop rule, h and the accepted w.  Every u
-    stays in [0, u_cap], where ``_u_path_fits`` has bounded the terms.  The
-    sweeps alternate between the iterates' two w buffers."""
-    starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
-    dta, dtb, one_dtc = stepper.constants(dt)[:3]
-    tmp, den = stepper.tmp, stepper.den
-    um, u, est = stepper.u_arrays
-    np.expm1(wm, out=um)
-    x, w_est = stepper.iterates[0].x, stepper.iterates[1].x
-    np.expm1(x, out=u)
-    u_bc = u[ends]
+def _sweeps(stepper, x, est, jacobi, *state):
+    """The warm start's sweeps on either path from the iterate ``x``; returns
+    whichever of ``x`` and ``est``, the path's rows of the two pair buffers
+    (row w first), holds the last sweep.  ``jacobi(stepper, x, est, *state)``
+    fills ``est`` with one sweep from ``x``, boundary nodes included.  Each
+    run sweeps until its largest ``|dw|`` lies below 1e-3, or up to its
+    cap; while every run sweeps the buffers swap, after that the sweeping
+    runs' rows are copied across."""
+    starts, owner, tmp = stepper.starts, stepper.owner, stepper.tmp
     sweeping = np.ones(len(starts), dtype=bool)
     sweep_caps = stepper.sweep_caps
     for sweep in range(1, int(sweep_caps.max()) + 1):
         stepper.sweeps += sweeping
-        hx = h_of_w(stepper.spec, x)
-        np.add(one_dtc, np.multiply(hx, dt, out=den), out=den)
-        np.add(um[:-1], np.multiply(dtb[:-1], u[1:], out=tmp[:-1]), out=est[:-1])
-        est[-1] = um[-1]
-        est[1:] += np.multiply(dta[1:], u[:-1], out=tmp[1:])
-        est /= den
-        est[ends] = u_bc
-        np.log1p(est, out=w_est)
-        w_est[ends] = w_bc
-        delta = np.maximum.reduceat(np.abs(np.subtract(w_est, x, out=tmp), out=tmp), starts)
+        jacobi(stepper, x, est, *state)
+        delta = np.maximum.reduceat(np.abs(np.subtract(est[0], x[0], out=tmp), out=tmp), starts)
         if sweeping.all():
-            x, w_est = w_est, x
-            u, est = est, u
+            x, est = est, x
         else:
-            np.copyto(x, w_est, where=sweeping[owner])
-            np.copyto(u, est, where=sweeping[owner])
+            np.copyto(x, est, where=sweeping[owner])
         settled = delta < 1e-3
         if settled.all():
             break
         sweeping &= ~settled & (sweep < sweep_caps)
         if not sweeping.any():
             break
-    return x, u, um, _u_residual(stepper, u, um, x, dt)
+    return x
+
+
+def _u_jacobi(stepper, x, est, w_bc, dt):
+    """One sweep in u from the pair ``x`` into ``est`` (see ``_u_warm_start``)."""
+    ends = stepper.ends
+    dta, dtb, one_dtc = stepper.products[:3]
+    tmp, den, um = stepper.tmp, stepper.den, stepper.um
+    w, u, w_est, u_est = x[0], x[1], est[0], est[1]
+    hx = h_of_w(stepper.spec, w)
+    np.add(one_dtc, np.multiply(hx, dt, out=den), out=den)
+    np.add(um[:-1], np.multiply(dtb[:-1], u[1:], out=tmp[:-1]), out=u_est[:-1])
+    u_est[-1] = um[-1]
+    u_est[1:] += np.multiply(dta[1:], u[:-1], out=tmp[1:])
+    u_est /= den
+    u_est[ends] = u[ends]  # the start's expm1(w_bc)
+    np.log1p(u_est, out=w_est)
+    w_est[ends] = w_bc
+
+
+def _u_warm_start(stepper, wm, w_bc, dt):
+    """The warm start and residual check in u from the start in row w of
+    ``stepper.pair[0]``; returns the pair (w, u) of the last sweep and each
+    run's scaled-residual norm.
+
+    The Jacobi fixed point of the step equation in u,
+      u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c + dt h),
+    is that of the w path's log-sum-exp.  Each iterate's w = log1p(u) is
+    taken once and serves the stop rule, h and the accepted w.  Every u
+    stays in [0, u_cap], where ``_u_path_fits`` has bounded the terms."""
+    stepper.constants(dt)
+    np.expm1(wm, out=stepper.um)
+    x, est = stepper.pair[0], stepper.pair[1]
+    np.expm1(x[0], out=x[1])
+    x = _sweeps(stepper, x, est, _u_jacobi, w_bc, dt)
+    return x, _u_residual(stepper, x, dt)
 
 
 def _newton_error(stepper, run, message, step_index, norm):
@@ -595,21 +608,19 @@ def _newton(stepper, norm, step_index, correct, *state):
     its own, on either path; moves their iterate and ``norm`` in place.
 
     ``correct(stepper, active, norm, step_index, *state)`` solves one Newton
-    system for the ``active`` runs, moves the iterate of those whose
-    correction lies above roundoff, refreshes their norm, and returns the
-    runs whose correction lay at roundoff: they have converged as far as the
-    iterate can resolve.  A run stops there, or at ``_NEWTON_TOL``, checked
-    after every solve, the last one included; a run that has reached neither
-    after ``_NEWTON_MAX`` solves raises."""
+    system for the ``active`` runs, moves their iterate, refreshes their
+    norm, and returns the runs whose correction lay at roundoff: they have
+    converged as far as the iterate can resolve.  A run stops there, or at
+    ``_NEWTON_TOL``, checked after every solve, the last one included; either
+    stop books the step at its solves plus one iterations.  A run that has
+    reached neither after ``_NEWTON_MAX`` solves raises."""
     iters_max = stepper.iters_max
     active = ~(norm < _NEWTON_TOL)
     for it in range(1, _NEWTON_MAX + 1):
         if not active.any():
             return
-        resolved = active & correct(stepper, active, norm, step_index, *state)
-        np.maximum(iters_max, it, out=iters_max, where=resolved)
-        active &= ~resolved
-        done = active & (norm < _NEWTON_TOL)
+        done = active & (correct(stepper, active, norm, step_index, *state)
+                         | (norm < _NEWTON_TOL))
         np.maximum(iters_max, it + 1, out=iters_max, where=done)
         active &= ~done
     if active.any():
@@ -620,9 +631,9 @@ def _newton(stepper, norm, step_index, correct, *state):
         )
 
 
-def _u_correction(stepper, active, norm, step_index, x, u, um, cap, w_bc, dt):
-    """One Newton iterate in u of the u path (see ``_newton``); moves ``u``
-    and ``x`` in place.
+def _u_correction(stepper, active, norm, step_index, x, cap, w_bc, dt):
+    """One Newton iterate in u of the u path (see ``_newton``); moves the
+    pair ``x`` in place.
 
     The Jacobian of R(u) is tridiagonal, with the operator's off-diagonals
     and the diagonal 1 + dt c + dt (h + u h'(u)), where u h'(u) = dh_dw(w)
@@ -638,7 +649,8 @@ def _u_correction(stepper, active, norm, step_index, x, u, um, cap, w_bc, dt):
     starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
     dta, dtb = stepper.products[:2]
     tmp = stepper.tmp
-    diag = np.multiply(dh_dw(stepper.spec, x), dt, out=stepper.diag)
+    w, u = x[0], x[1]
+    diag = np.multiply(dh_dw(stepper.spec, w), dt, out=stepper.diag)
     diag *= np.divide(u, np.add(u, 1.0, out=tmp), out=tmp)
     diag += stepper.den
     delta = _newton_solve(
@@ -649,80 +661,65 @@ def _u_correction(stepper, active, norm, step_index, x, u, um, cap, w_bc, dt):
     resolved = np.logical_and.reduceat(
         np.abs(delta) <= np.multiply(np.add(u, 1.0, out=tmp), _ROUNDOFF, out=tmp), starts
     )
-    moving = active & ~resolved
-    if moving.any():
-        nodes = moving[owner]
-        np.add(u, delta, out=u, where=nodes)
-        np.minimum(np.maximum(u, 0.0, out=u, where=nodes), np.expm1(cap)[owner], out=u,
-                   where=nodes)
-        np.log1p(u, out=x, where=nodes)
-        x[ends] = w_bc
-        np.copyto(norm, _u_residual(stepper, u, um, x, dt), where=moving)
+    nodes = active[owner]
+    np.add(u, delta, out=u, where=nodes)
+    np.minimum(np.maximum(u, 0.0, out=u, where=nodes), np.expm1(cap)[owner], out=u,
+               where=nodes)
+    np.log1p(u, out=w, where=nodes)
+    w[ends] = w_bc
+    np.copyto(norm, _u_residual(stepper, x, dt), where=active)
     return resolved
 
 
+def _w_jacobi(stepper, x, est, w_bc, dt):
+    """One log-space sweep from ``x`` into ``est`` (see ``_w_warm_start``)."""
+    log_dta, log_dtb = stepper.products[3:]
+    terms, shifted, top, tmp = stepper.terms, stepper.shifted, stepper.top, stepper.tmp
+    x, est = x[0], est[0]
+    hx = h_of_w(stepper.spec, x)
+    np.add(log_dta[1:], x[:-1], out=terms[1, 1:])
+    np.add(log_dtb[:-1], x[1:], out=terms[2, :-1])
+    np.log(np.multiply(hx, dt, out=terms[3]), out=terms[3])
+    np.maximum.reduce(terms, axis=0, out=top)
+    # a term below e^-700 of the top one cannot change the sum, and
+    # clamping keeps np.exp off its slow path for underflowing arguments
+    np.maximum(np.subtract(terms, top, out=shifted), -700.0, out=shifted)
+    np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=0, out=est), out=est)
+    est += top
+    est -= np.log1p(np.multiply(np.add(stepper.rows[2], hx, out=tmp), dt, out=tmp), out=tmp)
+    est[stepper.ends] = w_bc
+
+
 def _w_warm_start(stepper, wm, w_bc, dt):
-    """The warm start and residual check in w from the start in
-    ``stepper.iterates[0].x``; returns the iterate holding the last sweep's
-    w, with its residual filled in, and each run's scaled-residual norm."""
-    spec, starts, ends, owner = stepper.spec, stepper.starts, stepper.ends, stepper.owner
-    log_dta, log_dtb = stepper.constants(dt)[3:]
-    c_row = stepper.rows[2]
-    tmp = stepper.tmp
-    cur, trial = stepper.iterates
-    x = cur.x
+    """The warm start and residual check in w from the start in row w of
+    ``stepper.pair[0]``; returns the last sweep as a (1, n) slice, row w of
+    its pair buffer, whose residual the stepper holds, and each run's
+    scaled-residual norm.
 
-    # log-space Jacobi warm start: x_j <- ln of the step equation's fixed
-    # point with neighbors frozen,
-    #   ln(e^{w_m} + dt a e^{x_{j-1}} + dt b e^{x_{j+1}} + dt h) - ln(1 + dt(c+h)),
-    # taken as one log-sum-exp of the four log terms shifted by their
-    # maximum, which is finite (at least w_m), so no exponential overflows.
-    # In u-space this is plain Jacobi on a strictly dominant M-matrix
-    # (contraction rate < dt*c/(1+dt*c)), so it converges globally; it floods
-    # plateaus one cell per sweep, so a cliff in the data needs up to one
-    # sweep per node to cross the grid.  The -inf log coefficients at block
-    # edges keep neighbouring runs apart.  The sweeps alternate between the
-    # two iterate buffers.
-    terms, shifted, top, est = stepper.terms, stepper.shifted, stepper.top, trial.x
-    terms[0] = wm
-    sweeping = np.ones(len(starts), dtype=bool)
-    sweep_caps = stepper.sweep_caps
+    The log-space Jacobi sweep sets x_j to ln of the step equation's fixed
+    point with neighbors frozen,
+      ln(e^{w_m} + dt a e^{x_{j-1}} + dt b e^{x_{j+1}} + dt h) - ln(1 + dt(c+h)),
+    taken as one log-sum-exp of the four log terms shifted by their
+    maximum, which is finite (at least w_m), so no exponential overflows.
+    In u-space this is plain Jacobi on a strictly dominant M-matrix
+    (contraction rate < dt*c/(1+dt*c)), so it converges globally; it floods
+    plateaus one cell per sweep, so a cliff in the data needs up to one
+    sweep per node to cross the grid.  The -inf log coefficients at block
+    edges keep neighbouring runs apart."""
+    stepper.constants(dt)
+    stepper.terms[0] = wm
+    pair = stepper.pair
     with np.errstate(divide="ignore"):
-        for sweep in range(1, int(sweep_caps.max()) + 1):
-            stepper.sweeps += sweeping
-            hx = h_of_w(spec, x)
-            np.add(log_dta[1:], x[:-1], out=terms[1, 1:])
-            np.add(log_dtb[:-1], x[1:], out=terms[2, :-1])
-            np.log(np.multiply(hx, dt, out=terms[3]), out=terms[3])
-            np.maximum.reduce(terms, axis=0, out=top)
-            # a term below e^-700 of the top one cannot change the sum, and
-            # clamping keeps np.exp off its slow path for underflowing arguments
-            np.maximum(np.subtract(terms, top, out=shifted), -700.0, out=shifted)
-            np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=0, out=est), out=est)
-            est += top
-            est -= np.log1p(np.multiply(np.add(c_row, hx, out=tmp), dt, out=tmp), out=tmp)
-            est[ends] = w_bc
-            delta = np.maximum.reduceat(np.abs(np.subtract(est, x, out=tmp), out=tmp), starts)
-            if sweeping.all():
-                x, est = est, x
-            else:
-                np.copyto(x, est, where=sweeping[owner])
-            settled = delta < 1e-3
-            if settled.all():
-                break
-            sweeping &= ~settled & (sweep < sweep_caps)
-            if not sweeping.any():
-                break
-    if x is trial.x:
-        cur = trial
+        x = _sweeps(stepper, pair[0, :1], pair[1, :1], _w_jacobi, w_bc, dt)
     stepper.source[3] = wm
-    return cur, np.maximum.reduceat(np.abs(_scaled_residual(stepper, cur, dt), out=tmp), starts)
+    G = _scaled_residual(stepper, x[0], dt)
+    return x, np.maximum.reduceat(np.abs(G, out=stepper.tmp), stepper.starts)
 
 
-def _w_correction(stepper, active, norm, step_index, it, cap, w_bc, dt):
+def _w_correction(stepper, active, norm, step_index, x, cap, w_bc, dt):
     """One Newton iterate of the w path (see ``_newton``): the u path's
-    Newton step, written in the w path's scaled variables; moves ``it.x`` in
-    place and refills ``it``.
+    Newton step, written in the w path's scaled variables; moves row w of
+    ``x`` in place and refills the stepper's residual arrays.
 
     Row j of G is row j of R(u) divided by e^{M_j}.  Dividing the rows of
     Newton's system J du = -R by e^{M} and setting du = (1+u) z leave its
@@ -736,29 +733,27 @@ def _w_correction(stepper, active, norm, step_index, it, cap, w_bc, dt):
     ``max(1, |w|)``: at large w and dt that floor of the scaled residual
     lies above ``_NEWTON_TOL``."""
     starts, ends, owner = stepper.starts, stepper.ends, stepper.owner
-    x, e = it.x, it.e
-    diag = np.multiply(dh_dw(stepper.spec, x), dt, out=stepper.diag)
+    w, e = x[0], stepper.e
+    diag = np.multiply(dh_dw(stepper.spec, w), dt, out=stepper.diag)
     diag *= np.subtract(e[0], e[4], out=stepper.tmp)
-    diag += it.self_row
+    diag += stepper.self_row
     z = _newton_solve(
-        stepper, np.negative(it.lo_row[1:], out=stepper.lower), diag,
-        np.negative(it.up_row[:-1], out=stepper.upper), np.negative(it.G, out=stepper.rhs),
-        norm, active, step_index,
+        stepper, np.negative(stepper.lo_row[1:], out=stepper.lower), diag,
+        np.negative(stepper.up_row[:-1], out=stepper.upper),
+        np.negative(stepper.G, out=stepper.rhs), norm, active, step_index,
     )
     # z <= -1 takes u to -1 or below: log1p gives -inf there, which the clip makes 0
     with np.errstate(divide="ignore"):
-        dx = np.log1p(np.maximum(z, -1.0, out=z), out=z)
+        dw = np.log1p(np.maximum(z, -1.0, out=z), out=z)
     resolved = np.logical_and.reduceat(
-        np.abs(dx) <= _ROUNDOFF * np.maximum(1.0, np.abs(x)), starts
+        np.abs(dw) <= _ROUNDOFF * np.maximum(1.0, np.abs(w)), starts
     )
-    moving = active & ~resolved
-    if moving.any():
-        nodes = moving[owner]
-        np.add(x, dx, out=x, where=nodes)
-        np.minimum(np.maximum(x, 0.0, out=x, where=nodes), cap[owner], out=x, where=nodes)
-        x[ends] = w_bc
-        G = _scaled_residual(stepper, it, dt)
-        np.copyto(norm, np.maximum.reduceat(np.abs(G, out=stepper.tmp), starts), where=moving)
+    nodes = active[owner]
+    np.add(w, dw, out=w, where=nodes)
+    np.minimum(np.maximum(w, 0.0, out=w, where=nodes), cap[owner], out=w, where=nodes)
+    w[ends] = w_bc
+    G = _scaled_residual(stepper, w, dt)
+    np.copyto(norm, np.maximum.reduceat(np.abs(G, out=stepper.tmp), starts), where=active)
     return resolved
 
 
@@ -770,7 +765,8 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
     The family's cap picks the path (see ``_u_path_fits``): a u-path step
     sweeps, checks and runs Newton in u, a w-path step does so in w, with
     the same Newton iterates written in scaled variables (see
-    ``_w_correction``).  Each run keeps its own convergence state, so it
+    ``_w_correction``).  Both run ``_sweeps`` and ``_newton`` on the
+    stepper's pair buffers.  Each run keeps its own convergence state, so it
     does exactly the arithmetic it would do if stepped alone on the same
     path; runs that have finished a phase keep their values while the
     others go on.
@@ -779,22 +775,22 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
     # the step solution lies in [0, max(max w_m, w_bc)] per run (discrete
     # maximum principle: rows sum to c and h >= 0), so the start does too
     cap = np.maximum(np.maximum.reduceat(wm, starts), w_bc)
-    cur = stepper.iterates[0]
-    x = np.minimum(np.maximum(x0, 0.0, out=cur.x), cap[owner], out=cur.x)
-    x[ends] = w_bc
+    start = stepper.pair[0, 0]
+    np.minimum(np.maximum(x0, 0.0, out=start), cap[owner], out=start)
+    start[ends] = w_bc
     # a step counts as one iteration at least
     np.maximum(stepper.iters_max, 1, out=stepper.iters_max)
     if _u_path_fits(stepper, float(cap.max()), dt):
         stepper.u_steps += 1
-        x, u, um, norm = _u_warm_start(stepper, wm, w_bc, dt)
-        _newton(stepper, norm, step_index, _u_correction, x, u, um, cap, w_bc, dt)
+        warm_start, correct = _u_warm_start, _u_correction
     else:
-        it, norm = _w_warm_start(stepper, wm, w_bc, dt)
-        x = it.x
-        _newton(stepper, norm, step_index, _w_correction, it, cap, w_bc, dt)
-    stepper.clips += np.add.reduceat(x < -1e-10, starts, dtype=int)
+        warm_start, correct = _w_warm_start, _w_correction
+    x, norm = warm_start(stepper, wm, w_bc, dt)
+    _newton(stepper, norm, step_index, correct, x, cap, w_bc, dt)
+    w = x[0]
+    stepper.clips += np.add.reduceat(w < -1e-10, starts, dtype=int)
     np.maximum(stepper.worst_residual, norm, out=stepper.worst_residual)
-    return np.maximum(x, 0.0)
+    return np.maximum(w, 0.0)
 
 
 # each step starts from the polynomial through this many accepted steps
@@ -1082,32 +1078,31 @@ def _plan_A8(
     if not a_list or not n_list:
         raise PreconditionError("the capped scheme needs a center height and a ball radius")
     tol = discretization_tolerance(h, dt_max) if tol is None else tol
-    if domination not in ("warn", "require", "skip"):
-        raise DomainError("domination policy must be warn, require or skip")
+    if domination not in ("warn", "require"):
+        raise DomainError("domination policy must be warn or require")
 
     # one shoot per height, on the largest ball; the domination check samples it
     shots, profile_balls = zip(*(_profile_balls(spec, a, n_list, h) for a in a_list))
     notes = []
     for a, shot in zip(a_list, shots):
         diagnostics: dict = {}
-        if domination != "skip":
-            try:
-                r_a = domination_radius(g, spec, a, 1, n_list[-1], shot)
-                diagnostics["domination_radius"] = r_a
-                if r_a > n_list[0] and domination == "require":
-                    raise DominationError(f"smallest ball radius {n_list[0]:g} is below the "
-                                          f"domination radius {r_a:g}")
-                if r_a > n_list[0]:
-                    diagnostics["domination_warning"] = (
-                        f"ball radii start below the domination radius {r_a:g}; "
-                        "the capped data is not yet the profile at the boundary"
-                    )
-            except DominationError:
-                if domination == "require":
-                    raise
+        try:
+            r_a = domination_radius(g, spec, a, 1, n_list[-1], shot)
+            diagnostics["domination_radius"] = r_a
+            if r_a > n_list[0] and domination == "require":
+                raise DominationError(f"smallest ball radius {n_list[0]:g} is below the "
+                                      f"domination radius {r_a:g}")
+            if r_a > n_list[0]:
                 diagnostics["domination_warning"] = (
-                    f"data does not dominate the height-{a:g} profile up to {n_list[-1]:g}"
+                    f"ball radii start below the domination radius {r_a:g}; "
+                    "the capped data is not yet the profile at the boundary"
                 )
+        except DominationError:
+            if domination == "require":
+                raise
+            diagnostics["domination_warning"] = (
+                f"data does not dominate the height-{a:g} profile up to {n_list[-1]:g}"
+            )
         notes.append(diagnostics)
 
     # g sampled once per ball serves every height's run on that ball
@@ -1143,9 +1138,9 @@ def run_scheme_A8(
     that g eventually dominates V_a (the scheme's hypothesis), made for
     every height before any stepping: "require" raises when a height's
     domination radius exceeds min(n_list) or cannot be found, "warn"
-    records it in that height's diagnostics, "skip" omits the check.  Each
-    height's profile is shot once, on the largest ball, and serves the
-    check and every ball (see ``_profile_balls``).
+    records it in that height's diagnostics.  Each height's profile is shot
+    once, on the largest ball, and serves the check and every ball (see
+    ``_profile_balls``).
 
     Every height's run on every ball is one :func:`evolve` family
     (``_plan_A8``).  Its cap sets the u/w path, so runs whose caps straddle

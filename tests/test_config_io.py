@@ -99,6 +99,8 @@ def test_non_finite_numbers_rejected(tmp_path, text):
 def test_family_choice_enforced():
     with pytest.raises(ConfigError):
         parse_config("flat-ode", "family = cubic\n")
+    with pytest.raises(ConfigError):
+        parse_config("theorem-b", "domination = skip\n")
 
 
 def test_exponent_ranges_per_scenario():

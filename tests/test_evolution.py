@@ -137,6 +137,15 @@ def test_grid_validation():
                    dimension=1)  # nonuniform
 
 
+@pytest.mark.parametrize("r_out, h", [(1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1),
+                                      (1.0, 0.0)])
+def test_uniform_grid_rejects_zero_and_non_finite_sizes(r_out, h):
+    # these raised ValueError, OverflowError or ZeroDivisionError from the
+    # cell count before they reached a grid check
+    with pytest.raises(GridError, match="positive and finite"):
+        uniform_grid(r_out, h, 1)
+
+
 def test_internal_times_land_on_outputs(controls):
     controls(dt_init=1e-4, ramp=1.5)
     times = np.array([0.0, 0.013, 0.05])
@@ -507,9 +516,11 @@ def test_batched_newton_limit_names_the_failing_run(controls):
 @pytest.mark.parametrize("dt", [0.1, 1.0])
 def test_newton_stall_at_roundoff_is_accepted(controls, dt):
     # one large step on data reaching w = 800: Newton cannot push the scaled
-    # residual below 1.8e-10 (dt = 0.1) or 5.8e-9 (dt = 1), above
-    # _NEWTON_TOL, because its last correction is within four ulps of w; the
-    # step is accepted there
+    # residual below 1.8e-10 (dt = 0.1) or 2.2e-9 (dt = 1), above
+    # _NEWTON_TOL, because its last correction is within four ulps of w.
+    # That correction is applied, and the step is accepted there with its
+    # solves plus one as its iterations, as at _NEWTON_TOL; discarding it
+    # left 5.8e-9 at dt = 1
     controls(dt_init=dt)
     grid = uniform_grid(3.0, 0.1, 1)
     fld = evolve(LOG15, grid, cut(2.0, lambda r: 50.0 * r**4)(grid.radii),
@@ -517,6 +528,10 @@ def test_newton_stall_at_roundoff_is_accepted(controls, dt):
     assert np.all(np.isfinite(fld.values))
     assert np.all(fld.values >= 0.0)
     assert np.all(fld.values <= 50.0 * 2.0**4)
+    assert fld.newton_iterations_max == fld.newton_solves + 1
+    assert fld.worst_residual > evolution._NEWTON_TOL
+    if dt == 1.0:
+        assert fld.worst_residual <= 2.2e-9
 
 
 def test_zero_tolerance_settles_at_roundoff(controls):
@@ -673,11 +688,11 @@ def test_residual_and_start_are_bitwise_the_plain_expressions(monkeypatch, contr
     # steps, and of a dt = 1 family with a cliff in w (the switch at -inf)
     residual, extrapolate, checked = evolution._scaled_residual, evolution._extrapolate, []
 
-    def checked_residual(stepper, it, dt):
-        y, wm = it.x.copy(), stepper.source[3].copy()
-        G = residual(stepper, it, dt)
+    def checked_residual(stepper, y, dt):
+        y, wm = y.copy(), stepper.source[3].copy()
+        G = residual(stepper, y, dt)
         want = _plain_scaled_residual(stepper.spec, stepper.rows, y, wm, stepper.ends, dt)
-        got = (G, it.e[0], it.e[4], it.self_row, it.lo_row, it.up_row)
+        got = (G, stepper.e[0], stepper.e[4], stepper.self_row, stepper.lo_row, stepper.up_row)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         checked.append("residual")
         return G
@@ -949,9 +964,9 @@ def _u_newton_steps(monkeypatch, spec, runs, dt):
         steps.append(([], []))
         return warm_start(*args)
 
-    def recorded_residual(stepper, u, *rest):
-        steps[-1][0].append(u.copy())
-        return residual(stepper, u, *rest)
+    def recorded_residual(stepper, x, *rest):
+        steps[-1][0].append(x[1].copy())
+        return residual(stepper, x, *rest)
 
     def recorded_solve(*args):
         out = solve(*args)
@@ -1081,6 +1096,9 @@ def test_capped_family_policies():
     (seq2,) = run_scheme_A8(LOG15, QUARTIC, [2.0], [4.0], [0.0, 0.01], h=0.05,
                             domination="require")
     assert seq2.diagnostics["domination_radius"] == pytest.approx(0.918, abs=1e-3)
+    # the check is always made: there is no policy that skips it
+    with pytest.raises(DomainError, match="warn or require"):
+        run_scheme_A8(LOG15, QUARTIC, [2.0], [4.0], [0.0, 0.01], h=0.05, domination="skip")
 
 
 def test_truncated_data_keeps_the_node_at_n_and_zeroes_beyond():
