@@ -566,7 +566,6 @@ def _u_warm_start(stepper, wm, w_bc, dt):
     is that of the w path's log-sum-exp.  Each iterate's w = log1p(u) is
     taken once and serves the stop rule, h and the accepted w.  Every u
     stays in [0, u_cap], where ``_u_path_fits`` has bounded the terms."""
-    stepper.constants(dt)
     np.expm1(wm, out=stepper.um)
     x, est = stepper.pair[0], stepper.pair[1]
     np.expm1(x[0], out=x[1])
@@ -706,7 +705,6 @@ def _w_warm_start(stepper, wm, w_bc, dt):
     plateaus one cell per sweep, so a cliff in the data needs up to one
     sweep per node to cross the grid.  The -inf log coefficients at block
     edges keep neighbouring runs apart."""
-    stepper.constants(dt)
     stepper.terms[0] = wm
     pair = stepper.pair
     with np.errstate(divide="ignore"):
@@ -780,6 +778,7 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
     start[ends] = w_bc
     # a step counts as one iteration at least
     np.maximum(stepper.iters_max, 1, out=stepper.iters_max)
+    stepper.constants(dt)
     if _u_path_fits(stepper, float(cap.max()), dt):
         stepper.u_steps += 1
         warm_start, correct = _u_warm_start, _u_correction
