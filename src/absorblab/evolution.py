@@ -192,6 +192,8 @@ class RadialGrid:
         object.__setattr__(self, "radii", r)
         if r.ndim != 1 or len(r) < 18:
             raise GridError("grid needs at least 16 interior nodes")
+        if not np.all(np.isfinite(r)):
+            raise GridError("grid radii must be finite")
         if r[0] != 0.0:
             raise GridError("grid must start at r = 0")
         d = np.diff(r)

@@ -6,11 +6,12 @@ relation
 
     t  =  integral from Phi(t) to a  of  ds / (s h(s))
 
-along x = ln s, from one cumulative table of Gauss-Legendre panels per call,
-by one safeguarded Newton that runs on the array of all times at once, each
-time on the table panel that brackets it.  That gives
-machine-accurate values at arbitrary times with no error accumulation, and
-extends naturally to two objects a time-stepper cannot reach:
+along x = ln s, from one cumulative table of Gauss-Legendre panels per
+initial level, by one safeguarded Newton that runs on the array of every
+(level, time) pair at once, each pair on the panel of its level's table that
+brackets its time.  That gives machine-accurate values at arbitrary times
+with no error accumulation, and extends naturally to two objects a
+time-stepper cannot reach:
 
 * ``solve_phi_infinity`` / ``solve_phi_infinity_log`` -- the solution
   started from infinite height, characterized by ``integral from
@@ -21,7 +22,8 @@ extends naturally to two objects a time-stepper cannot reach:
   the threshold experiments).
 
 Finite and infinite data share the table and the inversion; only the top of
-the table differs.
+the table differs.  ``solve_phi_levels_log`` inverts several levels, the
+infinite one included, on one time grid in one call.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ def _level_table(spec: Nonlinearity, x_top: float, t_min: float, t_max: float):
     settle rule cannot fire before four; after that, one call per panel.
     Panels computed ahead of the settle point would be wasted work: it
     falls at about 48 panels on a log-power tail, so rounds of doubling
-    length would overshoot it by up to 16 panels.
+    length would overshoot it by up to 16 panels.  Such rounds would save
+    integrand calls, but at ``flat-ode``'s defaults they evaluate 960 nodes
+    past the settle point (74,512 against 73,552), so the ascent stays at
+    one panel per call and the node count stays at its pinned budget.
     """
     f = _inv_h(spec)
     if math.isinf(x_top):
@@ -149,24 +154,33 @@ def _panel_residuals(f, x, x_hi, T_hi, t):
     return T_hi + gl_panels(f, x, x_hi, 2) - t
 
 
-def _invert_levels(spec: Nonlinearity, x_top: float, times: np.ndarray) -> np.ndarray:
-    """ln Phi(t) for each positive t in ``times``, initial level exp(x_top).
+def _invert_levels(spec: Nonlinearity, x_tops, times: np.ndarray) -> np.ndarray:
+    """ln Phi(t) for each initial level exp(x) in ``x_tops`` and positive t in ``times``.
 
-    One safeguarded Newton runs on all times at once.  Each time keeps its
-    own bracketing panel, starts from the panel's linear interpolant, falls
-    back to bisection of its bracket and leaves the active set once its step
-    is below 4 ulp, so it takes the iterations it would take alone.
+    ``inf`` in ``x_tops`` stands for infinite data (Phi_inf).  Each level
+    gets one table on the shared time range, and one safeguarded Newton
+    runs on every (level, time) pair at once, so each residual and step
+    is one integrand call for all levels.  Each pair keeps its own
+    bracketing panel, starts from the panel's linear interpolant, falls
+    back to bisection of its bracket and leaves the active set once its
+    step is below 4 ulp, so it takes the iterations it would take alone.
+    Returns the array of shape ``(len(x_tops), len(times))``.
     """
-    edges, T = _level_table(spec, x_top, float(times.min()), float(times.max()))
+    t_min, t_max = float(times.min()), float(times.max())
     f = _inv_h(spec)
-    # panel j brackets T[j] <= t <= T[j-1]
-    js = np.clip(np.searchsorted(-T, -times), 1, len(T) - 1)
-    x_lo, x_hi, T_lo, T_hi = edges[js - 1], edges[js], T[js - 1], T[js]
+    # panel j of a table brackets T[j] <= t <= T[j-1]
+    brackets = []
+    for x_top in x_tops:
+        edges, T = _level_table(spec, x_top, t_min, t_max)
+        js = np.clip(np.searchsorted(-T, -times), 1, len(T) - 1)
+        brackets.append((edges[js - 1], edges[js], T[js - 1], T[js]))
+    x_lo, x_hi, T_lo, T_hi = (np.concatenate(c) for c in zip(*brackets))
+    ts = np.tile(times, len(brackets))
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(T_lo > T_hi, x_hi - (x_hi - x_lo) * (times - T_hi) / (T_lo - T_hi), x_hi)
-    # the active times: their indices, iterates, brackets [a, b] and panel data
-    idx, xa, a, b = np.arange(len(times)), x.copy(), x_lo, x_hi
-    x_hia, T_hia, ta = x_hi, T_hi, times
+        x = np.where(T_lo > T_hi, x_hi - (x_hi - x_lo) * (ts - T_hi) / (T_lo - T_hi), x_hi)
+    # the active pairs: their indices, iterates, brackets [a, b] and panel data
+    idx, xa, a, b = np.arange(len(ts)), x.copy(), x_lo, x_hi
+    x_hia, T_hia, ta = x_hi, T_hi, ts
     for _ in range(60):
         res = _panel_residuals(f, xa, x_hia, T_hia, ta)  # >= 0 at a, <= 0 at b
         above = res >= 0.0
@@ -186,24 +200,32 @@ def _invert_levels(spec: Nonlinearity, x_top: float, times: np.ndarray) -> np.nd
             x_hia, T_hia, ta = x_hia[keep], T_hia[keep], ta[keep]
     else:
         x[idx] = xa
-    res = _panel_residuals(f, x, x_hi, T_hi, times)
+    res = _panel_residuals(f, x, x_hi, T_hi, ts)
     # where h is tiny (low levels decay slowly) T is steep in x and one
     # ulp of x moves T by eps/h; below that the inversion is exact to
     # representability and the leftover residual is conditioning, not
     # error — the level itself is off by under h*|res| relative, which
     # is far below an ulp exactly when this slack bites
     slack = 4.0 * _EPS * np.maximum(1.0, np.abs(x)) * np.exp(-log_h_at_log(spec, x))
-    bad = np.abs(res) > 1e-10 * np.maximum(np.abs(times), 1e-6) + slack
+    bad = np.abs(res) > 1e-10 * np.maximum(np.abs(ts), 1e-6) + slack
     if bad.any():
         worst = res[bad][np.argmax(np.abs(res[bad]))]
         raise ToleranceError("level inversion residual above tolerance", residual=float(worst))
-    return x
+    return x.reshape(len(brackets), len(times))
 
 
-def _solve_log_levels(spec: Nonlinearity, x_a: float, times: np.ndarray) -> np.ndarray:
-    """ln Phi(t) for each t in ``times``, init level exp(x_a)."""
-    if not math.isfinite(x_a):
-        raise DomainError(f"initial level must be finite, got ln a = {x_a}")
+def _solve_log_levels(spec: Nonlinearity, x_tops, times) -> np.ndarray:
+    """ln Phi(t) for each initial level exp(x) in ``x_tops`` (inf: Phi_inf) and t in ``times``.
+
+    Row i starts at ``x_tops[i]`` at t = 0, ``inf`` for infinite data.
+    """
+    x_tops = np.asarray(x_tops, dtype=float)
+    if x_tops.ndim != 1 or len(x_tops) == 0:
+        raise DomainError("initial levels must be a nonempty 1-D sequence")
+    if np.any(np.isnan(x_tops) | (x_tops == -math.inf)):
+        raise DomainError(f"initial levels must be finite or +inf, got ln a = {x_tops}")
+    if np.any(np.isinf(x_tops)):
+        _require_osgood(spec)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise GridError("time grid must be a nonempty 1-D array")
@@ -213,11 +235,16 @@ def _solve_log_levels(spec: Nonlinearity, x_a: float, times: np.ndarray) -> np.n
         raise GridError("time grid must be strictly increasing")
     if times[0] < 0.0:
         raise GridError("time grid must start at t >= 0")
-    out = np.full_like(times, x_a)
+    out = np.repeat(x_tops[:, None], len(times), axis=1)
     positive = times > 0.0
     if np.any(positive):
-        out[positive] = _invert_levels(spec, x_a, times[positive])
+        out[:, positive] = _invert_levels(spec, x_tops, times[positive])
     return out
+
+
+def _require_finite_level(x_a: float) -> None:
+    if not math.isfinite(x_a):
+        raise DomainError(f"initial level must be finite, got ln a = {x_a}")
 
 
 def solve_phi(spec: Nonlinearity, a: float, times) -> FlatTrajectory:
@@ -229,7 +256,9 @@ def solve_phi(spec: Nonlinearity, a: float, times) -> FlatTrajectory:
     """
     if not (a > 0.0):
         raise DomainError(f"initial height must be positive, got {a}")
-    xs = _solve_log_levels(spec, math.log(a), np.asarray(times, dtype=float))
+    x_a = math.log(a)
+    _require_finite_level(x_a)
+    xs = _solve_log_levels(spec, [x_a], times)[0]
     return FlatTrajectory(
         times=np.asarray(times, dtype=float),
         values=np.exp(xs),
@@ -243,7 +272,21 @@ def solve_phi_log(spec: Nonlinearity, ln_a: float, times) -> np.ndarray:
     linear-scale values may not be representable.  The table costs
     O(log ln_a) panels; it is tested up to ln_a = 1e12.
     """
-    return _solve_log_levels(spec, float(ln_a), np.asarray(times, dtype=float))
+    _require_finite_level(float(ln_a))
+    return _solve_log_levels(spec, [float(ln_a)], times)[0]
+
+
+def solve_phi_levels_log(spec: Nonlinearity, ln_tops, times) -> np.ndarray:
+    """ln Phi(t) for every initial height exp(ln_a) in ``ln_tops``, on one time grid.
+
+    An entry ``inf`` stands for infinite data: its row is ``ln Phi_inf``,
+    ``inf`` at t = 0, and needs the osgood condition.  All levels are
+    inverted in one Newton, so row i is bitwise :func:`solve_phi_log`'s
+    (or, at t > 0, :func:`solve_phi_infinity_log`'s) on the same
+    ``times``.  ``times`` must be finite, strictly increasing and >= 0.
+    Returns the array of shape ``(len(ln_tops), len(times))``.
+    """
+    return _solve_log_levels(spec, ln_tops, times)
 
 
 def osgood_tail_from_log(spec: Nonlinearity, x0: float) -> float:
@@ -282,7 +325,7 @@ def solve_phi_infinity_log(spec: Nonlinearity, t):
     flat = times.reshape(-1)
     if not np.all(flat > 0.0):
         raise DomainError(f"times must be positive, got {t}")
-    out = _invert_levels(spec, math.inf, flat) if flat.size else np.empty_like(flat)
+    out = _invert_levels(spec, [math.inf], flat)[0] if flat.size else np.empty_like(flat)
     return float(out[0]) if times.ndim == 0 else out
 
 

@@ -23,7 +23,7 @@ from .errors import AbsorbLabError, ConfigError
 from .evolution import (
     _plan_A4, _plan_A8_1, _solver_work, _step_plans, run_scheme_A4, run_scheme_A8,
 )
-from .flat_ode import solve_phi, solve_phi_infinity_log
+from .flat_ode import FlatTrajectory, solve_phi_infinity_log, solve_phi_levels_log
 from .io import RunManifest, emit_csv, emit_manifest
 from .nonlinearity import Nonlinearity, classify_conditions, log_u_from_w
 from .profiles import apriori_bound, fit_asymptotics, shoot_profile
@@ -91,12 +91,17 @@ def run_conditions(config, out_dir: Path, scale: float) -> RunManifest:
 def run_flat_ode(config, out_dir: Path, scale: float) -> RunManifest:
     spec = _spec_from(config)
     times = np.linspace(0.0, config["t_max"], config["time_points"])
+    a_list = config["a_list"]
+    # every trajectory and the envelope in one inversion, before any file
+    *levels, envelope = solve_phi_levels_log(
+        spec, [math.log(a) for a in a_list] + [math.inf], times
+    )
     man = RunManifest(config=config, tolerance_scale=scale)
     rows = []
     closed_form_err = None
     monotone_ok = True
-    for a in config["a_list"]:
-        traj = solve_phi(spec, a, times)
+    for a, lam in zip(a_list, levels):
+        traj = FlatTrajectory(times=times, values=np.exp(lam))
         for t, v in zip(times, traj.values):
             rows.append([a, float(t), float(v)])
         monotone_ok &= bool(np.all(np.diff(traj.values) <= 0.0)) and bool(
@@ -110,8 +115,8 @@ def run_flat_ode(config, out_dir: Path, scale: float) -> RunManifest:
     if closed_form_err is not None:
         man.record_check("closed_form_match", closed_form_err <= 1e-8 * scale, 1e-8 * scale)
     man.record_file(emit_csv(out_dir / "flat_ode.csv", ["a", "t", "value"], rows))
-    env_times = times[times > 0.0]
-    env_rows = np.column_stack((env_times, solve_phi_infinity_log(spec, env_times))).tolist()
+    positive = times > 0.0
+    env_rows = np.column_stack((times[positive], envelope[positive])).tolist()
     man.record_file(
         emit_csv(out_dir / "flat_envelope.csv", ["t", "log_value"], env_rows)
     )

@@ -135,6 +135,9 @@ def test_grid_validation():
     with pytest.raises(GridError):
         RadialGrid(radii=np.concatenate([[0.0], np.geomspace(0.01, 1.0, 30)]),
                    dimension=1)  # nonuniform
+    for bad in (math.nan, math.inf):  # every comparison with NaN is False
+        with pytest.raises(GridError, match="finite"):
+            RadialGrid(radii=np.array([0.0] + [bad] * 17), dimension=1)
 
 
 @pytest.mark.parametrize("r_out, h", [(1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1),

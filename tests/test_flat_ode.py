@@ -144,13 +144,26 @@ def test_full_collapse_array_matches_scalar_calls():
 
 
 @pytest.mark.parametrize("spec", [LOG15, POW2], ids=["log_power_1.5", "power_2"])
-@pytest.mark.parametrize("ln_a", [math.log(10.0), 2592.0])
+@pytest.mark.parametrize(
+    "ln_a",
+    [math.log(10.0), 2592.0, pytest.param((math.log(10.0), 2592.0, math.inf), id="levels")],
+)
 def test_finite_data_array_matches_one_time_calls_bitwise(spec, ln_a):
-    # all times of a table are inverted jointly; each keeps its own arithmetic
+    # all times of a table, and the tables of all levels, are inverted
+    # jointly; each (level, time) pair keeps its own arithmetic
     times = np.linspace(0.0, 0.5, 41)
-    joint = solve_phi_log(spec, ln_a, times)
-    alone = np.array([solve_phi_log(spec, ln_a, [t])[0] for t in times])
-    np.testing.assert_array_equal(joint, alone)
+    levels = np.atleast_1d(ln_a)
+    joint = flat_ode.solve_phi_levels_log(spec, levels, times)
+    if np.ndim(ln_a) == 0:
+        np.testing.assert_array_equal(solve_phi_log(spec, ln_a, times), joint[0])
+    for x, row in zip(levels, joint):
+        if math.isinf(x):
+            # the envelope's ascent settles against the least time, so its
+            # one-level call takes the same grid
+            want = [math.inf, *solve_phi_infinity_log(spec, times[1:])]
+        else:
+            want = [solve_phi_log(spec, x, [t])[0] for t in times]
+        np.testing.assert_array_equal(row, want)
 
 
 def test_panel_residuals_match_scalar_quadrature_bitwise():
@@ -192,6 +205,23 @@ def test_inversion_failure_reports_the_worst_residual(monkeypatch):
             failing.append(err.residual)
     assert len(failing) > 1  # the worst residual is not just the first
     assert joint.value.residual == max(failing, key=abs)
+    # the levels of one call, the envelope included, fail with the worst
+    # residual of their one-level calls
+    levels = (math.log(10.0), 2592.0, math.inf)
+    for spec in (LOG15, POW2):
+        with pytest.raises(ToleranceError) as joint:
+            flat_ode.solve_phi_levels_log(spec, levels, times)
+        failing = []
+        for x in levels:
+            try:
+                if math.isinf(x):
+                    solve_phi_infinity_log(spec, times[1:])
+                else:
+                    solve_phi_log(spec, x, times)
+            except ToleranceError as err:
+                failing.append(err.residual)
+        assert len(failing) > 1
+        assert joint.value.residual == max(failing, key=abs)
 
 
 def test_full_collapse_negative_levels_against_mpmath():
@@ -342,3 +372,18 @@ def test_finite_data_routes_reject_nonfinite_inputs(ln_a, times, err):
         solve_phi_log(LOG15, ln_a, times)
     with pytest.raises(err):
         solve_phi(LOG15, math.exp(ln_a), times)
+
+
+@pytest.mark.parametrize(
+    "spec, ln_tops, err",
+    [
+        (LOG15, [], DomainError),
+        (LOG15, [1.0, math.nan], DomainError),
+        (LOG15, [-math.inf], DomainError),
+        (Nonlinearity.log_power(0.9), [1.0, math.inf], PreconditionError),
+    ],
+)
+def test_levels_route_rejects_bad_levels(spec, ln_tops, err):
+    # +inf is the envelope, which exists only under the osgood condition
+    with pytest.raises(err):
+        flat_ode.solve_phi_levels_log(spec, ln_tops, [0.0, 0.5])
