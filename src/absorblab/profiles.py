@@ -17,7 +17,14 @@ W^alpha -- no exponentials anywhere.
 The module provides:
 
 * :func:`shoot_profile` -- initial-value shooting from the center with a
-  Taylor seed that steps over the coordinate singularity at r = 0;
+  Taylor seed that steps over the coordinate singularity at r = 0, by the
+  Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+  1980) with the step-size control of Hairer, Norsett & Wanner, Solving
+  ODEs I, II.4.  The loop is scipy's ``RK45`` step for step (tableau,
+  initial step, error norm, step factors, minimum step), run on the two
+  unknowns (W, W') as Python floats: ``solve_ivp``'s array machinery cost
+  about 70 us a step of this 2-equation system, and the module imports no
+  scipy;
 * :func:`apriori_bound` -- the universal pointwise bound on any profile,
   the root of an energy integral of 1/sqrt(H): bracketed by doubling
   steps, then found by Newton on the integral's exact slope, with ln H
@@ -44,10 +51,46 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .nonlinearity import Nonlinearity, _log_H_at_log, eval_h, h_of_w
+from .nonlinearity import _W_OVERFLOW, Nonlinearity, _log_H_at_log, eval_h
 
 _V_CLIP = 1e300
-_SHOOT_RTOL = 1e-9  # relative tolerance of shoot_profile's RK45 integration
+# tolerances of shoot_profile's Dormand-Prince integration: the error scale
+# of each unknown is _SHOOT_ATOL + max(|y_old|, |y_new|) * _SHOOT_RTOL
+_SHOOT_RTOL = 1e-9
+_SHOOT_ATOL = 1e-12
+
+# Dormand-Prince 5(4) tableau, the coefficients of scipy's RK45: stage nodes
+# and rows of A for stages 2-7 (stage 7 is B, evaluated at the new point),
+# the error weights E = B - B_hat, and the quartic dense-output matrix P
+# with Shampine's optimum c_6 (Math. Comp. 46, 1986)
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (
+    -71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXP = -1 / 5  # step factor exponent: the embedded error is O(h^5)
+_SQRT2 = math.sqrt(2.0)
 
 
 def c_alpha(alpha: float) -> float:
@@ -97,12 +140,169 @@ class RadialProfile:
 
 
 def _w_rhs(spec: Nonlinearity, N: int):
-    def rhs(r, y):
-        w, p = y
-        absorb = -np.expm1(-w) * h_of_w(spec, np.asarray(w))
-        return [p, float(absorb) - p * p - (N - 1) * p / r]
+    """(W', W'') of the profile equation in W, on Python floats.
+
+    ``-expm1(-W) h(e^W - 1)`` as :func:`absorblab.nonlinearity.h_of_w`
+    forms it: W^alpha for the log-power family, h of ``expm1(W)`` with the
+    same linear-scale guard for the power family, 0 for W <= 0."""
+    drift = N - 1
+    if spec.family == "log_power":
+        q = spec.alpha
+
+        def h_w(w):
+            return w**q
+    else:
+        q = spec.p - 1.0
+
+        def h_w(w):
+            if w > _W_OVERFLOW:
+                raise OverflowGuardError(
+                    "log variable too large to evaluate h in linear scale "
+                    f"(max w = {w:.3g})"
+                )
+            return math.expm1(w) ** q
+
+    def rhs(r, w, p):
+        if w > 0.0:
+            try:
+                absorb = -math.expm1(-w) * h_w(w)
+            except OverflowError:  # float ** overflows by raising, not to inf
+                absorb = math.inf
+        else:
+            absorb = 0.0
+        return p, absorb - p * p - drift * p / r
 
     return rhs
+
+
+class _DenseOutput:
+    """Quartic interpolant of a Dormand-Prince run on every accepted step.
+
+    Step i spans ``[ts[i], ts[i+1]]`` with ``Q = K^T P`` from its seven
+    stages.  A radius r is read on segment ``searchsorted(ts, r, "left") - 1``,
+    clipped to the steps (scipy's ``OdeSolution`` rule), as
+    ``y_i + h_i (Q_1 s + Q_2 s^2 + Q_3 s^3 + Q_4 s^4)``, ``s = (r - ts[i]) / h_i``.
+    The sum is formed elementwise, so a scalar radius and the same radius
+    inside an array give bitwise the same pair."""
+
+    def __init__(self, ts, ys, ks):
+        self.ts = np.array(ts)
+        self.t_min = self.ts[0]
+        self._h = np.diff(self.ts)
+        self._y = np.array(ys[:-1]).T  # (2, steps): the unknowns at each step's start
+        self._q = np.transpose(np.array(ks) @ _DP_P, (2, 1, 0))  # (4, 2, steps)
+
+    def __call__(self, r):
+        """(W, W') at ``r``: shape (2,) for a scalar, (2, m) for m radii."""
+        r = np.asarray(r, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, r, side="left") - 1, 0, len(self._h) - 1)
+        h = self._h[seg]
+        s = (r - self.ts[seg]) / h
+        s2 = s * s
+        s3 = s2 * s
+        q1, q2, q3, q4 = (q[:, seg] for q in self._q)
+        return self._y[:, seg] + h * (q1 * s + q2 * s2 + q3 * s3 + q4 * (s3 * s))
+
+
+def _rms(x: float, y: float) -> float:
+    return math.sqrt(x * x + y * y) / _SQRT2
+
+
+def _dormand_prince(rhs, t, w, p, t_end, cap):
+    """Integrate ``(W, W')' = rhs(r, W, W')`` from ``t`` to ``t_end``.
+
+    Returns the dense output and whether the run stopped on the first step
+    whose end value of W - cap has the opposite sign (or is 0) from its
+    start value.  Raises :class:`ToleranceError` when the step size falls
+    below 10 ulp of the radius."""
+    rtol, atol = _SHOOT_RTOL, _SHOOT_ATOL
+    fw, fp = rhs(t, w, p)
+
+    # initial step (Hairer, Norsett & Wanner, II.4), for the error order 4
+    sw, sp = atol + abs(w) * rtol, atol + abs(p) * rtol
+    d0, d1 = _rms(w / sw, p / sp), _rms(fw / sw, fp / sp)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end - t)
+    gw, gp = rhs(t + h0, w + h0 * fw, p + h0 * fp)
+    d2 = _rms((gw - fw) / sw, (gp - fp) / sp) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_end - t)
+
+    ts, ys, ks = [t], [(w, p)], []
+    g = w - cap
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ToleranceError(
+                    "profile integration failed: required step size is less "
+                    f"than spacing between numbers at r = {t:.6g}"
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            kw, kp = [fw], [fp]
+            for c, row in zip(_DP_C, _DP_A):
+                dw = dp = 0.0
+                for a_j, kw_j, kp_j in zip(row, kw, kp):
+                    dw += a_j * kw_j
+                    dp += a_j * kp_j
+                k_w, k_p = rhs(t + c * h, w + dw * h, p + dp * h)
+                kw.append(k_w)
+                kp.append(k_p)
+            dw = dp = 0.0
+            for b_j, kw_j, kp_j in zip(_DP_B, kw, kp):
+                dw += b_j * kw_j
+                dp += b_j * kp_j
+            w_new, p_new = w + h * dw, p + h * dp
+            fw_new, fp_new = rhs(t + h, w_new, p_new)
+            kw.append(fw_new)
+            kp.append(fp_new)
+            ew = ep = 0.0
+            for e_j, kw_j, kp_j in zip(_DP_E, kw, kp):
+                ew += e_j * kw_j
+                ep += e_j * kp_j
+            error = _rms(
+                ew * h / (atol + max(abs(w), abs(w_new)) * rtol),
+                ep * h / (atol + max(abs(p), abs(p_new)) * rtol),
+            )
+            if error < 1.0:
+                factor = _MAX_FACTOR if error == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * error**_ERR_EXP
+                )
+                if rejected:  # no growth right after a rejection
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error**_ERR_EXP)
+            rejected = True
+        t, w, p, fw, fp = t_new, w_new, p_new, fw_new, fp_new
+        ts.append(t)
+        ys.append((w, p))
+        ks.append((kw, kp))
+        g_new = w - cap
+        if (g <= 0.0 <= g_new) or (g >= 0.0 >= g_new):
+            return _DenseOutput(ts, ys, ks), True
+        g = g_new
+    return _DenseOutput(ts, ys, ks), False
+
+
+def _cap_crossing(dense: _DenseOutput, cap: float) -> float:
+    """The radius where W crosses ``cap`` on the dense output's last step,
+    by bisection of its quartic."""
+    lo, hi = dense.ts[-2], dense.ts[-1]
+    lo_below = float(dense(lo)[0]) < cap
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (float(dense(mid)[0]) < cap) == lo_below:
+            lo = mid
+        else:
+            hi = mid
+    return float(hi)
 
 
 def shoot_profile(
@@ -117,9 +317,12 @@ def shoot_profile(
     Shooting starts at ``r0 = 1e-6 * max(1, r_max)`` with the Taylor seed
     ``V(r0) = a + a h(a) r0^2 / (2N)``, ``V'(r0) = a h(a) r0 / N``, which is
     the exact curvature of the profile at the origin and steps over the
-    (N-1)/r singularity.  Adaptive Runge-Kutta (order 5(4), relative
-    tolerance ``_SHOOT_RTOL``) in the W variable; the solution is resampled
-    onto ``grid`` (default: 513 uniform nodes).
+    (N-1)/r singularity.  The Dormand-Prince 5(4) pair with scipy RK45's
+    step control (relative tolerance ``_SHOOT_RTOL``, absolute
+    ``_SHOOT_ATOL``) integrates W and W' as floats; the solution is
+    resampled onto ``grid`` (default: 513 uniform nodes) from the quartic
+    dense output that the profile keeps for :meth:`RadialProfile.sample`.
+    A step size below 10 ulp of the radius raises :class:`ToleranceError`.
 
     Overflow guard.  For the log-power family with alpha <= 2 the right-hand
     side is W^alpha and never forms V, and there is no finite-radius blow-up,
@@ -127,13 +330,13 @@ def shoot_profile(
     may leave double range there without harm (W > 690.8, reached at
     r = 20.27 for alpha = 1.5, a = 1, N = 3).  Every other law aborts where V
     leaves double range: non-log laws evaluate h in linear scale (see
-    :func:`h_of_w`), and a log-power profile with alpha > 2 is then inside
-    its finite-radius blow-up layer, where the explicit steps shrink like
-    1/W'.  The same stiffness makes the cost of an alpha = 2 shoot grow like
-    W(r_max) ~ e^(r_max).
+    :func:`absorblab.nonlinearity.h_of_w`), and a log-power profile with
+    alpha > 2 is then inside its finite-radius blow-up layer, where the
+    explicit steps shrink like 1/W'.  The same stiffness makes the cost of
+    an alpha = 2 shoot grow like W(r_max) ~ e^(r_max).  The abort raises
+    :class:`OverflowGuardError` naming the radius where W crosses the cap,
+    located on the crossing step's quartic.
     """
-    from scipy.integrate import solve_ivp
-
     if not (a > 0.0):
         raise DomainError(f"center height must be positive, got {a}")
     if N < 1:
@@ -145,43 +348,30 @@ def shoot_profile(
         raise GridError("grid must span [0, r_max]")
 
     r0 = 1e-6 * max(1.0, r_max)
+    if not r_max > r0:
+        raise DomainError(f"r_max must exceed the seed radius 1e-6, got {r_max}")
     ha = eval_h(spec, a)
     v0 = a + a * ha * r0 * r0 / (2.0 * N)
     dv0 = a * ha * r0 / N
-    y0 = [math.log1p(v0), dv0 / (1.0 + v0)]
 
     if spec.family == "log_power" and spec.alpha <= 2.0:
         cap = _V_CLIP
     else:
         cap = math.log(_V_CLIP)
 
-    def overflow_event(r, y):
-        return y[0] - cap
-
-    overflow_event.terminal = True
-
-    sol = solve_ivp(
-        _w_rhs(spec, N),
-        (r0, r_max),
-        y0,
-        method="RK45",
-        rtol=_SHOOT_RTOL,
-        atol=1e-12,
-        dense_output=True,
-        events=overflow_event,
+    dense, crossed = _dormand_prince(
+        _w_rhs(spec, N), r0, math.log1p(v0), dv0 / (1.0 + v0), float(r_max), cap
     )
-    if sol.status == 1:
+    if crossed:
         raise OverflowGuardError(
-            f"profile left double range at r = {sol.t[-1]:.6g} "
+            f"profile left double range at r = {_cap_crossing(dense, cap):.6g} "
             f"(center height {a:g}, W cap {cap:.6g})"
         )
-    if not sol.success:
-        raise ToleranceError(f"profile integration failed: {sol.message}")
 
     w = np.empty_like(grid)
     dw = np.empty_like(grid)
     inside = grid >= r0
-    vals = sol.sol(grid[inside])
+    vals = dense(grid[inside])
     w[inside], dw[inside] = vals[0], vals[1]
     w[~inside] = math.log1p(a)
     dw[~inside] = 0.0
@@ -191,7 +381,7 @@ def shoot_profile(
         radii=grid,
         w_values=w,
         dw_values=dw,
-        dense=sol.sol,
+        dense=dense,
     )
 
 

@@ -130,33 +130,35 @@ _CLI_MAIN = "import sys; from absorblab import cli; sys.exit(cli.main(sys.argv[1
 _SCIPY_FREE_RUNS = """
 import json, sys
 from absorblab import cli, scenarios
-names = ("flat-ode", "alpha2", "conditions")
+names = ("flat-ode", "alpha2", "conditions", "stationary")
 codes = [cli.main([name, "--out", out]) for name, out in zip(names, sys.argv[1:])]
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_flat_ode_alpha2_and_conditions_never_import_scipy(tmp_path):
-    # scipy loads where it is called; a fresh interpreter, because this
-    # process has imported scipy already
+def test_scipy_free_scenarios_never_import_scipy(tmp_path):
+    # scipy loads where it is called, and flat-ode, alpha2, conditions and
+    # stationary call none of it; a fresh interpreter, because this process
+    # has imported scipy already
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    outs = [str(tmp_path / name) for name in ("flat", "alpha2", "conditions")]
+    outs = [str(tmp_path / name) for name in ("flat", "alpha2", "conditions", "stationary")]
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_RUNS, *outs],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [EXIT_OK, EXIT_OK, EXIT_OK]
+    assert result["codes"] == [EXIT_OK] * 4
     assert result["scipy"] == [], f"{len(result['scipy'])} scipy modules loaded"
 
 
 def test_missing_scipy_is_not_a_numerical_failure(tmp_path, monkeypatch):
-    # an install fault propagates; exit 3 stays for numerical failures
-    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    # an install fault propagates; exit 3 stays for numerical failures.
+    # non-uniqueness imports brentq before any work
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
     with pytest.raises(ImportError):
-        main(["stationary", "--out", str(tmp_path / "run")])
+        main(["non-uniqueness", "--out", str(tmp_path / "run")])
 
 
 def test_stationary_power_family_skips_growth_law_fit(tmp_path):

@@ -6,17 +6,19 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import solve_bvp
+from scipy.integrate import solve_bvp, solve_ivp
 
 from absorblab.errors import (
     BracketError,
     DomainError,
     InsufficientRangeError,
+    OverflowGuardError,
     PreconditionError,
     ToleranceError,
 )
-from absorblab.nonlinearity import Nonlinearity, h_of_w
+from absorblab.nonlinearity import Nonlinearity, eval_h, h_of_w
 from absorblab.profiles import (
+    _SHOOT_RTOL,
     RadialProfile,
     apriori_bound,
     c_alpha,
@@ -86,6 +88,80 @@ def test_profile_matches_independent_collocation():
     prof = shoot_profile(LOG15, a, N, r_max)
     for r in (1.0, 2.0, 3.0, 4.0):
         assert prof.w_at(r) == pytest.approx(float(sol.sol(r)[0]), abs=1e-7)
+
+
+def _scipy_rk45_shoot(spec, a, N, r_max):
+    """The shoot by scipy's RK45: the profile equation in W, as an array
+    right-hand side on h_of_w, from shoot_profile's Taylor seed."""
+
+    def rhs(r, y):
+        w, p = y
+        absorb = -np.expm1(-w) * h_of_w(spec, np.asarray(w))
+        return [p, float(absorb) - p * p - (N - 1) * p / r]
+
+    r0 = 1e-6 * max(1.0, r_max)
+    ha = eval_h(spec, a)
+    v0 = a + a * ha * r0 * r0 / (2.0 * N)
+    y0 = [math.log1p(v0), a * ha * r0 / N / (1.0 + v0)]
+    sol = solve_ivp(rhs, (r0, r_max), y0, method="RK45", rtol=_SHOOT_RTOL,
+                    atol=1e-12, dense_output=True)
+    assert sol.status == 0
+    return sol
+
+
+# The port and RK45 sum the tableau rows in different orders (numpy's dot
+# goes to BLAS, whose kernel, FMA use included, depends on the CPU).  The
+# error estimate h sum(E_j K_j) cancels about seven digits, so those last
+# bits move each step factor err^(-1/5) by up to about 1e-5 relative: the
+# steps are the same steps, but the nodes agree only to about 4e-5.  Where
+# the step size is accuracy-limited that moves W and W' by under 5e-14.
+_ORACLE_CASES = [
+    *[(Nonlinearity.log_power(alpha), N, a, 5.0)
+      for alpha in (1.5, 2.0) for N in (1, 3) for a in (1.0, 8.0)],
+    (Nonlinearity.power(2.0), 1, 0.1, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, N, a, r_max", _ORACLE_CASES,
+    ids=[f"{s.family}{s.alpha or s.p:g}-N{N}-a{a:g}" for s, N, a, _ in _ORACLE_CASES],
+)
+def test_shoot_takes_scipy_rk45_steps_and_values(spec, N, a, r_max):
+    prof = shoot_profile(spec, a, N, r_max)
+    sol = _scipy_rk45_shoot(spec, a, N, r_max)
+    ts = prof.dense.ts
+    assert len(ts) == len(sol.t)  # the same accepted steps
+    np.testing.assert_allclose(ts, sol.t, rtol=1e-4, atol=0.0)
+    off_node = 0.5 * (sol.t[1:] + sol.t[:-1])
+    for r in (prof.radii[prof.radii >= ts[0]], off_node):
+        np.testing.assert_allclose(prof.dense(r), sol.sol(r), rtol=1e-12, atol=0.0)
+
+
+def test_stiff_alpha2_shoot_takes_scipy_rk45_steps():
+    # past r = 6 the alpha = 2, a = 8 profile is stability-limited: the
+    # explicit steps shrink like 1/W' and take 2,478 steps to r = 8 against
+    # 244 to r = 5, so each step sits at a stability boundary, and the
+    # nodes' last bits move W' by about 1.3e-9 relative (W by 6e-13)
+    prof = shoot_profile(LOG20, 8.0, 1, 8.0)
+    sol = _scipy_rk45_shoot(LOG20, 8.0, 1, 8.0)
+    assert len(prof.dense.ts) == len(sol.t) == 2479
+    np.testing.assert_allclose(prof.dense.ts, sol.t, rtol=1e-4, atol=0.0)
+    w, dw = prof.dense(sol.t)
+    np.testing.assert_allclose(w, sol.y[0], rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(dw, sol.y[1], rtol=1e-8, atol=0.0)
+
+
+def test_profile_leaving_double_range_names_its_radius():
+    # alpha = 3 is a Keller-Osserman law: the profile blows up at a finite
+    # radius and the shoot stops where W = ln 1e300.  The radius is the one
+    # scipy's RK45 event located on the same step
+    with pytest.raises(OverflowGuardError, match=r"at r = 4\.40403 \(center height 1,"):
+        shoot_profile(Nonlinearity.log_power(3.0), 1.0, 1, 10.0)
+    with pytest.raises(OverflowGuardError, match=r"at r = 1\.91503 \(center height 8,"):
+        shoot_profile(Nonlinearity.log_power(3.0), 8.0, 3, 10.0)
+    # the power law's steps shrink below 10 ulp of r before W gets there
+    with pytest.raises(ToleranceError, match="less than spacing between numbers"):
+        shoot_profile(Nonlinearity.power(2.0), 1.0, 1, 10.0)
 
 
 def test_profile_center_conditions():
