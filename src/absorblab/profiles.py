@@ -59,10 +59,11 @@ _V_CLIP = 1e300
 _SHOOT_RTOL = 1e-9
 _SHOOT_ATOL = 1e-12
 
-# Dormand-Prince 5(4) tableau, the coefficients of scipy's RK45: stage nodes
-# and rows of A for stages 2-7 (stage 7 is B, evaluated at the new point),
-# the error weights E = B - B_hat, and the quartic dense-output matrix P
-# with Shampine's optimum c_6 (Math. Comp. 46, 1986)
+# Dormand-Prince 5(4) tableau, the coefficients of scipy's RK45: nodes and
+# rows of A for stages 2-6, the fifth-order weights B, and over all seven
+# stages (the seventh is the slope at the new point) the error weights
+# E = B - B_hat and the quartic dense-output matrix P with Shampine's
+# optimum c_6 (Math. Comp. 46, 1986)
 _DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _DP_A = (
     (1 / 5,),
@@ -245,7 +246,7 @@ def _dormand_prince(rhs, t, w, p, t_end, cap):
                 )
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            h_abs = abs(h)
+            h_abs = h
             kw, kp = [fw], [fp]
             for c, row in zip(_DP_C, _DP_A):
                 dw = dp = 0.0
@@ -335,7 +336,10 @@ def shoot_profile(
     explicit steps shrink like 1/W'.  The same stiffness makes the cost of
     an alpha = 2 shoot grow like W(r_max) ~ e^(r_max).  The abort raises
     :class:`OverflowGuardError` naming the radius where W crosses the cap,
-    located on the crossing step's quartic.
+    located on the crossing step's quartic.  A power-law profile blows up
+    like ``W ~ -2 ln(R - r)``, so its steps fall below 10 ulp of r near the
+    blow-up radius R, long before W reaches the cap, and the shoot raises
+    :class:`ToleranceError` there.
     """
     if not (a > 0.0):
         raise DomainError(f"center height must be positive, got {a}")

@@ -159,9 +159,20 @@ def test_profile_leaving_double_range_names_its_radius():
         shoot_profile(Nonlinearity.log_power(3.0), 1.0, 1, 10.0)
     with pytest.raises(OverflowGuardError, match=r"at r = 1\.91503 \(center height 8,"):
         shoot_profile(Nonlinearity.log_power(3.0), 8.0, 3, 10.0)
-    # the power law's steps shrink below 10 ulp of r before W gets there
-    with pytest.raises(ToleranceError, match="less than spacing between numbers"):
+    # the power law's steps shrink below 10 ulp of r before W gets there,
+    # at its blow-up radius: from V'^2 / 2 = (V^3 - 1) / 3 at a = 1, N = 1,
+    # R = sqrt(3/2) B(1/6, 1/2) / 3
+    with pytest.raises(ToleranceError, match="less than spacing between numbers") as err:
         shoot_profile(Nonlinearity.power(2.0), 1.0, 1, 10.0)
+    blow_up = math.sqrt(1.5) * math.gamma(1 / 6) * math.gamma(0.5) / (3 * math.gamma(2 / 3))
+    assert float(str(err.value).rsplit("r = ", 1)[1]) == pytest.approx(blow_up, rel=1e-5)
+
+
+def test_shoot_needs_a_range_past_its_seed_radius():
+    # the shoot starts at r0 = 1e-6 max(1, r_max) and integrates outward only
+    with pytest.raises(DomainError, match="seed radius"):
+        shoot_profile(LOG15, 1.0, 1, 1e-6)
+    assert shoot_profile(LOG15, 1.0, 1, 1e-5).w_at(1e-5) == pytest.approx(math.log1p(1.0))
 
 
 def test_profile_center_conditions():
