@@ -34,10 +34,19 @@ Discretization notes:
   one point per step.  One sweep shrinks the start's error about 16-fold at
   ``dt c ≈ 0.064``, so from the cubic start the residual check after it
   usually passes already: on the collapse family over [0, 0.1] the
-  costliest run needs 1.94 sweeps and 0.78 Newton solves per step.  Each
-  sweep evaluates the Jacobi fixed point as one log-sum-exp of its four
-  log terms shifted by their maximum (Blanchard, Higham & Higham, IMA J.
-  Numer. Anal. 41, 2021): a handful of vector exponentials per sweep.
+  costliest run needs 1.94 sweeps and 0.78 Newton solves per step.  A
+  sweep shrinks the linear error by ``dt c/(1 + dt c)`` at best, a half or
+  more from ``dt c = 1`` on (``_SWEEP_DTC``), and Newton runs after it
+  anyway.  So a run whose ``dt c`` is that large takes no sweep when its
+  start is predicted, the polynomial through accepted steps alone: it goes
+  from the start to the residual check and Newton, as BDF codes go from
+  the predictor.  Every other start sweeps: the first step, a restart, and
+  a step whose history still holds the data, whose polynomial runs through
+  the data's cliffs (at dt = 1 the line from a cliff at t = 0 left Newton
+  at residual 407 after 50 solves).  Each sweep evaluates the Jacobi fixed
+  point as one log-sum-exp of its four log terms shifted by their maximum
+  (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021): a handful of
+  vector exponentials per sweep.
   Newton takes the u path's iterates (below), written in w: the scaled
   rows and the correction ``z = du/(1+u)`` leave each Newton step as it is
   in u, and the iterate moves to ``w + log1p(z)`` (see ``_w_correction``),
@@ -76,7 +85,16 @@ Discretization notes:
   below the switch, and the 22,021 steps from there on take the u path,
   which replaces the w path's nine exponentials and three logs a node by
   two expm1 and one log1p: a one-sweep step at step 15,000 took 120 µs in
-  u against 194 µs in w (2-core Xeon VM, best of 7 x 300 calls).
+  u against 194 µs in w (2-core Xeon VM, best of 7 x 300 calls).  There
+  ``dt c = 0.064``, so every step sweeps.  On ``theorem-b`` at defaults
+  (nine runs on h = 0.025, 524 steps up to ``dt_max = 1e-3``, where
+  ``dt c = 3.2``) the 500 predicted steps from ``dt c = 1`` on (step 22)
+  take no sweep.  The family books 2,412 sweeps, 2,339 of them in the
+  first 22 steps and the rest at a short landing step and the restart
+  after it, and 5,491 Newton solves, where sweeping every step booked
+  12,618 and 5,299.  The solves that grow are at the ramp's end:
+  steps 22-27 take up to 9 Newton iterations from the prediction, where a
+  swept start took at most 3.
 
 Stepper: :func:`evolve` builds one ``_Stepper`` per call and hands it to
 every ``_step``.  It holds the family's block layout, the scratch arrays
@@ -91,8 +109,8 @@ meets ``_NEWTON_TOL`` after the sweep.  Every operation and its order are
 those of the plain expressions, so the results are bitwise the same; each
 accepted w is a fresh array, as the start's history keeps the last four.
 A step hands the next nothing but the counters, the dt products and the
-last cap that fitted the u path, so a reused stepper takes bitwise the
-step of a fresh one.
+last cap that fitted the u path, and gets its start kind as an argument,
+so a reused stepper takes bitwise the step of a fresh one.
 
 Batching: :func:`evolve` steps either one run or a family of runs given
 as sequences.  A family's grid vectors are laid end to end in one vector
@@ -367,7 +385,8 @@ class _Stepper:
     """The steps of one :func:`evolve` call (see the module notes).  Run i
     owns nodes ``starts[i]..ends[i]`` of the concatenated operator ``rows``
     (``owner`` maps nodes to runs) and takes at most ``sweep_caps[i]``
-    warm-start sweeps a step, enough to flood its grid twice over.  The dt
+    warm-start sweeps a step, enough to flood its grid twice over (none on a
+    step that goes straight to Newton, see ``_step``).  The dt
     products are rebuilt only when dt changes, at a fixed ``dt_max`` rarely."""
 
     def __init__(self, spec, grids, tags):
@@ -381,6 +400,7 @@ class _Stepper:
         self.starts = self.ends - sizes + 1
         self.owner = np.repeat(np.arange(len(grids)), sizes)
         self.sweep_caps = 2 * (sizes - 1) + 100
+        self.run_c = np.maximum.reduceat(self.rows[2], self.starts)  # each run's max c
         n, runs = int(sizes.sum()), len(grids)
         self.dt = None
         self.terms = np.empty((4, n))       # the sweep's four log terms
@@ -413,7 +433,7 @@ class _Stepper:
         self.worst_residual = np.zeros(runs)
         # the u path: the step's u_m, and the residual R and its row factor
         # 1 + dt c + dt h at the current iterate
-        self.c_max = float(self.rows[2].max())
+        self.c_max = float(self.run_c.max())
         self.fit_dt, self.fit_cap = None, -math.inf  # the last cap that fitted, and its dt
         self.um = np.empty(n)
         self.den = np.empty(n)
@@ -513,18 +533,18 @@ def _u_residual(stepper, x, dt):
     return np.maximum.reduceat(np.abs(G, out=tmp), stepper.starts)
 
 
-def _sweeps(stepper, x, est, jacobi, *state):
+def _sweeps(stepper, caps, x, est, jacobi, *state):
     """The warm start's sweeps on either path from the iterate ``x``; returns
     whichever of ``x`` and ``est``, the path's rows of the two pair buffers
     (row w first), holds the last sweep.  ``jacobi(stepper, x, est, *state)``
     fills ``est`` with one sweep from ``x``, boundary nodes included.  Each
     run sweeps until its largest ``|dw|`` lies below 1e-3, or up to its
-    cap; while every run sweeps the buffers swap, after that the sweeping
-    runs' rows are copied across."""
+    step's cap in ``caps``; a run whose cap is 0 keeps ``x`` as it is.
+    While every run sweeps the buffers swap, after that the sweeping runs'
+    rows are copied across."""
     starts, owner, tmp = stepper.starts, stepper.owner, stepper.tmp
-    sweeping = np.ones(len(starts), dtype=bool)
-    sweep_caps = stepper.sweep_caps
-    for sweep in range(1, int(sweep_caps.max()) + 1):
+    sweeping = caps > 0
+    for sweep in range(1, int(caps.max()) + 1):
         stepper.sweeps += sweeping
         jacobi(stepper, x, est, *state)
         delta = np.maximum.reduceat(np.abs(np.subtract(est[0], x[0], out=tmp), out=tmp), starts)
@@ -535,7 +555,7 @@ def _sweeps(stepper, x, est, jacobi, *state):
         settled = delta < 1e-3
         if settled.all():
             break
-        sweeping &= ~settled & (sweep < sweep_caps)
+        sweeping &= ~settled & (sweep < caps)
         if not sweeping.any():
             break
     return x
@@ -558,10 +578,11 @@ def _u_jacobi(stepper, x, est, w_bc, dt):
     w_est[ends] = w_bc
 
 
-def _u_warm_start(stepper, wm, w_bc, dt):
-    """The warm start and residual check in u from the start in row w of
-    ``stepper.pair[0]``; returns the pair (w, u) of the last sweep and each
-    run's scaled-residual norm.
+def _u_warm_start(stepper, caps, wm, w_bc, dt):
+    """The warm start, each run up to its sweep cap in ``caps``, and the
+    residual check in u from the start in row w of ``stepper.pair[0]``;
+    returns the pair (w, u) of the last sweep and each run's scaled-residual
+    norm.
 
     The Jacobi fixed point of the step equation in u,
       u_j <- (u_m + dt a u_{j-1} + dt b u_{j+1}) / (1 + dt c + dt h),
@@ -571,7 +592,7 @@ def _u_warm_start(stepper, wm, w_bc, dt):
     np.expm1(wm, out=stepper.um)
     x, est = stepper.pair[0], stepper.pair[1]
     np.expm1(x[0], out=x[1])
-    x = _sweeps(stepper, x, est, _u_jacobi, w_bc, dt)
+    x = _sweeps(stepper, caps, x, est, _u_jacobi, w_bc, dt)
     return x, _u_residual(stepper, x, dt)
 
 
@@ -691,11 +712,11 @@ def _w_jacobi(stepper, x, est, w_bc, dt):
     est[stepper.ends] = w_bc
 
 
-def _w_warm_start(stepper, wm, w_bc, dt):
-    """The warm start and residual check in w from the start in row w of
-    ``stepper.pair[0]``; returns the last sweep as a (1, n) slice, row w of
-    its pair buffer, whose residual the stepper holds, and each run's
-    scaled-residual norm.
+def _w_warm_start(stepper, caps, wm, w_bc, dt):
+    """The warm start, each run up to its sweep cap in ``caps``, and the
+    residual check in w from the start in row w of ``stepper.pair[0]``;
+    returns the last sweep as a (1, n) slice, row w of its pair buffer, whose
+    residual the stepper holds, and each run's scaled-residual norm.
 
     The log-space Jacobi sweep sets x_j to ln of the step equation's fixed
     point with neighbors frozen,
@@ -710,7 +731,7 @@ def _w_warm_start(stepper, wm, w_bc, dt):
     stepper.terms[0] = wm
     pair = stepper.pair
     with np.errstate(divide="ignore"):
-        x = _sweeps(stepper, pair[0, :1], pair[1, :1], _w_jacobi, w_bc, dt)
+        x = _sweeps(stepper, caps, pair[0, :1], pair[1, :1], _w_jacobi, w_bc, dt)
     stepper.source[3] = wm
     G = _scaled_residual(stepper, x[0], dt)
     return x, np.maximum.reduceat(np.abs(G, out=stepper.tmp), stepper.starts)
@@ -757,10 +778,23 @@ def _w_correction(stepper, active, norm, step_index, x, cap, w_bc, dt):
     return resolved
 
 
-def _step(stepper, wm, x0, w_bc, dt, step_index):
+# a warm-start sweep shrinks the step's linear error by dt c / (1 + dt c) at
+# best, c the run's largest row sum; from dt c = 1 on that is a half or
+# more, so a run whose start is predicted goes straight to Newton there
+_SWEEP_DTC = 1.0
+
+
+def _step(stepper, wm, x0, w_bc, dt, step_index, predicted=False):
     """One backward-Euler step of every run from the starting iterate ``x0``;
     returns the accepted w, always a fresh array, and adds the step's solver
     work to the stepper's per-run counters.
+
+    ``predicted`` says that ``x0`` is the polynomial through accepted steps
+    alone, not through the data.  Then a run whose dt times its largest
+    row sum c is at least ``_SWEEP_DTC`` gets a sweep cap of 0 for the step:
+    it goes from the start to the residual check and Newton, and every
+    other run sweeps.  The caps are set per run from its own rows, so a
+    family member skips exactly when it would alone.
 
     The family's cap picks the path (see ``_u_path_fits``): a u-path step
     sweeps, checks and runs Newton in u, a w-path step does so in w, with
@@ -786,7 +820,12 @@ def _step(stepper, wm, x0, w_bc, dt, step_index):
         warm_start, correct = _u_warm_start, _u_correction
     else:
         warm_start, correct = _w_warm_start, _w_correction
-    x, norm = warm_start(stepper, wm, w_bc, dt)
+    caps = stepper.sweep_caps
+    # no run reaches _SWEEP_DTC when the family's largest c does not, which
+    # spares a small step (all of theorem-c) the per-run test
+    if predicted and dt * stepper.c_max >= _SWEEP_DTC:
+        caps = np.where(dt * stepper.run_c < _SWEEP_DTC, caps, 0)
+    x, norm = warm_start(stepper, caps, wm, w_bc, dt)
     _newton(stepper, norm, step_index, correct, x, cap, w_bc, dt)
     w = x[0]
     stepper.clips += np.add.reduceat(w < -1e-10, starts, dtype=int)
@@ -895,7 +934,9 @@ def evolve(
         if dt_prev is not None and dt > _RAMP * dt_prev * (1.0 + 1e-9):
             del hist_t[:-1], hist_w[:-1]
         x0 = _extrapolate(hist_t, hist_w, t, stepper.tmp)
-        w = _step(stepper, w, x0, bc[k + 1], dt, k)
+        # a start through two accepted steps or more, the data no longer
+        # among them, is a prediction that Newton can take from (see _step)
+        w = _step(stepper, w, x0, bc[k + 1], dt, k, len(hist_t) > 1 and hist_t[0] > 0.0)
         if is_output[k]:
             out[row] = w
             row += 1

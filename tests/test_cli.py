@@ -72,6 +72,25 @@ def test_flat_ode_power_family_reports_closed_form(tmp_path):
     assert doc["checks"]["closed_form_match"] is True
 
 
+def test_flat_ode_rising_row_fails_its_check_by_name(tmp_path, monkeypatch):
+    # a solved row that rises is a failed check with a manifest (exit 3),
+    # not a raise: the check reads the rows the scenario writes
+    solve = scenarios.solve_phi_levels_log
+
+    def rising_first_row(spec, ln_tops, times):
+        levels = solve(spec, ln_tops, times)
+        levels[0, -1] = levels[0, 0] + 1.0
+        return levels
+
+    monkeypatch.setattr(scenarios, "solve_phi_levels_log", rising_first_row)
+    out = tmp_path / "run"
+    assert main(["flat-ode", "--out", str(out)]) == EXIT_NUMERICAL
+    doc = _manifest(out)
+    assert doc["status"] == "fail"
+    assert doc["checks"] == {"trajectories_positive_decreasing": False}
+    assert sorted(doc["files"]) == ["flat_envelope.csv", "flat_ode.csv"]
+
+
 def test_flat_ode_at_defaults_within_budget(tmp_path):
     # log-power alpha = 1.5, 101 output times: 100 envelope levels
     out = tmp_path / "run"

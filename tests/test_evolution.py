@@ -272,18 +272,24 @@ def test_flat_center_tracks_continuum_from_far_boundary():
 
 
 def test_time_stepping_is_first_order():
-    # halving dt_max should halve the center error against the continuum
+    # halving dt_max should halve the center error against the continuum,
+    # on h = 0.1 at dt_max 1e-3 and on h = 0.05 at large steps.  There dt c
+    # is 8 and 4 (c = 2/h^2), so every step whose start is predicted from
+    # accepted steps goes straight to Newton: far fewer sweeps than steps
     a = 2.0
     times = np.array([0.0, 0.5])
-    errs = []
     w_cont = math.log1p(float(solve_phi(LOG15, a, times).values[-1]))
-    for dt in (1e-3, 5e-4):
-        grid = uniform_grid(4.0, 0.1, 1)
-        fld = evolve(LOG15, grid, np.full_like(grid.radii, math.log1p(a)),
-                     BoundaryTrace.flat_trace(LOG15, a), times, dt)
-        errs.append(abs(float(fld.values[-1, 0]) - w_cont))
-    ratio = errs[0] / errs[1]
-    assert ratio == pytest.approx(2.0, rel=0.2)
+    for h, dts in ((0.1, (1e-3, 5e-4)), (0.05, (1e-2, 5e-3))):
+        errs = []
+        for dt in dts:
+            grid = uniform_grid(4.0, h, 1)
+            fld = evolve(LOG15, grid, np.full_like(grid.radii, math.log1p(a)),
+                         BoundaryTrace.flat_trace(LOG15, a), times, dt)
+            errs.append(abs(float(fld.values[-1, 0]) - w_cont))
+            if dt * 2.0 / (h * h) >= 1.0:
+                assert fld.warm_start_sweeps < fld.steps / 2
+        ratio = errs[0] / errs[1]
+        assert ratio == pytest.approx(2.0, rel=0.2)
 
 
 def test_space_discretization_is_second_order():
@@ -626,6 +632,92 @@ def test_extrapolated_start_agrees_with_start_from_previous_step():
     for i, fld in enumerate(family.fields):
         ref = np.array(want)[:, stepper.starts[i]: stepper.ends[i] + 1]
         assert np.max(np.abs(fld.values - ref)) < 1e-8
+
+
+def _large_step_family(monkeypatch, runs, times, dt_max):
+    """The family stepped over ``times``, with each step's start kind, each
+    run's dt c and the sweeps each run booked at that step."""
+    records = []
+    step = evolution._step
+
+    def recording(stepper, wm, x0, w_bc, dt, k, predicted):
+        before = stepper.sweeps.copy()
+        w = step(stepper, wm, x0, w_bc, dt, k, predicted)
+        records.append((predicted, dt * stepper.run_c, stepper.sweeps - before))
+        return w
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "_step", recording)
+        return _family(runs, times, dt_max), records
+
+
+@pytest.mark.parametrize("path", ["u_path", "w_path"])
+def test_large_predicted_steps_take_no_sweep(monkeypatch, path):
+    # on h = 0.05 grids at dt_max = 2e-3, dt c = 1.6 past the ramp: a step
+    # whose start is the polynomial through accepted steps alone books no
+    # sweep there, and every other step sweeps (the first steps, whose start
+    # runs through the data, and the restart after the landing on t = 0.01).
+    # The fields agree to the solve tolerance with an in-test loop that
+    # starts every step from w_m and sweeps it.  The w-path family holds the
+    # giant cliff, whose cap stays above the switch at every step
+    times = [0.0, 0.01, 0.03]
+    high = (make_run(9.0, 0.05, cut(6.0), BoundaryTrace.constant(0.0), "giant cliff")
+            if path == "w_path" else
+            make_run(3.0, 0.05, cut(2.5), BoundaryTrace.constant(0.0), "cliff"))
+    runs = [high, make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.7), "smooth")]
+    family, records = _large_step_family(monkeypatch, runs, times, 2e-3)
+    assert family.fields[0].u_steps == (family.fields[0].steps if path == "u_path" else 0)
+    # the data leaves the four-point history after step 3; the first step
+    # and the restart start from w_m
+    step_times, is_output = _internal_times(np.array(times), 2e-3)
+    dts = np.diff(np.concatenate(([0.0], step_times)))
+    restarts = [k for k in range(len(dts))
+                if k == 0 or dts[k] > evolution._RAMP * dts[k - 1] * (1.0 + 1e-9)]
+    assert len(restarts) == 2
+    assert [predicted for predicted, _, _ in records] == [
+        k > 3 and k not in restarts for k in range(len(dts))]
+    skipped = [np.all(dtc >= 1.0) and predicted for predicted, dtc, _ in records]
+    assert sum(skipped) > 10
+    for skip, (_, _, sweeps) in zip(skipped, records):
+        assert np.all(sweeps == 0) if skip else np.all(sweeps >= 1)
+
+    grids, w0, bcs, tags = zip(*runs)
+    stepper = evolution._Stepper(LOG15, grids, tags)
+    w_bc = np.array([0.0, 0.7])
+    w = np.concatenate(w0)
+    w[stepper.ends] = w_bc
+    want, prev_t = [w], 0.0
+    for k, t in enumerate(step_times):
+        w = evolution._step(stepper, w, w, w_bc, t - prev_t, k)
+        if is_output[k]:
+            want.append(w)
+        prev_t = t
+    for i, fld in enumerate(family.fields):
+        ref = np.array(want)[:, stepper.starts[i]: stepper.ends[i] + 1]
+        assert np.max(np.abs(fld.values - ref)) < 1e-8
+
+
+def test_family_straddling_one_sweep_rate_matches_solo_runs_bitwise(monkeypatch):
+    # at dt_max = 1e-3 the grids h = 0.025, 0.05 and 0.1 have dt c = 3.2,
+    # 0.8 and 0.2: past the ramp the first run takes its predicted steps
+    # without a sweep while the others sweep, as each does stepped alone
+    times = [0.0, 0.01, 0.02]
+    runs = [
+        make_run(2.0, 0.025, cut(1.0), BoundaryTrace.constant(0.0), "h=0.025"),
+        make_run(2.0, 0.05, smooth, BoundaryTrace.constant(0.7), "h=0.05"),
+        make_run(3.0, 0.1, cut(2.5), BoundaryTrace.constant(0.0), "h=0.1"),
+    ]
+    family, records = _large_step_family(monkeypatch, runs, times, 1e-3)
+    mixed = [predicted and np.any(dtc >= 1.0) and not np.all(dtc >= 1.0)
+             for predicted, dtc, _ in records]
+    assert sum(mixed) > 10
+    assert all(sweeps[0] == 0 and np.all(sweeps[1:] >= 1)
+               for is_mixed, (_, _, sweeps) in zip(mixed, records) if is_mixed)
+    for run, many in zip(runs, family.fields):
+        one = _family([run], times).fields[0]
+        assert one.values.tobytes() == many.values.tobytes()
+        assert (one.warm_start_sweeps, one.newton_solves, one.newton_iterations_max) == (
+            many.warm_start_sweeps, many.newton_solves, many.newton_iterations_max)
 
 
 def test_reused_stepper_gives_the_same_step_bitwise():
@@ -1046,11 +1138,11 @@ def test_u_path_step_hands_on_only_its_w(monkeypatch):
     grids, w0, bcs, tags = zip(*runs)
     step, solving_runs = evolution._step, []
 
-    def checked(stepper, wm, x0, w_bc, dt, k):
+    def checked(stepper, wm, x0, w_bc, dt, k, predicted):
         fresh = evolution._Stepper(LOG15, grids, tags)
-        want = step(fresh, wm, x0, w_bc, dt, k)
+        want = step(fresh, wm, x0, w_bc, dt, k, predicted)
         before = stepper.sweeps.copy(), stepper.solves.copy()
-        got = step(stepper, wm, x0, w_bc, dt, k)
+        got = step(stepper, wm, x0, w_bc, dt, k, predicted)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(stepper.sweeps - before[0], fresh.sweeps)
         assert np.array_equal(stepper.solves - before[1], fresh.solves)
