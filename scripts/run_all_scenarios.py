@@ -16,7 +16,6 @@ status, 1 otherwise.
 
 import argparse
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from absorblab.cli import main as cli_main
@@ -32,21 +31,11 @@ EXPECTED_EXIT = {
 }
 
 
-@dataclass
-class DriverConfig:
-    out_root: Path = Path("runs")
-    tolerance_scale: float = 1.0
-    scenarios: tuple = tuple(EXPECTED_EXIT)
-
-
-def run_all(cfg: DriverConfig) -> int:
+def run_all(out_root: Path, scenarios) -> int:
     bad = 0
-    for name in cfg.scenarios:
-        out = cfg.out_root / name
-        code = cli_main([
-            name, "--out", str(out),
-            "--tolerance-scale", repr(cfg.tolerance_scale),
-        ])
+    for name in scenarios:
+        out = out_root / name
+        code = cli_main([name, "--out", str(out)])
         manifest = out / "manifest.json"
         summary, work = "no manifest", None
         if manifest.exists():
@@ -72,14 +61,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=Path("runs"),
                     help="root directory for per-scenario outputs")
-    ap.add_argument("--tolerance-scale", type=float, default=1.0)
     ap.add_argument("--only", nargs="*", default=None, choices=tuple(EXPECTED_EXIT),
                     help="subset of scenario names to run")
     args = ap.parse_args()
-    cfg = DriverConfig(out_root=args.out, tolerance_scale=args.tolerance_scale)
-    if args.only:
-        cfg.scenarios = tuple(s for s in cfg.scenarios if s in set(args.only))
-    return run_all(cfg)
+    scenarios = [s for s in EXPECTED_EXIT if not args.only or s in args.only]
+    return run_all(args.out, scenarios)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 
 Usage::
 
-    absorblab SCENARIO [--config PATH] [--out DIR] [--tolerance-scale X]
+    absorblab SCENARIO [--config PATH] [--out DIR]
 
 where SCENARIO is one of ``conditions``, ``flat-ode``, ``stationary``,
 ``theorem-b``, ``theorem-c``, ``non-uniqueness``, ``alpha2``.
+
+Every check is graded against the pinned bound its scenario records in
+the manifest; no option rescales it.
 
 Exit codes: 0 when every recorded check passed, 2 for configuration
 errors (unknown key, bad value, unreadable file), 3 for numerical
@@ -15,7 +18,6 @@ failures or failed checks.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
@@ -41,20 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flat key = value config file (defaults apply if omitted)")
         p.add_argument("--out", metavar="DIR", default=f"out-{name}",
                        help="output directory (created if missing)")
-        p.add_argument("--tolerance-scale", metavar="X", type=float, default=1.0,
-                       help="multiply every pass/fail tolerance by X")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0.0):
-            raise ConfigError(
-                f"--tolerance-scale must be positive and finite, got {args.tolerance_scale:g}"
-            )
         config = load_config(args.scenario, args.config)
-        manifest = run_scenario(config, args.out, args.tolerance_scale)
+        manifest = run_scenario(config, args.out)
     except ConfigError as exc:
         print(f"absorblab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -67,7 +67,6 @@ class RunManifest:
     """Everything needed to audit one scenario run."""
 
     config: ExperimentConfig
-    tolerance_scale: float = 1.0
     tolerances: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
@@ -91,7 +90,6 @@ class RunManifest:
             "version": __version__,
             "scenario": self.config.scenario,
             "config": config_echo(self.config),
-            "tolerance_scale": self.tolerance_scale,
             "tolerances": self.tolerances,
             "checks": self.checks,
             "files": sorted(self.files),

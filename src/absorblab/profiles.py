@@ -190,7 +190,7 @@ class _DenseOutput:
         self.ts = np.array(ts)
         self.t_min = self.ts[0]
         self._h = np.diff(self.ts)
-        self._y = np.array(ys[:-1]).T  # (2, steps): the unknowns at each step's start
+        self._y = np.array(ys).T  # (2, steps + 1): the unknowns at the start and each step end
         self._q = np.transpose(np.array(ks) @ _DP_P, (2, 1, 0))  # (4, 2, steps)
 
     def __call__(self, r):
@@ -203,6 +203,25 @@ class _DenseOutput:
         s3 = s2 * s
         q1, q2, q3, q4 = (q[:, seg] for q in self._q)
         return self._y[:, seg] + h * (q1 * s + q2 * s2 + q3 * s3 + q4 * (s3 * s))
+
+    def crossing(self, level: float) -> float:
+        """The first radius where W reaches ``level``.
+
+        Takes the first step whose end value reaches ``level``, so an
+        ulp-level dip of the monotone W does not matter, and bisects that
+        step's quartic down to adjacent floats.  Raises :class:`BracketError`
+        when W starts at or above ``level`` or never reaches it."""
+        i = int(np.argmax(self._y[0] >= level))
+        if i == 0:
+            raise BracketError(f"W does not cross {level:.6g} on [{self.ts[0]:.6g}, "
+                               f"{self.ts[-1]:.6g}]")
+        lo, hi = self.ts[i - 1], self.ts[i]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if float(self(mid)[0]) < level:
+                lo = mid
+            else:
+                hi = mid
+        return float(hi)
 
 
 def _rms(x: float, y: float) -> float:
@@ -293,19 +312,6 @@ def _dormand_prince(rhs, t, w, p, t_end, cap):
     return _DenseOutput(ts, ys, ks), False
 
 
-def _cap_crossing(dense: _DenseOutput, cap: float) -> float:
-    """The radius where W crosses ``cap`` on the dense output's last step,
-    by bisection of its quartic."""
-    lo, hi = dense.ts[-2], dense.ts[-1]
-    lo_below = float(dense(lo)[0]) < cap
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if (float(dense(mid)[0]) < cap) == lo_below:
-            lo = mid
-        else:
-            hi = mid
-    return float(hi)
-
-
 def shoot_profile(
     spec: Nonlinearity,
     a: float,
@@ -368,7 +374,7 @@ def shoot_profile(
     )
     if crossed:
         raise OverflowGuardError(
-            f"profile left double range at r = {_cap_crossing(dense, cap):.6g} "
+            f"profile left double range at r = {dense.crossing(cap):.6g} "
             f"(center height {a:g}, W cap {cap:.6g})"
         )
 

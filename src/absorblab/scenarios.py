@@ -4,11 +4,8 @@ Each runner takes a resolved :class:`~absorblab.config.ExperimentConfig`,
 writes plot-ready CSV artifacts into the output directory, and returns a
 :class:`~absorblab.io.RunManifest` recording every check, tolerance and
 file.  Runners are deterministic: identical configs give byte-identical
-artifacts.
-
-``tolerance_scale`` multiplies every pass/fail threshold (never the
-physics); it exists so that a coarse exploratory run can be graded
-leniently without editing code.
+artifacts.  Each check is graded against its pinned bound, as written
+here and recorded under ``tolerances``.
 """
 
 from __future__ import annotations
@@ -55,18 +52,16 @@ def _field_rows(prefix: tuple, fld, times) -> list:
     ]
 
 
-def run_conditions(config, out_dir: Path, scale: float) -> RunManifest:
+def run_conditions(config, out_dir: Path) -> RunManifest:
     spec = _spec_from(config)
     report = classify_conditions(spec)
-    man = RunManifest(config=config, tolerance_scale=scale)
-    if spec.family == "log_power":
-        man.record_check("osgood_matches_analytic", report.osgood == (spec.alpha > 1.0))
-        man.record_check(
-            "keller_osserman_matches_analytic", report.keller_osserman == (spec.alpha > 2.0)
-        )
-    else:
-        man.record_check("osgood_matches_analytic", report.osgood)
-        man.record_check("keller_osserman_matches_analytic", report.keller_osserman)
+    man = RunManifest(config=config)
+    # an analytic verdict fails only where the numerical cross-check reads
+    # the opposite; None, inside the dead band, is no contradiction
+    for name, analytic in (("osgood", report.osgood),
+                           ("keller_osserman", report.keller_osserman)):
+        numeric = report.confidence[f"{name}_numeric"]
+        man.record_check(f"{name}_matches_analytic", numeric is None or numeric == analytic)
     man.record_file(
         emit_csv(
             out_dir / "conditions.csv",
@@ -88,7 +83,7 @@ def run_conditions(config, out_dir: Path, scale: float) -> RunManifest:
     return man
 
 
-def run_flat_ode(config, out_dir: Path, scale: float) -> RunManifest:
+def run_flat_ode(config, out_dir: Path) -> RunManifest:
     spec = _spec_from(config)
     times = np.linspace(0.0, config["t_max"], config["time_points"])
     a_list = config["a_list"]
@@ -96,7 +91,7 @@ def run_flat_ode(config, out_dir: Path, scale: float) -> RunManifest:
     *levels, envelope = solve_phi_levels_log(
         spec, [math.log(a) for a in a_list] + [math.inf], times
     )
-    man = RunManifest(config=config, tolerance_scale=scale)
+    man = RunManifest(config=config)
     rows = []
     closed_form_err = None
     monotone_ok = True
@@ -112,7 +107,7 @@ def run_flat_ode(config, out_dir: Path, scale: float) -> RunManifest:
             closed_form_err = max(closed_form_err or 0.0, err)
     man.record_check("trajectories_positive_decreasing", monotone_ok)
     if closed_form_err is not None:
-        man.record_check("closed_form_match", closed_form_err <= 1e-8 * scale, 1e-8 * scale)
+        man.record_check("closed_form_match", closed_form_err <= 1e-8, 1e-8)
     man.record_file(emit_csv(out_dir / "flat_ode.csv", ["a", "t", "value"], rows))
     positive = times > 0.0
     env_rows = np.column_stack((times[positive], envelope[positive])).tolist()
@@ -122,10 +117,10 @@ def run_flat_ode(config, out_dir: Path, scale: float) -> RunManifest:
     return man
 
 
-def run_stationary(config, out_dir: Path, scale: float) -> RunManifest:
+def run_stationary(config, out_dir: Path) -> RunManifest:
     spec = _spec_from(config)
     N = config["dimension"]
-    man = RunManifest(config=config, tolerance_scale=scale)
+    man = RunManifest(config=config)
     grid = np.linspace(0.0, config["r_max"], config["grid_points"])
     rows, bound_rows = [], []
     profiles = {}
@@ -156,7 +151,7 @@ def run_stationary(config, out_dir: Path, scale: float) -> RunManifest:
         ordered &= bool(np.max(d) < 0.0)
     man.record_check("profiles_ordered_in_center_height", ordered)
     bound_ok = True
-    tol = 1e-9 * scale
+    tol = 1e-9
     for a in config["a_list"]:
         for R in config["bound_radii"]:
             vbar = apriori_bound(spec, a, R)
@@ -172,12 +167,12 @@ def run_stationary(config, out_dir: Path, scale: float) -> RunManifest:
     return man
 
 
-def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
+def run_theorem_b(config, out_dir: Path) -> RunManifest:
     spec = _spec_from(config)
     g = _power_growth(config["growth_constant"], config["growth_power"])
     times = [0.0, *config["t_checks"]]
     h = config["h"]
-    man = RunManifest(config=config, tolerance_scale=scale)
+    man = RunManifest(config=config)
     rows = []
     centers = {}
     t_checks = config["t_checks"]
@@ -193,36 +188,34 @@ def run_theorem_b(config, out_dir: Path, scale: float) -> RunManifest:
             k: v for k, v in seq.diagnostics.items() if k.startswith("domination")
         }
         man.notes[f"in_n_violation_a={a:g}"] = seq.monotone_violation
-        man.record_check(
-            f"decreasing_in_n_a={a:g}", seq.monotone_violation <= h * h * scale, h * h * scale
-        )
+        man.record_check(f"decreasing_in_n_a={a:g}", seq.monotone_violation <= h * h, h * h)
         for n, fld in zip(config["n_list"], seq.fields):
             rows.extend(_field_rows((a, n), fld, times))
         limit = seq.limit
         for i, t in enumerate(times[1:], start=1):
             u0 = math.expm1(min(limit.values[i, 0], 690.0))
             centers.setdefault(t, {})[a] = u0
-            floor = a - math.exp(min(lam[t], 690.0)) - 0.05 * a * scale
-            man.record_check(f"center_floor_a={a:g}_t={t:g}", u0 >= floor, 0.05 * a * scale)
+            floor = a - math.exp(min(lam[t], 690.0)) - 0.05 * a
+            man.record_check(f"center_floor_a={a:g}_t={t:g}", u0 >= floor, 0.05 * a)
     t0 = config["t_checks"][0]
     a_sorted = sorted(config["a_list"])
     inc = all(
-        centers[t0][a2] >= centers[t0][a1] - 1e-9 * scale
+        centers[t0][a2] >= centers[t0][a1] - 1e-9
         for a1, a2 in zip(a_sorted[:-1], a_sorted[1:])
     )
-    man.record_check("center_nondecreasing_in_a", inc, 1e-9 * scale)
+    man.record_check("center_nondecreasing_in_a", inc, 1e-9)
     man.notes["solver_work"] = _solver_work([f for seq in seqs for f in seq.fields])
     man.record_file(emit_csv(out_dir / "theorem_b.csv", ["a", "n", "t", "r", "w"], rows))
     return man
 
 
-def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
+def run_theorem_c(config, out_dir: Path) -> RunManifest:
     spec = _spec_from(config)
     g = _power_growth(config["growth_constant"], config["growth_power"])
     tf = config["t_final"]
     times = [0.0, tf / 4.0, tf / 2.0, tf]
     h = config["h"]
-    man = RunManifest(config=config, tolerance_scale=scale)
+    man = RunManifest(config=config)
     seq = run_scheme_A4(
         spec, g, config["n_list"], config["r_out"], times, h=h, dt_max=config["dt_max"],
         dimension=config["dimension"],
@@ -246,14 +239,14 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
         for i, t in enumerate(times):
             if t <= 0.0:
                 continue
-            bound_w = lam[t] + math.log1p((1.0 + h * h * scale) * math.exp(-min(lam[t], 700.0)))
+            bound_w = lam[t] + math.log1p((1.0 + h * h) * math.exp(-min(lam[t], 700.0)))
             worst_env = max(worst_env, float(np.max(fld.values[i])) - bound_w)
     envelope_ok = worst_env <= 0.0
-    man.record_check("below_full_decay_envelope", envelope_ok, h * h * scale)
+    man.record_check("below_full_decay_envelope", envelope_ok, h * h)
     man.notes["envelope_margin"] = worst_env
     decreasing = all(g2 < g1 for g1, g2 in zip(rel_gaps[:-1], rel_gaps[1:]))
     man.record_check("gap_decreasing_in_n", decreasing)
-    frac = config["gap_fraction"] * scale
+    frac = config["gap_fraction"]
     man.record_check("final_gap_small", rel_gaps[-1] <= frac, frac)
     man.notes["relative_gaps"] = rel_gaps
     man.notes["solver_work"] = _solver_work(seq.fields)
@@ -263,14 +256,12 @@ def run_theorem_c(config, out_dir: Path, scale: float) -> RunManifest:
     return man
 
 
-def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
-    from scipy.optimize import brentq
-
+def run_non_uniqueness(config, out_dir: Path) -> RunManifest:
     spec = _spec_from(config)
     h, dt_max = config["h"], config["dt_max"]
     tf = config["t_final"]
     times = [0.0, tf / 2.0, tf]
-    man = RunManifest(config=config, tolerance_scale=scale)
+    man = RunManifest(config=config)
     r_big = max(config["r_out"], config["n_list"][-1])
     prof_mid = shoot_profile(spec, config["mid"], config["dimension"], r_big)
     g = GrowthFunction(
@@ -287,7 +278,7 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
             "smallest ball cannot host the witness radius: profile too low; "
             "increase n_list or lower t_final"
         )
-    r_star = brentq(lambda r: prof_c.w_at(r) - target_w, 1e-6, config["n_list"][0])
+    r_star = prof_c.dense.crossing(target_w)
     v_c_star = math.expm1(float(prof_c.w_at(r_star)))
 
     # A4's and A8.1's runs step as one family.  A4's data stay at or below
@@ -308,8 +299,8 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     a4_sup = math.expm1(min(float(np.max(a4.limit.values[-1])), 690.0))
     j_star = int(round(r_star / h))
     lower_val = math.expm1(min(float(lower.limit.values[-1, j_star]), 690.0))
-    tol_a4 = 0.05 * phi_inf * scale
-    tol_lo = 0.05 * v_c_star * scale
+    tol_a4 = 0.05 * phi_inf
+    tol_lo = 0.05 * v_c_star
     man.record_check("minimal_limit_below_envelope", a4_sup <= phi_inf + tol_a4, tol_a4)
     man.record_check("lower_limit_attains_profile", lower_val >= v_c_star - tol_lo, tol_lo)
     separation = lower_val - a4_sup
@@ -345,8 +336,8 @@ def run_non_uniqueness(config, out_dir: Path, scale: float) -> RunManifest:
     return man
 
 
-def run_alpha2(config, out_dir: Path, scale: float) -> RunManifest:
-    man = RunManifest(config=config, tolerance_scale=scale)
+def run_alpha2(config, out_dir: Path) -> RunManifest:
+    man = RunManifest(config=config)
     N = config["dimension"]
     x = config["x_radius"]
     rows = []
@@ -385,10 +376,8 @@ RUNNERS = {
 }
 
 
-def run_scenario(
-    config: ExperimentConfig, out_dir: str | Path, tolerance_scale: float = 1.0
-) -> RunManifest:
+def run_scenario(config: ExperimentConfig, out_dir: str | Path) -> RunManifest:
     out = Path(out_dir)
-    manifest = RUNNERS[config.scenario](config, out, tolerance_scale)
+    manifest = RUNNERS[config.scenario](config, out)
     emit_manifest(manifest, out)
     return manifest

@@ -9,7 +9,11 @@ Two criteria are currently red; the README gives the measurements:
        a = 2, 4, 8 at r = 4, t = 0.5).  The ordering argument needs the cap
        V_a to be a discrete supersolution; the continuum profile is not one
        (held as data and boundary on [0, 6] it drifts 0.019-0.078 by
-       t = 0.5).  The center floor and monotonicity-in-a clauses pass.
+       t = 0.5).  The center floor and monotonicity-in-a clauses pass,
+       but the six center floors pass vacuously at the default t_checks:
+       Phi_inf is 6.2e27 at t = 0.25 and 8.9e6 at t = 0.5, so every floor
+       a - Phi_inf - 0.05 a lies below -8.9e6 while u >= 0.  They bind
+       only from t ~ 1.39, 1.67 and 2.14 for a = 8, 4 and 2.
 * 8  — test fault.  The 5% gap to the flat envelope is asserted at n = 6,
        but the theorem gives the collapse only as n -> infinity; at n = 6
        the gap is 71.5%, mostly backward-Euler error that is first order in
@@ -175,7 +179,7 @@ def test_acceptance_06_discrete_comparison_randomized():
 def test_acceptance_07_capped_data_families(tmp_path):
     t0 = time.perf_counter()
     config = load_config("theorem-b", None)
-    man = run_theorem_b(config, tmp_path, 1.0)
+    man = run_theorem_b(config, tmp_path)
     h2 = config["h"] ** 2
     for a in config["a_list"]:
         print(f"  a={a:g}: in-n violation {man.notes[f'in_n_violation_a={a:g}']:.4f} "
@@ -197,7 +201,7 @@ def test_acceptance_07_capped_data_families(tmp_path):
 def test_acceptance_08_truncated_data_collapse(tmp_path):
     t0 = time.perf_counter()
     config = load_config("theorem-c", None)
-    man = run_theorem_c(config, tmp_path, 1.0)
+    man = run_theorem_c(config, tmp_path)
     gaps = man.notes["relative_gaps"]
     print(f"  relative gaps along n={[int(n) for n in config['n_list']]}: "
           f"{[f'{g:.3f}' for g in gaps]} (final allowed 0.05)")
@@ -210,7 +214,7 @@ def test_acceptance_08_truncated_data_collapse(tmp_path):
 def test_acceptance_09_non_uniqueness_witness(tmp_path):
     t0 = time.perf_counter()
     config = load_config("non-uniqueness", None)
-    man = run_non_uniqueness(config, tmp_path, 1.0)
+    man = run_non_uniqueness(config, tmp_path)
     n = man.notes
     print(f"  flat limit {n['phi_inf']:.3f} vs truncated-limit sup {n['a4_sup']:.3f}; "
           f"profile {n['v_c_at_r_star']:.3f} at r*={n['r_star']:.3f} vs "

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +50,32 @@ def test_conditions_end_to_end(tmp_path, capsys):
         assert header and rows
 
 
+def test_conditions_check_fails_where_the_numeric_verdict_disagrees(
+    tmp_path, monkeypatch, capsys
+):
+    # each analytic verdict is checked against the numerical tail
+    # classification: the opposite verdict fails the check by name (exit 3,
+    # manifest written), while None, inside the dead band, is no contradiction
+    real = scenarios.classify_conditions
+    names = ("osgood", "keller_osserman")
+    for flip in names:
+        def flipped(spec, flip=flip):
+            report = real(spec)
+            for name in names:
+                analytic = getattr(report, name)
+                report.confidence[f"{name}_numeric"] = not analytic if name == flip else None
+            return report
+
+        monkeypatch.setattr(scenarios, "classify_conditions", flipped)
+        out = tmp_path / flip
+        assert main(["conditions", "--out", str(out)]) == EXIT_NUMERICAL
+        assert f"1 check(s) failed: {flip}_matches_analytic" in capsys.readouterr().err
+        doc = _manifest(out)
+        assert doc["status"] == "fail"
+        assert doc["checks"] == {f"{name}_matches_analytic": name != flip for name in names}
+        assert doc["files"] == ["conditions.csv"]
+
+
 @pytest.mark.parametrize("scenario", ["alpha2", "non-uniqueness"])
 def test_alpha2_is_deterministic_across_runs(tmp_path, scenario):
     # non-uniqueness drives both evolution drivers with batched families
@@ -72,23 +99,35 @@ def test_flat_ode_power_family_reports_closed_form(tmp_path):
     assert doc["checks"]["closed_form_match"] is True
 
 
-def test_flat_ode_rising_row_fails_its_check_by_name(tmp_path, monkeypatch):
-    # a solved row that rises is a failed check with a manifest (exit 3),
-    # not a raise: the check reads the rows the scenario writes
+def test_flat_ode_rising_row_fails_its_check_by_name(tmp_path, monkeypatch, capsys):
+    # a bad solved row is a failed check with a manifest (exit 3), not a
+    # raise: the checks read the rows the scenario writes.  A first row that
+    # rises fails the monotone check; at p = 2 one value 1e-6 relative off
+    # the closed form fails its match, pinned at 1e-8
     solve = scenarios.solve_phi_levels_log
+    power = tmp_path / "p.cfg"
+    power.write_text("family = power\np = 2.0\n")
+    cases = [
+        ([], lambda lam: lam[0, 0] + 1.0, {"trajectories_positive_decreasing": False}),
+        (["--config", str(power)], lambda lam: lam[0, -1] + math.log1p(1e-6),
+         {"trajectories_positive_decreasing": True, "closed_form_match": False}),
+    ]
+    for i, (args, last_value, checks) in enumerate(cases):
+        def bad_row(spec, ln_tops, times, last_value=last_value):
+            levels = solve(spec, ln_tops, times)
+            levels[0, -1] = last_value(levels)
+            return levels
 
-    def rising_first_row(spec, ln_tops, times):
-        levels = solve(spec, ln_tops, times)
-        levels[0, -1] = levels[0, 0] + 1.0
-        return levels
-
-    monkeypatch.setattr(scenarios, "solve_phi_levels_log", rising_first_row)
-    out = tmp_path / "run"
-    assert main(["flat-ode", "--out", str(out)]) == EXIT_NUMERICAL
-    doc = _manifest(out)
-    assert doc["status"] == "fail"
-    assert doc["checks"] == {"trajectories_positive_decreasing": False}
-    assert sorted(doc["files"]) == ["flat_envelope.csv", "flat_ode.csv"]
+        monkeypatch.setattr(scenarios, "solve_phi_levels_log", bad_row)
+        out = tmp_path / f"run{i}"
+        assert main(["flat-ode", *args, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "check(s) failed" in err
+        assert all(name in err for name, ok in checks.items() if not ok)
+        doc = _manifest(out)
+        assert doc["status"] == "fail"
+        assert doc["checks"] == checks
+        assert sorted(doc["files"]) == ["flat_envelope.csv", "flat_ode.csv"]
 
 
 def test_flat_ode_at_defaults_within_budget(tmp_path):
@@ -146,36 +185,51 @@ def test_flat_ode_at_defaults_quadrature_count(tmp_path, monkeypatch):
 
 _CLI_MAIN = "import sys; from absorblab import cli; sys.exit(cli.main(sys.argv[1:]))"
 
-_SCIPY_FREE_RUNS = """
+_SCIPY_LOADED = """
 import json, sys
-from absorblab import cli, scenarios
-names = ("flat-ode", "alpha2", "conditions", "stationary")
-codes = [cli.main([name, "--out", out]) for name, out in zip(names, sys.argv[1:])]
+from absorblab import cli
+names = sys.argv[1::2]
+codes = [cli.main([name, "--out", out]) for name, out in zip(names, sys.argv[2::2])]
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_scipy_free_scenarios_never_import_scipy(tmp_path):
-    # scipy loads where it is called, and flat-ode, alpha2, conditions and
-    # stationary call none of it; a fresh interpreter, because this process
-    # has imported scipy already
+def _scipy_loaded(tmp_path, *names) -> dict:
+    """Exit codes of the scenarios at defaults, run in turn in a fresh
+    interpreter (this process has imported scipy already), and the scipy
+    modules they loaded."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    outs = [str(tmp_path / name) for name in ("flat", "alpha2", "conditions", "stationary")]
+    args = [arg for name in names for arg in (name, str(tmp_path / name))]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUNS, *outs],
+        [sys.executable, "-c", _SCIPY_LOADED, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_free_scenarios_never_import_scipy(tmp_path):
+    # scipy loads where it is called, and flat-ode, alpha2, conditions and
+    # stationary call none of it
+    result = _scipy_loaded(tmp_path, "flat-ode", "alpha2", "conditions", "stationary")
     assert result["codes"] == [EXIT_OK] * 4
     assert result["scipy"] == [], f"{len(result['scipy'])} scipy modules loaded"
 
 
+def test_non_uniqueness_loads_no_scipy_optimize(tmp_path):
+    # its witness radius is a crossing of the shoot's dense output, and its
+    # scipy is the tridiagonal solve of scipy.linalg
+    result = _scipy_loaded(tmp_path, "non-uniqueness")
+    assert result["codes"] == [EXIT_OK]
+    assert "scipy.linalg.lapack" in result["scipy"]
+    assert not [m for m in result["scipy"] if m.startswith("scipy.optimize")]
+
+
 def test_missing_scipy_is_not_a_numerical_failure(tmp_path, monkeypatch):
     # an install fault propagates; exit 3 stays for numerical failures.
-    # non-uniqueness imports brentq before any work
-    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    # non-uniqueness's one scipy import is the tridiagonal solver
+    monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
     with pytest.raises(ImportError):
         main(["non-uniqueness", "--out", str(tmp_path / "run")])
 
@@ -208,15 +262,13 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_bad_tolerance_scale_exits_2(tmp_path, capsys):
-    # an infinite scale would pass every scaled check and write Infinity,
-    # which is not JSON, into the manifest
-    for scale in ("-1", "inf", "nan"):
-        code = main(["conditions", "--tolerance-scale", scale,
-                     "--out", str(tmp_path / "run")])
-        assert code == EXIT_CONFIG
-        assert "tolerance-scale" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+def test_tolerance_scale_is_no_option(tmp_path):
+    # every check is graded against its pinned bound: argparse refuses a
+    # scale before any work
+    with pytest.raises(SystemExit) as exc:
+        main(["conditions", "--tolerance-scale", "1", "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_scenario_exits_2(capsys):
@@ -326,29 +378,6 @@ def test_theorem_b_solver_notes_reduce_its_three_sequences(tmp_path, monkeypatch
     assert (work["min_dt"], work["max_dt"]) == (3e-7, 2e-3)
 
 
-def test_failed_check_exits_3_and_writes_artifacts(tmp_path, capsys):
-    # an impossibly tight tolerance scale forces an honest check failure
-    # without touching the physics: the closed-form comparison carries real
-    # discretization error around 1e-12, far above 1e-8 * 1e-30
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("family = power\np = 2.0\n")
-    out = tmp_path / "run"
-    code = main(["flat-ode", "--config", str(cfg),
-                 "--tolerance-scale", "1e-30", "--out", str(out)])
-    assert code == EXIT_NUMERICAL
-    assert "check(s) failed" in capsys.readouterr().err
-    doc = _manifest(out)
-    assert doc["status"] == "fail"
-    assert doc["tolerance_scale"] == 1e-30
-
-
-def test_tolerance_scale_recorded_on_success(tmp_path):
-    out = tmp_path / "run"
-    assert main(["conditions", "--tolerance-scale", "2.5", "--out", str(out)]) == EXIT_OK
-    doc = _manifest(out)
-    assert doc["tolerance_scale"] == 2.5
-
-
 def test_manifest_echoes_resolved_config(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("alpha = 1.25\n")
@@ -356,6 +385,7 @@ def test_manifest_echoes_resolved_config(tmp_path):
     assert main(["conditions", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     doc = _manifest(out)
     assert doc["config"]["alpha"] == 1.25
+    assert "tolerance_scale" not in doc
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))

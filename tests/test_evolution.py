@@ -1336,7 +1336,7 @@ def test_non_uniqueness_steps_its_drivers_as_one_family(monkeypatch, tmp_path):
         return real_sample(self, radii)
 
     monkeypatch.setattr(RadialProfile, "sample", counted_sample)
-    man = run_non_uniqueness(config, tmp_path, 1.0)
+    man = run_non_uniqueness(config, tmp_path)
     assert len(calls) == 1
     assert sorted(sampled) == [61, 81, 91]
     joint = results[0].fields

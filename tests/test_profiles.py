@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp, solve_ivp
+from scipy.optimize import brentq
 
 from absorblab.errors import (
     BracketError,
@@ -166,6 +167,24 @@ def test_profile_leaving_double_range_names_its_radius():
         shoot_profile(Nonlinearity.power(2.0), 1.0, 1, 10.0)
     blow_up = math.sqrt(1.5) * math.gamma(1 / 6) * math.gamma(0.5) / (3 * math.gamma(2 / 3))
     assert float(str(err.value).rsplit("r = ", 1)[1]) == pytest.approx(blow_up, rel=1e-5)
+
+
+@pytest.mark.parametrize("alpha, c", [(1.5, 1.0), (1.2, 0.5), (1.8, 4.0)])
+def test_crossing_agrees_with_brentq_on_w_at(alpha, c):
+    # the crossing search bisects the shoot's own quartics, so it finds the
+    # root that brentq finds on RadialProfile.w_at, the same interpolant
+    prof = shoot_profile(Nonlinearity.log_power(alpha), c, 1, 6.0)
+    w0, w1 = prof.w_values[0], prof.w_values[-1]
+    for frac in (0.01, 0.5, 0.99):
+        level = w0 + frac * (w1 - w0)
+        r = prof.dense.crossing(level)
+        root = brentq(lambda x: prof.w_at(x) - level, 1e-6, 6.0, xtol=1e-15)
+        assert abs(r - root) <= 1e-12 * root
+        assert prof.w_at(r) >= level > prof.w_at(np.nextafter(r, 0.0))
+    # a level the run does not cross has no crossing radius
+    for level in (w0, w1 + 1.0):
+        with pytest.raises(BracketError, match="does not cross"):
+            prof.dense.crossing(level)
 
 
 def test_shoot_needs_a_range_past_its_seed_radius():
