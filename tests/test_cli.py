@@ -99,35 +99,45 @@ def test_flat_ode_power_family_reports_closed_form(tmp_path):
     assert doc["checks"]["closed_form_match"] is True
 
 
-def test_flat_ode_rising_row_fails_its_check_by_name(tmp_path, monkeypatch, capsys):
-    # a bad solved row is a failed check with a manifest (exit 3), not a
-    # raise: the checks read the rows the scenario writes.  A first row that
-    # rises fails the monotone check; at p = 2 one value 1e-6 relative off
-    # the closed form fails its match, pinned at 1e-8
+def _set_last_level(monkeypatch, last_value):
+    """Make flat-ode's solver write last_value(levels) as its first row's
+    last log-level."""
     solve = scenarios.solve_phi_levels_log
-    power = tmp_path / "p.cfg"
-    power.write_text("family = power\np = 2.0\n")
-    cases = [
-        ([], lambda lam: lam[0, 0] + 1.0, {"trajectories_positive_decreasing": False}),
-        (["--config", str(power)], lambda lam: lam[0, -1] + math.log1p(1e-6),
-         {"trajectories_positive_decreasing": True, "closed_form_match": False}),
-    ]
-    for i, (args, last_value, checks) in enumerate(cases):
-        def bad_row(spec, ln_tops, times, last_value=last_value):
-            levels = solve(spec, ln_tops, times)
-            levels[0, -1] = last_value(levels)
-            return levels
 
-        monkeypatch.setattr(scenarios, "solve_phi_levels_log", bad_row)
-        out = tmp_path / f"run{i}"
-        assert main(["flat-ode", *args, "--out", str(out)]) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "check(s) failed" in err
-        assert all(name in err for name, ok in checks.items() if not ok)
-        doc = _manifest(out)
-        assert doc["status"] == "fail"
-        assert doc["checks"] == checks
-        assert sorted(doc["files"]) == ["flat_envelope.csv", "flat_ode.csv"]
+    def bad_row(spec, ln_tops, times):
+        levels = solve(spec, ln_tops, times)
+        levels[0, -1] = last_value(levels)
+        return levels
+
+    monkeypatch.setattr(scenarios, "solve_phi_levels_log", bad_row)
+
+
+def test_flat_ode_rising_row_fails_its_check_by_name(tmp_path, monkeypatch):
+    # a solved row that rises is a failed check with a manifest (exit 3),
+    # not a raise: the check reads the rows the scenario writes
+    _set_last_level(monkeypatch, lambda lam: lam[0, 0] + 1.0)
+    out = tmp_path / "run"
+    assert main(["flat-ode", "--out", str(out)]) == EXIT_NUMERICAL
+    doc = _manifest(out)
+    assert doc["status"] == "fail"
+    assert doc["checks"] == {"trajectories_positive_decreasing": False}
+    assert sorted(doc["files"]) == ["flat_envelope.csv", "flat_ode.csv"]
+
+
+def test_failed_check_exits_3_and_writes_artifacts(tmp_path, monkeypatch, capsys):
+    # at p = 2 one solved value 1e-6 relative off the closed form fails its
+    # match, pinned at 1e-8: an honest failed check, exit 3 with artifacts
+    _set_last_level(monkeypatch, lambda lam: lam[0, -1] + math.log1p(1e-6))
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("family = power\np = 2.0\n")
+    out = tmp_path / "run"
+    assert main(["flat-ode", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+    assert "1 check(s) failed: closed_form_match" in capsys.readouterr().err
+    doc = _manifest(out)
+    assert doc["status"] == "fail"
+    assert doc["checks"] == {"trajectories_positive_decreasing": True,
+                             "closed_form_match": False}
+    assert sorted(doc["files"]) == ["flat_envelope.csv", "flat_ode.csv"]
 
 
 def test_flat_ode_at_defaults_within_budget(tmp_path):
@@ -385,6 +395,15 @@ def test_manifest_echoes_resolved_config(tmp_path):
     assert main(["conditions", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     doc = _manifest(out)
     assert doc["config"]["alpha"] == 1.25
+
+
+def test_success_manifest_has_no_tolerance_scale(tmp_path):
+    # every check is graded against its pinned bound, so there is no scale
+    # to record
+    out = tmp_path / "run"
+    assert main(["conditions", "--out", str(out)]) == EXIT_OK
+    doc = _manifest(out)
+    assert doc["status"] == "pass"
     assert "tolerance_scale" not in doc
 
 
